@@ -10,7 +10,8 @@
 #                                  # morph-stat --check and diffed against the
 #                                  # committed BENCH_baseline.json (>10% slowdowns
 #                                  # are flagged; MORPH_BENCH_STRICT=1 makes them
-#                                  # fatal for same-machine baselines)
+#                                  # fatal for same-machine baselines), plus the
+#                                  # perfbench pipeline as a correctness lane
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,6 +98,14 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   ./build/tools/morph-trace pipeline --events 8 --json TRACE_pipeline.json >/dev/null
   ./build/tools/morph-stat --check TRACE_pipeline.json >/dev/null
   echo "telemetry e2e OK (TRACE_pipeline.json)"
+
+  echo "== pipeline bench correctness lane (perfbench, 3 s per workload) =="
+  # Publisher -> reactor broker -> mixed-revision subscribers over real
+  # sockets. Gates on the exit code only: run.py fails when a run reports
+  # correct=false (field-by-field oracle), a failed share, or a broken
+  # conservation check. Timing is not judged here.
+  python3 perfbench/run.py --workload all --seconds 3 --trace 0 >/dev/null
+  echo "pipeline bench correctness OK"
 
   echo "== bench regression gate (vs BENCH_baseline.json) =="
   # The committed baseline was recorded on one machine; absolute timings do

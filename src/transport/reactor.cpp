@@ -52,6 +52,9 @@ struct ReactorMetrics {
   obs::Counter& send_drops = obs::metrics().counter("morph_reactor_send_drops_total");
   obs::Counter& wakeups = obs::metrics().counter("morph_reactor_wakeups_total");
   obs::Counter& bad_callbacks = obs::metrics().counter("morph_reactor_bad_callbacks_total");
+  obs::Counter& sendmsg = obs::metrics().counter("morph_reactor_sendmsg_total");
+  obs::Counter& readv = obs::metrics().counter("morph_reactor_readv_total");
+  obs::Counter& epoll_waits = obs::metrics().counter("morph_reactor_epoll_waits_total");
 };
 
 ReactorMetrics& gm() {
@@ -66,7 +69,7 @@ std::atomic<uint64_t> g_next_link_id{1};
 // connection doubles its way up to max_read_batch within a few wakeups.
 constexpr size_t kInitialRing = 4u << 10;
 constexpr int kMaxEvents = 256;
-constexpr int kFlushIov = 16;  // outbox chunks gathered per sendmsg
+constexpr int kFlushIov = 64;  // outbox chunks gathered per sendmsg
 
 }  // namespace
 
@@ -109,7 +112,9 @@ void AsyncTcpLink::send_shared(SharedPayload payload) {
 }
 
 bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
-  bool need_flush = false;
+  const bool on_loop = loop_->on_loop_thread();
+  bool need_post = false;
+  bool over_bound = false;
   bool overflow = false;
   {
     std::lock_guard<std::mutex> lock(out_mutex_);
@@ -128,9 +133,10 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
     } else {
       outbox_.push_back(std::move(chunk));
       out_bytes_ += size;
+      over_bound = out_bytes_ >= Reactor::kFlushBytes;
       if (!flush_queued_) {
         flush_queued_ = true;
-        need_flush = true;
+        need_post = !on_loop;
       }
     }
   }
@@ -143,7 +149,16 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
     return false;
   }
   gm().outbox_bytes.add(static_cast<double>(size));
-  if (need_flush) loop_->queue_flush(shared());
+  if (on_loop) {
+    // The loop flushes dirty links once per batch; a full outbox goes now
+    // so its bytes overlap with the rest of the batch's work.
+    loop_->mark_dirty(*this);
+    if (over_bound) loop_->flush(*this);
+  } else if (need_post) {
+    loop_->post([conn = shared()] {
+      if (!conn->dead_) conn->loop_->flush(*conn);
+    });
+  }
   return true;
 }
 
@@ -187,6 +202,7 @@ Reactor::~Reactor() {
   // Loop is gone: tear down whatever it still owned. Link destructors close
   // the sockets; no callbacks fire (the contract exempts mid-flight
   // destruction).
+  dirty_.clear();
   conns_.clear();
   graveyard_.clear();
   tasks_.clear();
@@ -257,14 +273,21 @@ void Reactor::adopt(int fd) {
   });
 }
 
-void Reactor::queue_flush(std::shared_ptr<AsyncTcpLink> conn) {
-  if (on_loop_thread()) {
-    if (!conn->dead_) flush(*conn);
-    return;
+void Reactor::mark_dirty(AsyncTcpLink& conn) {
+  if (conn.in_dirty_) return;
+  conn.in_dirty_ = true;
+  dirty_.push_back(conn.shared());
+}
+
+void Reactor::flush_dirty() {
+  // Indexed, not range-for: a failed flush closes its link, and a close
+  // callback that sends appends to dirty_ — those are flushed here too.
+  for (size_t i = 0; i < dirty_.size(); ++i) {
+    AsyncTcpLink& conn = *dirty_[i];
+    conn.in_dirty_ = false;
+    if (!conn.dead_) flush(conn);
   }
-  post([this, conn = std::move(conn)] {
-    if (!conn->dead_) flush(*conn);
-  });
+  dirty_.clear();
 }
 
 void Reactor::request_close(std::shared_ptr<AsyncTcpLink> conn, const char* reason) {
@@ -294,6 +317,7 @@ bool Reactor::flush(AsyncTcpLink& conn) {
       // sendmsg, not writev: writev has no MSG_NOSIGNAL, and a peer that
       // closed mid-write must surface as EPIPE, never SIGPIPE.
       const ssize_t n = ::sendmsg(conn.fd_, &mh, MSG_NOSIGNAL);
+      gm().sendmsg.inc();
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -335,6 +359,11 @@ bool Reactor::flush(AsyncTcpLink& conn) {
 void Reactor::close_conn(AsyncTcpLink& conn, const char* reason) {
   (void)reason;
   if (conn.dead_) return;
+  // Sends made before the close still leave ahead of the FIN (best effort:
+  // one pass until EAGAIN). A reply enqueued by the batch that also read
+  // the peer's EOF is only on the dirty list yet. A send error here closes
+  // the link inside flush().
+  if (!flush(conn)) return;
   conn.dead_ = true;
   conn.closed_.store(true, std::memory_order_release);
   wheel_remove(conn);
@@ -415,6 +444,7 @@ void Reactor::handle_readable(AsyncTcpLink& conn) {
       iovcnt = 2;
     }
     const ssize_t n = ::readv(conn.fd_, iov, iovcnt);
+    gm().readv.inc();
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -519,6 +549,7 @@ void Reactor::run() {
                                 : 0;
     }
     const int n = epoll_wait(epoll_fd_, events, kMaxEvents, timeout);
+    gm().epoll_waits.inc();
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone: only happens at teardown
@@ -538,9 +569,12 @@ void Reactor::run() {
         handle_readable(*conn);  // HUP/ERR surface as EOF/error from readv
       }
       if (!conn->dead_ && (events[i].events & EPOLLOUT) != 0) {
-        flush(*conn);
+        mark_dirty(*conn);  // room in the kernel buffer: resume a stalled outbox
       }
     }
+    // One gathered sendmsg per connection the batch wrote to, instead of
+    // one per send() call.
+    flush_dirty();
     std::vector<std::function<void()>> tasks;
     {
       std::lock_guard<std::mutex> lock(tasks_mutex_);
@@ -549,6 +583,9 @@ void Reactor::run() {
     }
     for (auto& task : tasks) task();
     if (tick_ms_ > 0) wheel_advance(monotonic_ms());
+    // Sends from tasks and close callbacks leave in this iteration too, not
+    // after the next wakeup.
+    flush_dirty();
     graveyard_.clear();
     if (n > 0 || !tasks.empty()) gm().loop_ns.record(monotonic_ns() - t0);
   }

@@ -17,8 +17,11 @@
 //                  delivers many frames. Writes go through a bounded
 //                  per-connection outbox (send_shared enqueues the
 //                  refcounted payload itself — zero copy until the kernel
-//                  write) drained opportunistically and via EPOLLOUT;
-//                  overflow means a slow consumer and closes the
+//                  write). Sends made on the loop thread only mark the
+//                  connection dirty; the loop gathers each dirty outbox
+//                  into one sendmsg after the I/O batch and again after
+//                  posted tasks (or early, once it holds kFlushBytes).
+//                  Overflow means a slow consumer and closes the
 //                  connection, counted, instead of buffering unboundedly.
 //   ReactorServer  a shared acceptor thread feeding accepted sockets
 //                  round-robin to N per-core loops.
@@ -163,11 +166,15 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
   mutable std::mutex out_mutex_;
   std::deque<OutChunk> outbox_;
   size_t out_bytes_ = 0;
-  bool flush_queued_ = false;  // a cross-thread flush wakeup is in flight
+  // A flush is already due: a posted flush task is in flight, or an on-loop
+  // send put the link on the loop's dirty list. Either way a later sender
+  // need not post another.
+  bool flush_queued_ = false;
   bool kill_ = false;          // overflow or fatal error; close is scheduled
 
   // Loop-thread-only state.
   bool dead_ = false;          // torn down; skip events already harvested
+  bool in_dirty_ = false;      // on the loop's dirty list
   bool in_wheel_ = false;
   size_t wheel_slot_ = 0;
   size_t wheel_pos_ = 0;
@@ -209,6 +216,17 @@ class Reactor {
   /// Ask the loop to stop; the destructor joins.
   void stop();
 
+  /// An on-loop send flushes its connection at once, inside the I/O batch,
+  /// when the outbox reaches this many bytes; below it the bytes wait for
+  /// the loop's end-of-batch flush. Measured with perfbench (docs/PERF.md):
+  /// with no bound, one 256 KB read batch of ~10 KB events held every reply
+  /// behind ~2.5 ms of handler work, and large_morph throughput fell below
+  /// the unbatched baseline (9.7k vs 11.7k events/s). 4 and 8 KB cost
+  /// throughput on small_events and large_morph; 16, 32 and 64 KB measured
+  /// alike. 16 KB is the smallest bound without that loss, so the least
+  /// output waits behind handler work.
+  static constexpr size_t kFlushBytes = 16u << 10;
+
   struct Stats {
     uint64_t accepted = 0;
     uint64_t closed = 0;
@@ -227,7 +245,8 @@ class Reactor {
   void handle_readable(AsyncTcpLink& conn);
   void dispatch_ring(AsyncTcpLink& conn);
   bool flush(AsyncTcpLink& conn);  // loop thread; false if conn was killed
-  void queue_flush(std::shared_ptr<AsyncTcpLink> conn);
+  void mark_dirty(AsyncTcpLink& conn);  // loop thread
+  void flush_dirty();                   // loop thread
   void request_close(std::shared_ptr<AsyncTcpLink> conn, const char* reason);
   void close_conn(AsyncTcpLink& conn, const char* reason);
   void wheel_touch(AsyncTcpLink& conn, uint64_t now_ms);
@@ -250,6 +269,9 @@ class Reactor {
   // iteration ends and dead_ makes the stale event a no-op).
   std::vector<std::shared_ptr<AsyncTcpLink>> graveyard_;
   std::unordered_map<int, std::shared_ptr<AsyncTcpLink>> conns_;
+  // Connections with on-loop sends not yet flushed (loop-thread-only). An
+  // entry may be closed before its flush; dead_ makes it a no-op.
+  std::vector<std::shared_ptr<AsyncTcpLink>> dirty_;
 
   // Idle timer wheel (loop-thread-only).
   static constexpr size_t kWheelSlots = 64;  // power of two

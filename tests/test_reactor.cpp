@@ -3,14 +3,22 @@
 // reactor differential, and the EchoTcpNode serving shell in both modes.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "echo/node.hpp"
+#include "obs/metrics.hpp"
 #include "pbio/record.hpp"
 #include "transport/framing.hpp"
 #include "transport/reactor.hpp"
@@ -214,8 +222,8 @@ TEST(Reactor, SendErrorDuringFlushClosesWithoutDeadlockingLoop) {
   // Drive the flush error branch deterministically: shutdown(SHUT_WR) on
   // the adopted socket latches a write-only failure (sendmsg gets EPIPE
   // while the read side stays quiet, so readv never sees the error first),
-  // and sending from the loop thread makes queue_flush run flush()
-  // synchronously.
+  // and sending from the loop thread makes the loop's end-of-iteration
+  // flush run on the loop thread.
   int sv[2];
   ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
   Reactor loop{ReactorOptions{}};
@@ -324,6 +332,291 @@ TEST(Reactor, ConnectionChurnSettlesToZero) {
   const Reactor::Stats stats = server.stats();
   EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kConns));
   EXPECT_EQ(stats.closed, static_cast<uint64_t>(kConns));
+}
+
+// ---------------------------------------------------------------------------
+// Write coalescing: on-loop sends are gathered into one sendmsg per touched
+// connection per loop pass, flushed early at Reactor::kFlushBytes. Asserted
+// through the process-wide syscall counters, so each test keeps exactly one
+// reactor busy while it measures.
+
+uint64_t counter_value(const char* name) { return obs::metrics().counter(name).value(); }
+
+/// One Reactor serving `n` socketpairs. links[i] is the reactor end of pair
+/// i (adoption order), peers[i] the test's blocking end. on_close counts
+/// closes per link.
+struct PairedLoop {
+  explicit PairedLoop(size_t n) : loop_owner(std::make_unique<Reactor>(ReactorOptions{})) {
+    loop.set_on_accept([this](AsyncTcpLink& link) {
+      std::lock_guard<std::mutex> lock(mutex);
+      links.push_back(link.shared());
+    });
+    loop.set_on_close([this](AsyncTcpLink& link) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++closes[link.id()];
+    });
+    for (size_t i = 0; i < n; ++i) {
+      int sv[2];
+      EXPECT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
+      reactor_fds.push_back(sv[0]);
+      peers.push_back(sv[1]);
+      loop.adopt(sv[0]);
+    }
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (adopted() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_EQ(adopted(), n);
+    // Drain the adoption tasks' own flush passes before anyone snapshots a
+    // counter.
+    run_on_loop([] {});
+  }
+  ~PairedLoop() {
+    loop_owner.reset();  // join the loop before the state its callbacks touch
+    for (int fd : peers) ::close(fd);
+  }
+
+  size_t adopted() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return links.size();
+  }
+  int close_count(const AsyncTcpLink& link) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return closes[link.id()];
+  }
+
+  /// Run `fn` on the loop and wait until that iteration's tasks are done.
+  void run_on_loop(std::function<void()> fn) {
+    std::atomic<bool> ran{false};
+    loop.post([&] {
+      fn();
+      ran.store(true);
+    });
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_TRUE(ran.load());
+  }
+
+  /// Read exactly `n` bytes from peer `i`, or fewer if it hits EOF or 2s
+  /// pass with nothing new.
+  std::vector<uint8_t> read_peer(size_t i, size_t n) {
+    std::vector<uint8_t> got;
+    uint8_t buf[4096];
+    while (got.size() < n) {
+      pollfd pfd{peers[i], POLLIN, 0};
+      if (::poll(&pfd, 1, 2000) <= 0) break;
+      const ssize_t r = ::recv(peers[i], buf, std::min(sizeof buf, n - got.size()), 0);
+      if (r <= 0) break;
+      got.insert(got.end(), buf, buf + r);
+    }
+    return got;
+  }
+
+  /// True when peer `i` sees EOF within 2s (any bytes before it discarded).
+  bool peer_sees_eof(size_t i) {
+    uint8_t buf[4096];
+    for (;;) {
+      pollfd pfd{peers[i], POLLIN, 0};
+      if (::poll(&pfd, 1, 2000) <= 0) return false;
+      const ssize_t r = ::recv(peers[i], buf, sizeof buf, 0);
+      if (r == 0) return true;
+      if (r < 0) return false;
+    }
+  }
+
+  /// Send one trigger byte to link 0 and wait for its handler to have run.
+  void trigger(std::atomic<int>& handled) {
+    const int before = handled.load();
+    const uint8_t go = 'g';
+    ASSERT_EQ(1, ::send(peers[0], &go, 1, 0));
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (handled.load() == before && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_GT(handled.load(), before);
+    run_on_loop([] {});  // the handler's iteration, flush passes included, is over
+  }
+
+  std::mutex mutex;
+  std::vector<std::shared_ptr<AsyncTcpLink>> links;
+  std::map<uint64_t, int> closes;
+  std::vector<int> reactor_fds;
+  std::vector<int> peers;
+  std::unique_ptr<Reactor> loop_owner;  // last: its loop uses the rest
+  Reactor& loop = *loop_owner;
+};
+
+/// Deterministic frame bytes: `count` frames of `size` bytes, each filled
+/// from (stream, index) so a lost or reordered byte shows.
+std::vector<uint8_t> pattern_stream(size_t stream, size_t count, size_t size) {
+  std::vector<uint8_t> out;
+  out.reserve(count * size);
+  for (size_t k = 0; k < count; ++k) {
+    for (size_t b = 0; b < size; ++b) out.push_back(static_cast<uint8_t>(stream * 73 + k * 7 + b));
+  }
+  return out;
+}
+
+TEST(ReactorCoalescing, OneSendmsgPerTouchedConnectionPerDispatch) {
+  // One dispatch on link 0 sends K small frames to each of M links: the
+  // loop must gather them into at most one sendmsg per link, and every
+  // peer must receive its exact stream in order.
+  constexpr size_t kM = 4;
+  constexpr size_t kK = 32;
+  constexpr size_t kFrame = 100;  // K * kFrame stays well under kFlushBytes
+  static_assert(kK * kFrame < Reactor::kFlushBytes);
+  PairedLoop pl(kM + 1);
+  std::atomic<int> handled{0};
+  pl.run_on_loop([&] {
+    pl.links[0]->set_on_data([&](const uint8_t*, size_t) {
+      for (size_t m = 1; m <= kM; ++m) {
+        const std::vector<uint8_t> bytes = pattern_stream(m, kK, kFrame);
+        for (size_t k = 0; k < kK; ++k) pl.links[m]->send(bytes.data() + k * kFrame, kFrame);
+      }
+      handled.fetch_add(1);
+    });
+  });
+
+  const uint64_t sendmsg_before = counter_value("morph_reactor_sendmsg_total");
+  pl.trigger(handled);
+  for (size_t m = 1; m <= kM; ++m) {
+    EXPECT_EQ(pl.read_peer(m, kK * kFrame), pattern_stream(m, kK, kFrame)) << "peer " << m;
+  }
+  const uint64_t sendmsgs = counter_value("morph_reactor_sendmsg_total") - sendmsg_before;
+  EXPECT_GE(sendmsgs, 1u);
+  EXPECT_LE(sendmsgs, kM) << "more than one sendmsg per touched connection";
+}
+
+TEST(ReactorCoalescing, OutboxPastByteBoundFlushesMidBatch) {
+  // A handler that enqueues far more than the bound to one link within one
+  // dispatch must not hold it all until the batch ends: the outbox goes out
+  // each time it reaches kFlushBytes, in order, byte for byte.
+  constexpr size_t kFrame = 512;
+  constexpr size_t kFrames = 5 * Reactor::kFlushBytes / kFrame;  // > 4x the bound
+  PairedLoop pl(2);
+  std::atomic<int> handled{0};
+  std::atomic<uint64_t> sendmsg_in_handler{0};
+  const std::vector<uint8_t> bytes = pattern_stream(1, kFrames, kFrame);
+  pl.run_on_loop([&] {
+    pl.links[0]->set_on_data([&](const uint8_t*, size_t) {
+      const uint64_t before = counter_value("morph_reactor_sendmsg_total");
+      for (size_t k = 0; k < kFrames; ++k) pl.links[1]->send(bytes.data() + k * kFrame, kFrame);
+      sendmsg_in_handler.store(counter_value("morph_reactor_sendmsg_total") - before);
+      handled.fetch_add(1);
+    });
+  });
+
+  const uint64_t sendmsg_before = counter_value("morph_reactor_sendmsg_total");
+  pl.trigger(handled);
+  EXPECT_EQ(pl.read_peer(1, bytes.size()), bytes);
+  const uint64_t sendmsgs = counter_value("morph_reactor_sendmsg_total") - sendmsg_before;
+  EXPECT_GT(sendmsg_in_handler.load(), 1u) << "no flush inside the batch";
+  EXPECT_GT(sendmsgs, 1u);
+  EXPECT_LT(sendmsgs, kFrames) << "bound flushes must still gather many frames";
+}
+
+TEST(ReactorCoalescing, PostedTaskSendFlushesInSameIteration) {
+  // A send from a posted task must leave in the iteration that ran the
+  // task. Nothing else happens on the loop afterwards — no wakeup, and the
+  // socket was writable all along so no EPOLLOUT edge either — so bytes
+  // deferred to "later" would never arrive.
+  PairedLoop pl(1);
+  const uint64_t sendmsg_before = counter_value("morph_reactor_sendmsg_total");
+  const uint64_t wakeups_before = counter_value("morph_reactor_wakeups_total");
+  pl.loop.post([&] {
+    pl.links[0]->send("from-task", 9);
+    pl.links[0]->send("+more", 5);
+  });
+  const std::vector<uint8_t> got = pl.read_peer(0, 14);
+  EXPECT_EQ(std::string(got.begin(), got.end()), "from-task+more");
+  EXPECT_EQ(counter_value("morph_reactor_sendmsg_total") - sendmsg_before, 1u);
+  EXPECT_EQ(counter_value("morph_reactor_wakeups_total") - wakeups_before, 1u);
+}
+
+TEST(ReactorCoalescing, SendThenCloseInHandlerDeliversBytesBeforeEof) {
+  // request_close from a handler while the target sits on the dirty list:
+  // the bytes it was already sent still leave ahead of the FIN, its stale
+  // dirty entry is skipped, on_close fires once, and later sends are
+  // counted drops.
+  PairedLoop pl(3);
+  std::atomic<int> handled{0};
+  pl.run_on_loop([&] {
+    pl.links[0]->set_on_data([&](const uint8_t*, size_t) {
+      if (handled.load() == 0) {
+        pl.links[1]->send("bye", 3);
+        pl.links[1]->close();
+        pl.links[1]->send("late", 4);  // dropped: the link is closed
+      }
+      pl.links[2]->send("alive", 5);
+      handled.fetch_add(1);
+    });
+  });
+
+  pl.trigger(handled);
+  const std::vector<uint8_t> got = pl.read_peer(1, 3);
+  EXPECT_EQ(std::string(got.begin(), got.end()), "bye");
+  EXPECT_TRUE(pl.peer_sees_eof(1));
+  EXPECT_FALSE(pl.links[1]->connected());
+  EXPECT_EQ(pl.close_count(*pl.links[1]), 1);
+  EXPECT_EQ(pl.loop.stats().send_drops, 1u);
+
+  // The loop and its other links carry on; sends to the dead link from
+  // any thread stay counted drops and never re-fire on_close.
+  pl.links[1]->send("later", 5);
+  pl.trigger(handled);
+  const std::vector<uint8_t> alive = pl.read_peer(2, 10);
+  EXPECT_EQ(std::string(alive.begin(), alive.end()), "alivealive");
+  EXPECT_EQ(pl.close_count(*pl.links[1]), 1);
+  EXPECT_EQ(pl.loop.stats().send_drops, 2u);
+  EXPECT_EQ(pl.loop.stats().closed, 1u);
+}
+
+TEST(ReactorCoalescing, SendErrorOnDirtyLinkClosesOnceAndLaterSendsDrop) {
+  // Peer-side failure while a link is on the dirty list (the socketpair +
+  // SHUT_WR trick from SendErrorDuringFlushClosesWithoutDeadlockingLoop
+  // latches EPIPE on the reactor end). First a small send that fails in the
+  // end-of-batch flush, then on a second link a send past the bound that
+  // fails mid-batch: the close lands while the link is still listed, the
+  // rest of the handler's sends to it are dropped, and the pass skips it.
+  PairedLoop pl(4);
+  ::shutdown(pl.reactor_fds[1], SHUT_WR);
+  ::shutdown(pl.reactor_fds[2], SHUT_WR);
+  std::atomic<int> handled{0};
+  const std::vector<uint8_t> big(Reactor::kFlushBytes, 0x5A);
+  pl.run_on_loop([&] {
+    pl.links[0]->set_on_data([&](const uint8_t*, size_t) {
+      if (handled.load() == 0) {
+        pl.links[1]->send("doomed", 6);
+      } else {
+        pl.links[2]->send(big.data(), big.size());  // at the bound: flushed, EPIPE
+        pl.links[2]->send("after", 5);              // dropped
+      }
+      pl.links[3]->send("ok", 2);
+      handled.fetch_add(1);
+    });
+  });
+
+  pl.trigger(handled);
+  EXPECT_FALSE(pl.links[1]->connected());
+  EXPECT_EQ(pl.close_count(*pl.links[1]), 1);
+  EXPECT_EQ(pl.loop.stats().send_drops, 0u);
+
+  pl.trigger(handled);
+  EXPECT_FALSE(pl.links[2]->connected());
+  EXPECT_EQ(pl.close_count(*pl.links[2]), 1);
+  EXPECT_EQ(pl.loop.stats().send_drops, 1u);
+
+  pl.links[1]->send("x", 1);
+  pl.links[2]->send("y", 1);
+  pl.run_on_loop([] {});
+  EXPECT_EQ(pl.loop.stats().send_drops, 3u);
+  EXPECT_EQ(pl.close_count(*pl.links[1]), 1);
+  EXPECT_EQ(pl.close_count(*pl.links[2]), 1);
+  EXPECT_EQ(pl.loop.stats().closed, 2u);
+  const std::vector<uint8_t> ok = pl.read_peer(3, 4);
+  EXPECT_EQ(std::string(ok.begin(), ok.end()), "okok");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 // counts modest so TSan finishes quickly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -195,6 +197,122 @@ TEST(ReactorConcurrency, BackpressureStampede) {
   EXPECT_EQ(stats.closed, static_cast<uint64_t>(kConns));
   // The shared payload's refcount drained back to our handle.
   EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(ReactorConcurrency, MixedOnLoopAndOffLoopSendersOnOneLink) {
+  // Two senders share one link under load: its data handler replies on the
+  // loop thread (which only marks the link dirty and sets flush_queued_),
+  // while an outside thread sends to the same link and skips its posted
+  // flush whenever an on-loop send got there first. Every frame must
+  // arrive, in order per sender, and nothing may be stranded in the outbox
+  // once both stop — a lost flush shows as frames that never come. The
+  // last kTail off-loop frames go out only after the rest has landed and
+  // one final on-loop reply was flushed, so no later on-loop flush can
+  // rescue them.
+  constexpr uint64_t kLoopSender = 1;
+  constexpr uint64_t kThreadSender = 2;
+  constexpr uint32_t kLoopFrames = 1500;
+  constexpr uint32_t kThreadFrames = 1500;
+  constexpr uint32_t kTail = 20;
+  constexpr size_t kPad = 60;  // payload: 4-byte sequence number + padding
+
+  auto frame_for = [](uint64_t sender, uint32_t seq) {
+    uint8_t payload[4 + kPad] = {};
+    std::memcpy(payload, &seq, 4);
+    std::memset(payload + 4, static_cast<int>(sender + seq), kPad);
+    ByteBuffer out;
+    write_frame(out, FrameType::kData, payload, sizeof payload, sender);
+    return out;
+  };
+
+  TcpListener listener(0);
+  std::mutex end_mutex;
+  std::shared_ptr<AsyncTcpLink> server_end;
+  ReactorServer server(listener, ReactorOptions{}, [&](AsyncTcpLink& link) {
+    AsyncTcpLink* l = &link;
+    // One reply frame per inbound byte; seq is loop-thread state.
+    link.set_on_data([l, &frame_for, seq = uint32_t{0}](const uint8_t*, size_t n) mutable {
+      for (size_t i = 0; i < n; ++i) l->send(frame_for(kLoopSender, seq++));
+    });
+    std::lock_guard<std::mutex> lock(end_mutex);
+    server_end = link.shared();
+  });
+
+  auto client = TcpLink::connect("127.0.0.1", server.port());
+  FrameAssembler assembler;
+  uint32_t next_seq[3] = {0, 0, 0};
+  size_t frames = 0;
+  size_t bytes = 0;
+  bool in_order = true;
+  client->set_on_data([&](const uint8_t* d, size_t n) {
+    bytes += n;
+    assembler.feed(d, n, [&](Frame& f) {
+      uint32_t seq = 0;
+      std::memcpy(&seq, f.payload.data(), 4);
+      const uint64_t sender = f.trace_id;
+      if (sender != kLoopSender && sender != kThreadSender) {
+        in_order = false;
+        return;
+      }
+      const ByteBuffer expect = frame_for(sender, next_seq[sender]);
+      if (seq != next_seq[sender] || f.payload.size() != 4 + kPad ||
+          std::memcmp(f.payload.data() + 4, expect.data() + expect.size() - kPad, kPad) != 0) {
+        in_order = false;
+      }
+      ++next_seq[sender];
+      ++frames;
+    });
+  });
+
+  const auto accept_deadline = std::chrono::steady_clock::now() + 2s;
+  std::shared_ptr<AsyncTcpLink> end;
+  while (!end && std::chrono::steady_clock::now() < accept_deadline) {
+    std::this_thread::sleep_for(1ms);
+    std::lock_guard<std::mutex> lock(end_mutex);
+    end = server_end;
+  }
+  ASSERT_TRUE(end);
+
+  std::atomic<bool> tail_go{false};
+  std::thread off_loop([&] {
+    for (uint32_t seq = 0; seq < kThreadFrames; ++seq) {
+      if (seq == kThreadFrames - kTail) {
+        while (!tail_go.load()) std::this_thread::sleep_for(1ms);
+      }
+      end->send(frame_for(kThreadSender, seq));
+      if (seq % 64 == 0) std::this_thread::yield();
+    }
+  });
+  // Triggers go out in small bursts, interleaved with reads, so on-loop
+  // replies and off-loop sends keep overlapping on the outbox.
+  const uint8_t burst[10] = {};
+  for (uint32_t sent = 0; sent + 1 < kLoopFrames; sent += sizeof burst) {
+    client->send(burst, std::min<size_t>(sizeof burst, kLoopFrames - 1 - sent));
+    client->pump(0);
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  auto pump_until = [&](uint32_t loop_frames, uint32_t thread_frames) {
+    while ((next_seq[kLoopSender] < loop_frames || next_seq[kThreadSender] < thread_frames) &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (!client->pump(20)) break;
+    }
+  };
+  pump_until(kLoopFrames - 1, kThreadFrames - kTail);
+  client->send(burst, 1);
+  pump_until(kLoopFrames, kThreadFrames - kTail);
+  tail_go.store(true);
+  off_loop.join();
+
+  const size_t frame_bytes = frame_for(kLoopSender, 0).size();
+  const size_t expect_frames = kLoopFrames + kThreadFrames;
+  pump_until(kLoopFrames, kThreadFrames);
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(frames, expect_frames);
+  EXPECT_EQ(next_seq[kLoopSender], kLoopFrames);
+  EXPECT_EQ(next_seq[kThreadSender], kThreadFrames);
+  EXPECT_EQ(bytes, expect_frames * frame_bytes);
+  EXPECT_EQ(end->outbox_bytes(), 0u);
+  EXPECT_EQ(server.stats().send_drops, 0u);
 }
 
 }  // namespace

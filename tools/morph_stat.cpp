@@ -345,6 +345,13 @@ void render_transport(const Snapshot& s) {
     const HistRow& h = hist->second;
     std::printf("  loop: %" PRIu64 " wakeups with work, p50 %s, p99 %s\n", h.count,
                 fmt_ns(h.p50).c_str(), fmt_ns(h.p99).c_str());
+    const uint64_t sendmsg = counter("morph_reactor_sendmsg_total");
+    const uint64_t readv = counter("morph_reactor_readv_total");
+    const uint64_t waits = counter("morph_reactor_epoll_waits_total");
+    std::printf("  syscalls: %.2f per loop iteration with work (%" PRIu64 " sendmsg, %" PRIu64
+                " readv, %" PRIu64 " epoll_wait)\n",
+                static_cast<double>(sendmsg + readv + waits) / static_cast<double>(h.count),
+                sendmsg, readv, waits);
   }
   hist = s.histograms.find("morph_reactor_dispatch_ns");
   if (hist != s.histograms.end() && hist->second.count > 0) {
