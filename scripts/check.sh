@@ -22,13 +22,6 @@ cmake --build build
 echo "== tests =="
 ctest --test-dir build --output-on-failure
 
-echo "== reactor transport lane (MORPH_TRANSPORT=reactor) =="
-# Re-run every transport-facing suite with the event-loop transport as the
-# process-wide default: same tests, second transport implementation. The
-# threaded path stays the differential oracle — both must pass.
-MORPH_TRANSPORT=reactor ./build/tests/tests_middleware
-MORPH_TRANSPORT=reactor ./build/tests/tests_fmtsvc
-
 echo "== evolution audit (vs examples/transforms/AUDIT_golden.json) =="
 # Static breaking-change gate over the committed corpus: new error-severity
 # findings or chain-quality regressions against the golden report fail the
@@ -142,11 +135,14 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake -B build-tsan -G Ninja -DMORPH_SANITIZE=thread \
     -DMORPH_BUILD_BENCH=OFF -DMORPH_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan
-  # The dedicated concurrency suite (including ReactorConcurrency) plus the
-  # multi-threaded soak in both transport modes: these are the tests whose
-  # whole point is to race, so they get the TSan referee.
+  # The dedicated concurrency suite (including ReactorConcurrency), the
+  # multi-threaded soak, and every reactor-served server (format service,
+  # telemetry collector, ECho node), whose protocol handling runs on loop
+  # threads while test threads publish and read stats.
   ./build-tsan/tests/tests_concurrency
-  ./build-tsan/tests/tests_middleware --gtest_filter='Soak.*'
+  ./build-tsan/tests/tests_fmtsvc
+  ./build-tsan/tests/tests_telemetry
+  ./build-tsan/tests/tests_middleware --gtest_filter='EchoTcp*:EchoNode*:Soak.*'
 fi
 
 echo "ALL GREEN"

@@ -1,67 +1,26 @@
 #include "echo/node.hpp"
 
-#include <poll.h>
-
-#include <cerrno>
-
-#include "common/error.hpp"
-#include "common/log.hpp"
+#include <condition_variable>
+#include <mutex>
 
 namespace morph::echo {
 
-struct EchoTcpNode::ThreadedConn {
-  std::unique_ptr<transport::TcpLink> link;
-  std::thread thread;
-};
-
 EchoTcpNode::EchoTcpNode(std::string contact, NodeOptions options)
-    : contact_(std::move(contact)), options_(options), listener_(options.port) {
-  process_ = std::make_unique<EchoProcess>(contact_, options_.version, options_.receiver,
-                                           options_.fanout);
-  if (options_.transport == transport::TransportMode::kReactor) {
-    transport::ReactorOptions ropts;
-    ropts.loops = 1;  // EchoProcess is single-threaded: one loop owns it
-    ropts.idle_timeout_ms = options_.idle_timeout_ms;
-    ropts.max_connections = options_.max_connections;
-    reactor_ = std::make_unique<transport::ReactorServer>(
-        listener_, ropts, [this](transport::AsyncTcpLink& link) {
-          // Loop thread. Pin the link for the process's lifetime (its
-          // MessagePort holds a Link&), then let the process claim the
-          // data callback and send its HELLO.
-          pinned_links_.push_back(link.shared());
-          process_->attach_link(link);
-        });
-  } else {
-    acceptor_ = std::thread([this] { accept_loop(); });
-  }
-}
-
-EchoTcpNode::~EchoTcpNode() {
-  stop_.store(true, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();
-  for (auto& conn : conns_) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  reactor_.reset();  // stops the loop; pinned links die with the members
-}
-
-size_t EchoTcpNode::connections() const {
-  if (reactor_) return reactor_->connections();
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  size_t live = 0;
-  for (const auto& conn : conns_) {
-    if (conn->link->connected()) ++live;
-  }
-  return live;
-}
+    : listener_(options.port),
+      process_(std::make_unique<EchoProcess>(std::move(contact), options.version,
+                                             options.receiver, options.fanout)),
+      // One loop: EchoProcess is single-threaded and that loop owns it.
+      server_(listener_, transport::ReactorOptions{.max_connections = options.max_connections},
+              [this](transport::AsyncTcpLink& link) {
+                // Loop thread. Pin the link for the process's lifetime (its
+                // MessagePort holds a Link&), then let the process claim the
+                // data callback and send its HELLO.
+                pinned_links_.push_back(link.shared());
+                process_->attach_link(link);
+              }) {}
 
 void EchoTcpNode::with_process(const std::function<void(EchoProcess&)>& fn) {
-  if (reactor_ == nullptr) {
-    std::lock_guard<std::mutex> lock(process_mutex_);
-    fn(*process_);
-    return;
-  }
-  transport::Reactor& loop = reactor_->loop(0);
+  transport::Reactor& loop = server_.loop(0);
   if (loop.on_loop_thread()) {
     fn(*process_);
     return;
@@ -92,55 +51,6 @@ size_t EchoTcpNode::publish(const std::string& channel, const pbio::FormatPtr& f
   size_t sent = 0;
   with_process([&](EchoProcess& p) { sent = p.publish(channel, fmt, record); });
   return sent;
-}
-
-void EchoTcpNode::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::unique_ptr<transport::TcpLink> link;
-    try {
-      link = listener_.accept(50);
-    } catch (const Error& e) {
-      MORPH_LOG_WARN("echo") << "accept failed: " << e.what();
-      continue;
-    }
-    if (link == nullptr) continue;
-    if (connections() >= options_.max_connections) continue;  // EOF to client
-    auto conn = std::make_unique<ThreadedConn>();
-    conn->link = std::move(link);
-    {
-      std::lock_guard<std::mutex> lock(process_mutex_);
-      process_->attach_link(*conn->link);
-    }
-    ThreadedConn* raw = conn.get();
-    conn->thread = std::thread([this, raw] { serve_conn(*raw); });
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      conns_.push_back(std::move(conn));
-    }
-  }
-}
-
-void EchoTcpNode::serve_conn(ThreadedConn& conn) {
-  try {
-    while (!stop_.load(std::memory_order_acquire)) {
-      // Poll outside the node mutex so one quiet connection never holds
-      // the process hostage; deliver under it so pumps are serialized.
-      pollfd pfd{conn.link->fd(), POLLIN, 0};
-      const int r = ::poll(&pfd, 1, 50);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (r == 0) continue;
-      std::lock_guard<std::mutex> lock(process_mutex_);
-      if (!conn.link->pump(0)) break;
-    }
-  } catch (const Error& e) {
-    // Malformed traffic or a vanished peer: this connection is done, the
-    // node keeps serving (same containment as fmtsvc).
-    MORPH_LOG_WARN("echo") << "connection dropped: " << e.what();
-  }
-  conn.link->close();
 }
 
 }  // namespace morph::echo

@@ -1,17 +1,18 @@
 // Networked format-metadata service: the paper's third-party format server.
 //
 // Accepts TCP connections on loopback (TcpListener binds 127.0.0.1) and
-// answers fmtsvc protocol requests against a FormatStore. One acceptor
-// thread plus one thread per live connection: connections are long-lived
-// (a resolver keeps one open and pipelines fetches over it) and few — the
-// per-process resolvers of the attached applications, not the data plane.
+// answers fmtsvc protocol requests against a FormatStore. Connections are
+// long-lived (a resolver keeps one open and pipelines fetches over it) and
+// served by one ReactorServer event loop: each connection's FrameAssembler
+// lives in its link's user slot, and requests are handled on the loop
+// thread.
 //
 // Failure containment: a malformed frame or request kills only its own
-// connection; the acceptor and every other connection keep serving. Lint
-// policy mirrors the receiver's VerifyPolicy: under kEnforce a REGISTER
-// whose descriptor has error-severity lint findings is answered with
-// Status::kRejected (counted in morph_fmtsvc_server_lint_rejected_total)
-// and nothing enters the store.
+// connection (counted in bad_frames); every other connection keeps
+// serving. Lint policy mirrors the receiver's VerifyPolicy: under kEnforce
+// a REGISTER whose descriptor has error-severity lint findings is answered
+// with Status::kRejected (counted in
+// morph_fmtsvc_server_lint_rejected_total) and nothing enters the store.
 //
 // Beyond the per-entry lint, the service can run the fleet-wide evolution
 // audit (analysis/audit.hpp) on every REGISTER: the candidate revision is
@@ -22,9 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "analysis/audit.hpp"
@@ -47,16 +45,6 @@ struct ServiceOptions {
   /// Maximum simultaneous connections; further accepts are closed
   /// immediately (the client sees EOF and retries per its backoff).
   size_t max_connections = 64;
-  /// Serving engine. kThreaded (one thread per connection) is the legacy
-  /// differential oracle; kReactor multiplexes every connection over epoll
-  /// event loops and scales to tens of thousands of resolvers. The default
-  /// follows MORPH_TRANSPORT so CI can re-run whole suites in either mode.
-  transport::TransportMode transport = transport::default_transport_mode();
-  /// Reactor-mode event loops (ignored under kThreaded).
-  int loops = 1;
-  /// Reactor-mode idle-connection timeout, 0 = never (ignored under
-  /// kThreaded: blocking per-connection threads reap only on disconnect).
-  uint32_t idle_timeout_ms = 0;
 };
 
 struct ServiceStats {
@@ -74,7 +62,6 @@ class FormatService {
  public:
   /// Start serving `store` (which must outlive the service) immediately.
   explicit FormatService(FormatStore& store, ServiceOptions options = {});
-  ~FormatService();
 
   FormatService(const FormatService&) = delete;
   FormatService& operator=(const FormatService&) = delete;
@@ -83,18 +70,12 @@ class FormatService {
   ServiceStats stats() const;
 
  private:
-  struct Conn;
-
-  void accept_loop();
-  void serve_conn(Conn& conn);
-  void serve_reactor_conn(transport::AsyncTcpLink& link);
+  void serve_conn(transport::AsyncTcpLink& link);
   Reply handle(const Request& req);
-  void reap_finished();
 
   FormatStore& store_;
   ServiceOptions options_;
   transport::TcpListener listener_;
-  std::atomic<bool> stop_{false};
 
   struct Counters {
     std::atomic<uint64_t> connections{0};
@@ -108,12 +89,9 @@ class FormatService {
   };
   mutable Counters counters_;
 
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  // Exactly one of these serves, per options_.transport. Both are
-  // initialized last: serving starts after every other member exists.
-  std::unique_ptr<transport::ReactorServer> reactor_;
-  std::thread acceptor_;  // threaded mode only
+  // Declared last: serving starts after every other member exists and
+  // stops (joining the loop) before any of them is destroyed.
+  transport::ReactorServer server_;
 };
 
 }  // namespace morph::fmtsvc

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 
@@ -72,20 +71,6 @@ constexpr int kMaxEvents = 256;
 constexpr int kFlushIov = 64;  // outbox chunks gathered per sendmsg
 
 }  // namespace
-
-TransportMode default_transport_mode() {
-  static const TransportMode mode = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once before threads spawn
-    const char* env = std::getenv("MORPH_TRANSPORT");
-    if (env != nullptr && std::string(env) == "reactor") return TransportMode::kReactor;
-    return TransportMode::kThreaded;
-  }();
-  return mode;
-}
-
-const char* transport_mode_name(TransportMode mode) {
-  return mode == TransportMode::kReactor ? "reactor" : "threaded";
-}
 
 // ---------------------------------------------------------------------------
 // AsyncTcpLink
@@ -316,8 +301,10 @@ bool Reactor::flush(AsyncTcpLink& conn) {
       mh.msg_iovlen = static_cast<size_t>(iovcnt);
       // sendmsg, not writev: writev has no MSG_NOSIGNAL, and a peer that
       // closed mid-write must surface as EPIPE, never SIGPIPE.
-      const ssize_t n = ::sendmsg(conn.fd_, &mh, MSG_NOSIGNAL);
+      // Counted before the call, so whoever sees the bytes also sees the
+      // count (tests assert exact per-iteration deltas).
       gm().sendmsg.inc();
+      const ssize_t n = ::sendmsg(conn.fd_, &mh, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {

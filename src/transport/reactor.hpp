@@ -1,9 +1,8 @@
 // Event-driven reactor transport: 10k+ concurrent peers per process.
 //
-// The thread-per-connection servers (fmtsvc/server.cpp historically, the
-// endpoints in this directory) cap a process at a few thousand peers — one
-// OS thread per peer. The reactor replaces that with non-blocking sockets
-// multiplexed over edge-triggered epoll:
+// A thread-per-connection server caps a process at a few thousand peers —
+// one OS thread per peer. The reactor multiplexes non-blocking sockets over
+// edge-triggered epoll instead:
 //
 //   Reactor        one event loop on one thread: epoll, an eventfd for
 //                  cross-thread wakeups (post()), and a hashed timer wheel
@@ -32,10 +31,10 @@
 // accept callback, and the close callback run on the owning loop's thread.
 // A connection's callbacks never run concurrently with each other.
 //
-// Servers ported onto the reactor keep their threaded implementation as a
-// differential oracle behind TransportMode (fmtsvc::ServiceOptions,
-// echo::EchoTcpNode); MORPH_TRANSPORT=reactor|threaded flips the default,
-// which is how CI re-runs the whole middleware suite in reactor mode.
+// The library's connection servers (fmtsvc::FormatService,
+// echo::EchoTcpNode, TelemetryCollector) all serve through ReactorServer;
+// only StatsServer, a one-scrape-at-a-time endpoint, keeps its own thread.
+// TcpLink stays as the blocking client.
 #pragma once
 
 #include <atomic>
@@ -53,17 +52,8 @@
 
 namespace morph::transport {
 
-/// Which serving engine a network server uses. kThreaded is the legacy
-/// thread-per-connection path (the differential oracle); kReactor is the
-/// epoll event-loop path.
-enum class TransportMode { kThreaded, kReactor };
-
-/// Process default, read once from MORPH_TRANSPORT ("reactor" or
-/// "threaded"; anything else, or unset, means kThreaded). Lets CI re-run
-/// the existing middleware suites in reactor mode without touching tests.
-TransportMode default_transport_mode();
-
-const char* transport_mode_name(TransportMode mode);
+/// Single-valued stub: the reactor is the only engine; perfbench/broker.cpp still names it.
+enum class TransportMode { kReactor };
 
 struct ReactorOptions {
   /// Event loops the server spreads connections over (per-core loops; the
@@ -79,7 +69,7 @@ struct ReactorOptions {
   /// unbounded buffer to a dead peer.
   size_t max_outbox_bytes = 4u << 20;
   /// Accepts beyond this many live connections are closed immediately
-  /// (the client sees EOF, as with fmtsvc's threaded limit).
+  /// (the client sees EOF; counted in morph_reactor_refused_total).
   size_t max_connections = 1u << 20;
   /// Upper bound on the per-connection receive ring. The ring starts small
   /// and doubles as a single wakeup drains more, so idle connections cost
@@ -297,8 +287,8 @@ class Reactor {
 
 /// A listening socket served by a shared acceptor thread feeding N event
 /// loops round-robin. The listener is borrowed and must outlive the server
-/// (servers that already own a TcpListener — fmtsvc, the echo node — pass
-/// theirs; port() stays wherever it always lived).
+/// (servers own their TcpListener and pass it in, so port() is known before
+/// serving starts).
 class ReactorServer {
  public:
   using ConnCallback = Reactor::ConnCallback;

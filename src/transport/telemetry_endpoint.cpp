@@ -125,24 +125,15 @@ bool SpanExporter::push_pending_locked() {
   return true;
 }
 
-struct TelemetryCollector::Conn {
-  std::unique_ptr<TcpLink> link;
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
 TelemetryCollector::TelemetryCollector(CollectorOptions options)
-    : options_(options), listener_(options.port), acceptor_([this] { accept_loop(); }) {}
-
-TelemetryCollector::~TelemetryCollector() {
-  stop_.store(true, kRelaxed);
-  acceptor_.join();
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  // Handlers poll in <=100ms slices and re-check stop_, so joining
-  // suffices; closing their links here would race the handlers.
-  for (auto& conn : conns_) conn->thread.join();
-  conns_.clear();
-}
+    : listener_(options.port),
+      server_(
+          listener_,
+          // A dump is one reply of up to a full frame; it must never be
+          // what overflows its own connection's outbox.
+          ReactorOptions{.max_outbox_bytes = kMaxFrameBytes,
+                         .max_connections = options.max_connections},
+          [this](AsyncTcpLink& link) { serve_conn(link); }) {}
 
 CollectorStats TelemetryCollector::stats() const {
   CollectorStats s;
@@ -154,83 +145,52 @@ CollectorStats TelemetryCollector::stats() const {
   return s;
 }
 
-void TelemetryCollector::reap_finished() {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  std::erase_if(conns_, [](const std::unique_ptr<Conn>& c) {
-    if (!c->done.load(kRelaxed)) return false;
-    c->thread.join();
-    return true;
-  });
-}
-
-void TelemetryCollector::accept_loop() {
-  while (!stop_.load(kRelaxed)) {
-    std::unique_ptr<TcpLink> link;
+void TelemetryCollector::serve_conn(AsyncTcpLink& link) {
+  // Per-connection state dies with the connection, at close or when the
+  // collector stops, so the live gauge stays exact either way.
+  struct ConnState {
+    ConnState() { cm().live_conns.add(1); }
+    ~ConnState() { cm().live_conns.add(-1); }
+    FrameAssembler assembler;
+  };
+  counters_.connections.fetch_add(1, kRelaxed);
+  auto state = std::make_shared<ConnState>();
+  link.set_user(state);
+  AsyncTcpLink* l = &link;
+  link.set_on_data([this, l, a = &state->assembler](const uint8_t* data, size_t size) {
     try {
-      link = listener_.accept(100);
+      a->feed(data, size, [this, l](Frame& frame) {
+        if (frame.type != FrameType::kTelemetry) {
+          throw TransportError("telemetry: unexpected frame type on collector connection");
+        }
+        uint8_t op = obs::telemetry_op(frame.payload.data(), frame.payload.size());
+        if (op == static_cast<uint8_t>(obs::TelemetryOp::kSpanBatch)) {
+          auto batch = obs::decode_span_batch(frame.payload.data(), frame.payload.size());
+          counters_.batches.fetch_add(1, kRelaxed);
+          counters_.spans.fetch_add(batch.spans.size(), kRelaxed);
+          cm().batches.inc();
+          cm().spans.add(batch.spans.size());
+          stitcher_.ingest(batch);
+        } else if (op == static_cast<uint8_t>(obs::TelemetryOp::kDumpRequest)) {
+          counters_.dumps.fetch_add(1, kRelaxed);
+          cm().dumps.inc();
+          auto payload = obs::encode_dump_reply(stitcher_.to_json());
+          ByteBuffer out;
+          write_frame(out, FrameType::kTelemetry, payload.data(), payload.size());
+          l->send(out);
+        } else {
+          throw DecodeError("telemetry: unknown op " + std::to_string(op));
+        }
+      });
     } catch (const Error& e) {
-      MORPH_LOG_WARN("telemetry") << "accept failed: " << e.what();
-      continue;
+      // Malformed frame: this connection is done, the collector keeps
+      // serving everyone else.
+      counters_.bad_frames.fetch_add(1, kRelaxed);
+      cm().bad_frames.inc();
+      MORPH_LOG_WARN("telemetry") << "connection dropped: " << e.what();
+      l->close();
     }
-    if (link == nullptr) continue;
-    reap_finished();
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    if (conns_.size() >= options_.max_connections) {
-      MORPH_LOG_WARN("telemetry") << "connection limit reached, refusing exporter";
-      continue;  // link closes on scope exit; exporter retries next cycle
-    }
-    counters_.connections.fetch_add(1, kRelaxed);
-    auto conn = std::make_unique<Conn>();
-    conn->link = std::move(link);
-    Conn* raw = conn.get();
-    conn->thread = std::thread([this, raw] {
-      cm().live_conns.add(1);
-      serve_conn(*raw);
-      cm().live_conns.add(-1);
-      raw->done.store(true, kRelaxed);
-    });
-    conns_.push_back(std::move(conn));
-  }
-}
-
-void TelemetryCollector::serve_conn(Conn& conn) {
-  FrameAssembler assembler;
-  conn.link->set_on_data([&](const uint8_t* data, size_t size) {
-    assembler.feed(data, size, [&](Frame& frame) {
-      if (frame.type != FrameType::kTelemetry) {
-        throw TransportError("telemetry: unexpected frame type on collector connection");
-      }
-      uint8_t op = obs::telemetry_op(frame.payload.data(), frame.payload.size());
-      if (op == static_cast<uint8_t>(obs::TelemetryOp::kSpanBatch)) {
-        auto batch = obs::decode_span_batch(frame.payload.data(), frame.payload.size());
-        counters_.batches.fetch_add(1, kRelaxed);
-        counters_.spans.fetch_add(batch.spans.size(), kRelaxed);
-        cm().batches.inc();
-        cm().spans.add(batch.spans.size());
-        stitcher_.ingest(batch);
-      } else if (op == static_cast<uint8_t>(obs::TelemetryOp::kDumpRequest)) {
-        counters_.dumps.fetch_add(1, kRelaxed);
-        cm().dumps.inc();
-        auto payload = obs::encode_dump_reply(stitcher_.to_json());
-        ByteBuffer out;
-        write_frame(out, FrameType::kTelemetry, payload.data(), payload.size());
-        conn.link->send(out);
-      } else {
-        throw DecodeError("telemetry: unknown op " + std::to_string(op));
-      }
-    });
   });
-  try {
-    while (!stop_.load(kRelaxed) && conn.link->pump(100)) {
-    }
-  } catch (const Error& e) {
-    // Malformed frame or the peer vanished mid-write: this connection is
-    // done, the collector keeps serving everyone else.
-    counters_.bad_frames.fetch_add(1, kRelaxed);
-    cm().bad_frames.inc();
-    MORPH_LOG_WARN("telemetry") << "connection dropped: " << e.what();
-  }
-  conn.link->close();
 }
 
 std::string fetch_telemetry_dump(const std::string& host, uint16_t port, uint32_t timeout_ms) {
@@ -252,11 +212,16 @@ std::string fetch_telemetry_dump(const std::string& host, uint16_t port, uint32_
       got_reply = true;
     });
   });
-  // Pump in slices until the reply lands or the deadline passes.
-  uint32_t waited = 0;
-  while (!got_reply && waited < timeout_ms) {
-    if (!link->pump(100)) break;
-    waited += 100;
+  // Pump until the reply lands or the deadline passes. pump() returns as
+  // soon as any bytes arrive, so the budget is wall-clock time, not a count
+  // of pump calls.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!got_reply) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0 || !link->pump(static_cast<int>(left))) break;
   }
   if (!got_reply) throw TransportError("telemetry: no dump reply from collector");
   return json;

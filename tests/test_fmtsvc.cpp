@@ -13,6 +13,8 @@
 #include "fmtsvc/resolver.hpp"
 #include "fmtsvc/server.hpp"
 #include "fmtsvc/store.hpp"
+#include "golden.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pbio/encode.hpp"
 #include "pbio/record.hpp"
@@ -635,9 +637,7 @@ TEST(FmtsvcReceiver, FetchOrInlineRetriesProvisionalRejections) {
 
 TEST(FmtsvcReactor, ServesResolversOverTheEventLoop) {
   fmtsvc::FormatStore store;
-  fmtsvc::ServiceOptions opts;
-  opts.transport = transport::TransportMode::kReactor;
-  fmtsvc::FormatService service(store, opts);
+  fmtsvc::FormatService service(store);
 
   fmtsvc::FormatResolver writer(client_for(service.port()));
   ASSERT_TRUE(writer.publish(rev(1), {down(1)}));
@@ -656,9 +656,7 @@ TEST(FmtsvcReactor, ServesResolversOverTheEventLoop) {
 TEST(FmtsvcReactor, MalformedFrameKillsOnlyThatConnection) {
   fmtsvc::FormatStore store;
   store.put(fmtsvc::FormatEntry{rev(0), {}});
-  fmtsvc::ServiceOptions opts;
-  opts.transport = transport::TransportMode::kReactor;
-  fmtsvc::FormatService service(store, opts);
+  fmtsvc::FormatService service(store);
 
   // Hostile client: garbage that fails frame validation.
   auto hostile = transport::TcpLink::connect("127.0.0.1", service.port());
@@ -674,62 +672,57 @@ TEST(FmtsvcReactor, MalformedFrameKillsOnlyThatConnection) {
   EXPECT_EQ(service.stats().bad_frames, 1u);
 }
 
-TEST(FmtsvcReactor, DifferentialReplyBytesMatchThreadedMode) {
-  // The same request sequence against both serving engines must produce
-  // byte-identical reply streams — the reactor is a transport change, not
-  // a protocol change.
-  auto run_requests = [](transport::TransportMode mode) {
-    fmtsvc::FormatStore store;
-    store.put(fmtsvc::FormatEntry{rev(1), {down(1)}});
-    store.put(fmtsvc::FormatEntry{rev(2), {down(2)}});
-    fmtsvc::ServiceOptions opts;
-    opts.transport = mode;
-    fmtsvc::FormatService service(store, opts);
+TEST(FmtsvcReactor, ReplyBytesMatchGolden) {
+  // FETCH, FETCH_MULTI (one hit, one miss) and LIST, pipelined on one
+  // connection: the reply stream must equal the recorded golden bytes.
+  obs::set_tracing(false);  // trace headers would change the frames
+  fmtsvc::FormatStore store;
+  store.put(fmtsvc::FormatEntry{rev(1), {down(1)}});
+  store.put(fmtsvc::FormatEntry{rev(2), {down(2)}});
+  fmtsvc::FormatService service(store);
+  golden::check("fmtsvc_fetch_list", service.port());
+}
 
-    auto link = transport::TcpLink::connect("127.0.0.1", service.port());
-    std::vector<uint8_t> replies;
-    size_t reply_frames = 0;
-    transport::FrameAssembler assembler;
-    link->set_on_data([&](const uint8_t* d, size_t n) {
-      replies.insert(replies.end(), d, d + n);
-      assembler.feed(d, n, [&](transport::Frame&) { ++reply_frames; });
-    });
+TEST(FmtsvcReactor, MaxConnectionsRefusesExtraClients) {
+  fmtsvc::FormatStore store;
+  fmtsvc::ServiceOptions opts;
+  opts.max_connections = 2;
+  fmtsvc::FormatService service(store, opts);
 
-    auto send_request = [&](const fmtsvc::Request& req) {
-      ByteBuffer payload;
-      req.serialize(payload);
-      ByteBuffer out;
-      transport::write_frame(out, transport::FrameType::kFmtsvcRequest, payload.data(),
-                             payload.size());
-      link->send(out);
-    };
-    fmtsvc::Request fetch;
-    fetch.op = fmtsvc::Op::kFetch;
-    fetch.request_id = 1;
-    fetch.fingerprints = {rev(1)->fingerprint()};
-    send_request(fetch);
-    fmtsvc::Request multi;
-    multi.op = fmtsvc::Op::kFetchMulti;
-    multi.request_id = 2;
-    multi.fingerprints = {rev(2)->fingerprint(), 0xdead};
-    send_request(multi);
-    fmtsvc::Request list;
-    list.op = fmtsvc::Op::kList;
-    list.request_id = 3;
-    send_request(list);
+  // Fill the cap with two idle clients; wait until both are admitted.
+  auto a = transport::TcpLink::connect("127.0.0.1", service.port());
+  auto b = transport::TcpLink::connect("127.0.0.1", service.port());
+  for (int i = 0; i < 200 && service.stats().connections < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(service.stats().connections, 2u);
 
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
-    while (reply_frames < 3 && std::chrono::steady_clock::now() < deadline) {
-      EXPECT_TRUE(link->pump(20));
-    }
-    EXPECT_EQ(reply_frames, 3u);
-    return replies;
-  };
+  // The third is closed on accept: it reads EOF without sending anything.
+  auto c = transport::TcpLink::connect("127.0.0.1", service.port());
+  EXPECT_FALSE(c->pump(2000));
+  EXPECT_EQ(service.stats().connections, 2u);
 
-  const auto threaded = run_requests(transport::TransportMode::kThreaded);
-  const auto reactor = run_requests(transport::TransportMode::kReactor);
-  ASSERT_FALSE(threaded.empty());
-  EXPECT_EQ(threaded, reactor);
+  // Freeing a slot admits the next client again.
+  a->close();
+  fmtsvc::FormatResolver reader(client_for(service.port()));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!reader.publish(rev(0), {}) && std::chrono::steady_clock::now() < deadline) {
+  }
+  EXPECT_EQ(service.stats().registered, 1u);
+}
+
+TEST(FmtsvcReactor, LiveConnectionGaugeSettlesWhenServiceStops) {
+  obs::Gauge& live = obs::metrics().gauge("morph_fmtsvc_server_connections");
+  const double before = live.value();
+  fmtsvc::FormatStore store;
+  auto service = std::make_unique<fmtsvc::FormatService>(store);
+  auto idle = transport::TcpLink::connect("127.0.0.1", service->port());
+  for (int i = 0; i < 200 && live.value() == before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(live.value(), before + 1);
+  service.reset();  // the client is still connected
+  EXPECT_EQ(live.value(), before);
 }
 
 }  // namespace

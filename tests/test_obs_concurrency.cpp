@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,9 +41,15 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
   constexpr uint64_t kPerThread = 20000;
   std::atomic<bool> stop{false};
 
+  // Writers start only after each scraper has taken its first snapshot, so
+  // every run scrapes at least twice however the threads are scheduled;
+  // the later snapshots still race the writers.
+  std::latch scrapers_ready(2);
+
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&reg, t] {
+    threads.emplace_back([&reg, &scrapers_ready, t] {
+      scrapers_ready.wait();
       // Each writer also creates its own metrics, so scrapes race the
       // registry map insert path, not just the stripe updates.
       Counter& mine = reg.counter("writer_total{id=\"" + std::to_string(t) + "\"}");
@@ -61,7 +68,8 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
   std::atomic<uint64_t> scrapes{0};
   for (int s = 0; s < 2; ++s) {
     threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
+      bool first = true;
+      do {
         MetricsSnapshot snap = reg.snapshot();
         // count is derived from the same per-bucket reads, so it matches
         // the bucket sum even while writers are mid-flight.
@@ -74,14 +82,16 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
         std::string json = to_json(snap);
         EXPECT_FALSE(prom.empty() && json.empty());
         scrapes.fetch_add(1, std::memory_order_relaxed);
-      }
+        if (first) scrapers_ready.count_down();
+        first = false;
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
   for (int t = 0; t < kWriters; ++t) threads[static_cast<size_t>(t)].join();
   stop.store(true, std::memory_order_relaxed);
   for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
-  EXPECT_GT(scrapes.load(), 0u);
+  EXPECT_GE(scrapes.load(), 2u);
   EXPECT_EQ(reg.counter("shared_total").value(), kWriters * kPerThread);
   auto final_snap = reg.snapshot();
   for (const auto& [name, h] : final_snap.histograms) {

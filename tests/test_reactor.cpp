@@ -1,6 +1,7 @@
 // Reactor transport tests: the epoll event loop, AsyncTcpLink semantics
-// (batched reads, write backpressure, idle timeouts), the threaded-vs-
-// reactor differential, and the EchoTcpNode serving shell in both modes.
+// (batched reads, write backpressure, idle timeouts, admission caps), the
+// byte-identity differential against a blocking TcpLink server, and the
+// EchoTcpNode serving shell (checked against its golden reply stream).
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -18,7 +19,9 @@
 #include <vector>
 
 #include "echo/node.hpp"
+#include "golden.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pbio/record.hpp"
 #include "transport/framing.hpp"
 #include "transport/reactor.hpp"
@@ -332,6 +335,34 @@ TEST(Reactor, ConnectionChurnSettlesToZero) {
   const Reactor::Stats stats = server.stats();
   EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kConns));
   EXPECT_EQ(stats.closed, static_cast<uint64_t>(kConns));
+}
+
+TEST(Reactor, MaxConnectionsRefusesExtraClient) {
+  constexpr size_t kCap = 3;
+  TcpListener listener(0);
+  ReactorOptions opts;
+  opts.max_connections = kCap;
+  ReactorServer server(listener, opts, [](AsyncTcpLink&) {});
+  const uint64_t refused_before =
+      obs::metrics().counter("morph_reactor_refused_total").value();
+
+  std::vector<std::unique_ptr<TcpLink>> admitted;
+  for (size_t i = 0; i < kCap; ++i) {
+    admitted.push_back(TcpLink::connect("127.0.0.1", server.port()));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (server.stats().accepted < kCap && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(server.connections(), kCap);
+
+  // Client N+1 is closed on accept: EOF, with nothing sent either way.
+  auto extra = TcpLink::connect("127.0.0.1", server.port());
+  EXPECT_FALSE(extra->pump(2000));
+  EXPECT_EQ(server.refused(), 1u);
+  EXPECT_EQ(obs::metrics().counter("morph_reactor_refused_total").value() - refused_before, 1u);
+  EXPECT_EQ(server.stats().accepted, kCap);
+  for (auto& link : admitted) EXPECT_TRUE(link->connected());
 }
 
 // ---------------------------------------------------------------------------
@@ -705,7 +736,7 @@ TEST(Reactor, DifferentialByteIdenticalWithThreadedPath) {
 }  // namespace morph::transport
 
 // ---------------------------------------------------------------------------
-// EchoTcpNode: the pub/sub process loop served in both transport modes.
+// EchoTcpNode: the pub/sub process loop served over the reactor.
 
 namespace morph::echo {
 namespace {
@@ -725,12 +756,8 @@ FormatPtr reading_format() {
       .build();
 }
 
-class EchoNodeBothModes : public ::testing::TestWithParam<transport::TransportMode> {};
-
-TEST_P(EchoNodeBothModes, ChannelJoinPublishDeliver) {
-  NodeOptions opts;
-  opts.transport = GetParam();
-  EchoTcpNode node("creator", opts);
+TEST(EchoNode, ChannelJoinPublishDeliver) {
+  EchoTcpNode node("creator");
   node.with_process([](EchoProcess& p) { p.create_channel("sensors"); });
 
   // A remote subscriber over a real socket.
@@ -781,11 +808,10 @@ TEST_P(EchoNodeBothModes, ChannelJoinPublishDeliver) {
   EXPECT_EQ(received, 1);
 }
 
-TEST_P(EchoNodeBothModes, V1SubscriberMorphsNodeResponses) {
+TEST(EchoNode, V1SubscriberMorphsNodeResponses) {
   // The paper's evolution scenario through the serving shell: a v2 node,
   // a v1 subscriber — the v2 open-response must morph at the subscriber.
   NodeOptions opts;
-  opts.transport = GetParam();
   opts.version = EchoVersion::kV2;
   EchoTcpNode node("creator", opts);
   node.with_process([](EchoProcess& p) { p.create_channel("remote"); });
@@ -812,12 +838,27 @@ TEST_P(EchoNodeBothModes, V1SubscriberMorphsNodeResponses) {
   EXPECT_EQ(old_sub.stats().responses_morphed, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Transports, EchoNodeBothModes,
-                         ::testing::Values(transport::TransportMode::kThreaded,
-                                           transport::TransportMode::kReactor),
-                         [](const auto& info) {
-                           return std::string(transport::transport_mode_name(info.param));
-                         });
+TEST(EchoNode, ReplyBytesMatchGolden) {
+  // The ChannelJoinPublishDeliver exchange as raw bytes: a v2 subscriber's
+  // HELLO, channel-open request and event subscription go in; the node's
+  // HELLO, open-response and one published event must come back exactly
+  // as recorded.
+  obs::set_tracing(false);  // trace headers would change the frames
+  EchoTcpNode node("creator");
+  node.with_process([](EchoProcess& p) { p.create_channel("sensors"); });
+  auto fmt = reading_format();
+  RecordArena arena;
+  void* rec = pbio::alloc_record(*fmt, arena);
+  pbio::RecordRef r(rec, fmt);
+  r.set_int("station", 9);
+  r.set_float("value", 3.5);
+  bool published = false;
+  golden::check("echo_node_join_publish", node.port(), [&] {
+    // 0 until the subscription has been processed; then exactly once.
+    if (!published) published = node.publish("sensors", fmt, rec) == 1;
+  });
+  EXPECT_TRUE(published);
+}
 
 }  // namespace
 }  // namespace morph::echo

@@ -1,13 +1,16 @@
 // Telemetry plane tests: the morph-telemetry-v1 wire codec (including
 // hostile inputs), the TraceStitcher (stitching, critical paths, morph
 // attribution, conservation checks, retention caps), the flight recorder,
-// and the SpanExporter -> TelemetryCollector path over real TCP.
+// and the SpanExporter -> TelemetryCollector path over real TCP (including
+// the collector's golden reply stream and its admission cap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
+#include "golden.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -473,6 +476,81 @@ TEST(TelemetryEndpoint, MalformedFrameKillsOnlyItsConnection) {
   // The collector still serves a fresh connection.
   std::string dump = fetch_telemetry_dump("127.0.0.1", collector.port());
   EXPECT_EQ(obs::json_parse(dump).at("schema").as_string(), "morph-telemetry-v1");
+}
+
+TEST(TelemetryEndpoint, DumpReplyBytesMatchGolden) {
+  // One fixed three-span batch, then a dump request, on one connection: the
+  // stitched-state reply must equal the recorded golden bytes.
+  obs::set_tracing(false);
+  TelemetryCollector collector;
+  golden::check("telemetry_dump", collector.port());
+  EXPECT_EQ(collector.stats().spans, 3u);
+}
+
+TEST(TelemetryEndpoint, MaxConnectionsRefusesExtraClients) {
+  CollectorOptions opts;
+  opts.max_connections = 1;
+  TelemetryCollector collector(opts);
+
+  auto held = TcpLink::connect("127.0.0.1", collector.port());
+  for (int i = 0; i < 200 && collector.stats().connections == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(collector.stats().connections, 1u);
+
+  // A dump client beyond the cap is closed on accept and gets no reply.
+  EXPECT_THROW(fetch_telemetry_dump("127.0.0.1", collector.port(), 2000), TransportError);
+  EXPECT_EQ(collector.stats().connections, 1u);
+  EXPECT_EQ(collector.stats().dumps, 0u);
+
+  // Freeing the slot serves the next client.
+  held->close();
+  std::string dump;
+  for (int i = 0; i < 200 && dump.empty(); ++i) {
+    try {
+      dump = fetch_telemetry_dump("127.0.0.1", collector.port(), 2000);
+    } catch (const TransportError&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_EQ(obs::json_parse(dump).at("schema").as_string(), "morph-telemetry-v1");
+}
+
+TEST(TelemetryEndpoint, FetchDumpWaitsOutADribbledReply) {
+  // A collector that writes its reply in 30 pieces, 5 ms apart (~150 ms in
+  // all), well inside the client's 1 s budget. Every piece ends one pump,
+  // so a deadline that counts pump calls instead of elapsed time gives up
+  // a third of the way through the reply.
+  auto payload = obs::encode_dump_reply("{\"schema\": \"morph-telemetry-v1\", \"pad\": \"" +
+                                        std::string(150, 'x') + "\"}");
+  ByteBuffer reply;
+  write_frame(reply, FrameType::kTelemetry, payload.data(), payload.size());
+
+  TcpListener listener(0);
+  std::thread server([&] {
+    auto conn = listener.accept(2000);
+    if (!conn) return;
+    bool asked = false;
+    conn->set_on_data([&](const uint8_t*, size_t) { asked = true; });
+    try {
+      while (!asked && conn->pump(100)) {
+      }
+      constexpr size_t kPieces = 30;
+      const size_t step = (reply.size() + kPieces - 1) / kPieces;
+      for (size_t off = 0; off < reply.size(); off += step) {
+        conn->send(reply.data() + off, std::min(step, reply.size() - off));
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      conn->pump(1000);  // hold the connection until the client is done
+    } catch (const TransportError&) {
+      // The client gave up and closed; its own assertion reports that.
+    }
+  });
+
+  std::string dump;
+  EXPECT_NO_THROW(dump = fetch_telemetry_dump("127.0.0.1", listener.port(), 1000));
+  server.join();
+  EXPECT_NE(dump.find(std::string(150, 'x')), std::string::npos);
 }
 
 }  // namespace
