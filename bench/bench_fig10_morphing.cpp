@@ -60,6 +60,68 @@ core::TransformSpec telemetry_hop(const pbio::FormatPtr& src, const pbio::Format
                              "old.total = new.total + new.seq;"};
 }
 
+/// A sensor scan in revision `rev` of 5: strings plus a readings array of
+/// structs that gains one element field per revision (the shape of the
+/// pipeline bench's large_morph workload).
+pbio::FormatPtr scan_format(int rev) {
+  pbio::FormatBuilder r("BenchReading");
+  r.add_int("ts", 8).add_float("v", 8);
+  if (rev >= 1) r.add_int("q", 4);
+  if (rev >= 2) r.add_int("flags", 4);
+  if (rev >= 3) r.add_float("err", 8);
+  if (rev >= 4) r.add_int("src", 4);
+  pbio::FormatBuilder b("BenchScan");
+  b.add_int("seq", 8).add_string("name").add_int("site", 4).add_string("notes");
+  b.add_int("nreadings", 4).add_dyn_array("readings", r.build(), "nreadings");
+  if (rev >= 1) b.add_float("gain", 8);
+  if (rev >= 2) b.add_int("zone", 4);
+  if (rev >= 3) b.add_string("label");
+  if (rev >= 4) b.add_int("epoch", 8);
+  return b.build();
+}
+
+/// The per-hop retro-transform: a verbatim copy of every field the older
+/// revision keeps, the readings element by element.
+core::TransformSpec scan_hop(const pbio::FormatPtr& src, const pbio::FormatPtr& dst) {
+  std::string code;
+  for (const auto& fd : dst->fields()) {
+    if (fd.kind != pbio::FieldKind::kDynArray) {
+      code += "old." + fd.name + " = new." + fd.name + ";";
+      continue;
+    }
+    code += "for (int i = 0; i < new." + fd.length_field + "; i++) {";
+    for (const auto& ef : fd.element_format->fields()) {
+      code += "old." + fd.name + "[i]." + ef.name + " = new." + fd.name + "[i]." + ef.name + ";";
+    }
+    code += "}";
+  }
+  return core::TransformSpec{src, dst, code};
+}
+
+/// Time `specs` hop-wise and fused on one source record (`make_input` of
+/// the chain's source layout) and print one row.
+void chain_row(const std::string& label, const std::vector<core::TransformSpec>& specs,
+               const std::function<pbio::DynValue(const pbio::FormatPtr&)>& make_input,
+               size_t payload_bytes) {
+  std::vector<const core::TransformSpec*> spec_ptrs;
+  for (const auto& s : specs) spec_ptrs.push_back(&s);
+  core::MorphChain chain(spec_ptrs, ecode::CompileOptions{}, bench_fused());
+  pbio::DynValue input = make_input(chain.src_format());
+  RecordArena in_arena;
+  void* src = pbio::from_dyn(input, in_arena);
+  RecordArena arena;
+  double hop_ms = time_median_ms(payload_bytes, [&] {
+    arena.reset();
+    benchmark::DoNotOptimize(chain.apply_hopwise(src, arena));
+  });
+  double fused_ms = time_median_ms(payload_bytes, [&] {
+    arena.reset();
+    benchmark::DoNotOptimize(chain.apply(src, arena));
+  });
+  // Report microseconds: per-morph cost is far below a millisecond.
+  print_row(label.c_str(), {hop_ms * 1000.0, fused_ms * 1000.0, hop_ms / fused_ms});
+}
+
 void fusion_table() {
   std::printf("\nFused vs hop-wise morph execution (us per morph), %d-field scalar record\n",
               4);
@@ -76,29 +138,41 @@ void fusion_table() {
     std::vector<core::TransformSpec> specs;
     specs.reserve(static_cast<size_t>(hops));
     for (int h = 0; h < hops; ++h) specs.push_back(telemetry_hop(formats[h], formats[h + 1]));
-    std::vector<const core::TransformSpec*> spec_ptrs;
-    for (const auto& s : specs) spec_ptrs.push_back(&s);
-    core::MorphChain chain(spec_ptrs, ecode::CompileOptions{}, bench_fused());
-
-    RecordArena in_arena;
-    Rng rng(7);
-    void* src = pbio::from_dyn(pbio::random_dyn(rng, chain.src_format()), in_arena);
-
-    RecordArena arena;
-    // time_median_ms times `inner` iterations per sample keyed off a payload
-    // size; these records are ~48 B, so pass 100 to get the dense sampling.
-    double hop_ms = time_median_ms(100, [&] {
-      arena.reset();
-      benchmark::DoNotOptimize(chain.apply_hopwise(src, arena));
-    });
-    double fused_ms = time_median_ms(100, [&] {
-      arena.reset();
-      benchmark::DoNotOptimize(chain.apply(src, arena));
-    });
-    std::string label = std::to_string(hops) + "-hop";
-    // Report microseconds: per-morph cost is far below a millisecond.
-    print_row(label.c_str(), {hop_ms * 1000.0, fused_ms * 1000.0, hop_ms / fused_ms});
+    // These records are ~48 B, so pass 100 to get the dense sampling.
+    chain_row(std::to_string(hops) + "-hop", specs,
+              [](const pbio::FormatPtr& fmt) {
+                Rng rng(7);
+                return pbio::random_dyn(rng, fmt);
+              },
+              100);
   }
+
+  // Strings and a struct array: every intermediate field is a verbatim
+  // copy, so fusion forwards the whole ladder into one copy pass.
+  std::vector<core::TransformSpec> scan;
+  for (int rev = kMaxHops; rev >= 1; --rev) {
+    scan.push_back(scan_hop(scan_format(rev), scan_format(rev - 1)));
+  }
+  constexpr int kReadings = 256;
+  chain_row("4-hop str+arr", scan,
+            [](const pbio::FormatPtr& fmt) {
+              Rng rng(7);
+              pbio::RandRecordOptions opt;
+              opt.max_array_len = 0;
+              opt.max_string_len = 64;
+              pbio::DynValue v = pbio::random_dyn(rng, fmt, opt);
+              auto& fields = v.as_struct().fields;
+              const pbio::FormatPtr& elem = fmt->find_field("readings")->element_format;
+              for (int i = 0; i < kReadings; ++i) {
+                fields[fmt->field_index("readings")].as_list().push_back(
+                    pbio::random_dyn(rng, elem));
+              }
+              fields[fmt->field_index("nreadings")] = pbio::DynValue(int64_t{kReadings});
+              return v;
+            },
+            10 << 10);
+  std::printf("(4-hop str+arr: 5-revision scan, strings + a %d-element struct array)\n",
+              kReadings);
   std::printf("\nexpected shape: fused execution wins and the gap widens with chain "
               "length (no intermediate records)\n");
 }

@@ -22,6 +22,11 @@ cmake --build build
 echo "== tests =="
 ctest --test-dir build --output-on-failure
 
+echo "== chain fusion on the bytecode VM =="
+# Fused chains must agree with hop-wise execution on both backends; ctest
+# above ran them on the JIT.
+MORPH_DISABLE_JIT=1 ./build/tests/tests_core --gtest_filter='Fusion*'
+
 echo "== evolution audit (vs examples/transforms/AUDIT_golden.json) =="
 # Static breaking-change gate over the committed corpus: new error-severity
 # findings or chain-quality regressions against the golden report fail the

@@ -156,7 +156,7 @@ void MorphChain::attempt_fusion(const std::vector<const TransformSpec*>& specs,
     hops.push_back(ecode::FuseHop{specs[i]->code, specs[i]->dst_param, specs[i]->src_param,
                                   steps_[i].dst_fmt});
   }
-  ecode::FuseResult fused = ecode::fuse_chain(hops);
+  ecode::FuseResult fused = ecode::fuse_chain(hops, *src_fmt_);
   if (!fused.ok) {
     fusion_bailout_ = fused.bailout;
     return;

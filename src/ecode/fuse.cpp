@@ -1,9 +1,12 @@
 #include "ecode/fuse.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -24,10 +27,39 @@ struct Bail {
   std::string reason;
 };
 
-/// One intermediate record replaced by locals.
-struct Inter {
-  int index = 0;
+/// Where the fused program keeps the value of one intermediate field.
+enum class Home : uint8_t {
+  kLocal,    // an i64/f64 local with store-truncation fixups (scalars only)
+  kForward,  // no storage: reads are rewritten to the field it copies
+  kDead,     // no storage and no code: writes are dropped, a read bails
+};
+
+struct Binding {
+  const FieldDescriptor* fd = nullptr;
+  Home home = Home::kDead;
+  // kLocal: the local's name. kForward: what a read prints as — a source
+  // field ("new.name"), an earlier intermediate's local, or for a dynamic
+  // array the source array ("new.readings").
+  std::string text;
+  // kForward dynamic array: element field -> source element field. Arrays
+  // of basic elements map "" -> "" (whole elements).
+  std::map<std::string, std::string> elems;
+  std::string why;  // why the field is not forwarded (kLocal / kDead)
+};
+
+/// One record of the chain as the fused program sees it: the original
+/// source (every field forwards to itself) or an intermediate record.
+struct View {
+  int index = -1;  // intermediate number; -1 for the original source
   const FormatDescriptor* fmt = nullptr;
+  std::map<std::string, Binding> fields;
+
+  const Binding& at(const std::string& name) const {
+    auto it = fields.find(name);
+    if (it == fields.end()) throw Bail{"unknown field " + where(name)};
+    return it->second;
+  }
+  std::string where(const std::string& name) const { return "'" + fmt->name() + "." + name + "'"; }
 };
 
 /// Name-resolution context while printing one hop.
@@ -36,8 +68,9 @@ struct HopCtx {
   bool final_hop = false;
   const std::string* dst_param = nullptr;
   const std::string* src_param = nullptr;
-  const Inter* dst_inter = nullptr;  // null when the hop writes the real dst
-  const Inter* src_inter = nullptr;  // null when the hop reads the real src
+  const View* dst_inter = nullptr;  // null when the hop writes the real dst
+  const View* src_inter = nullptr;  // null when the hop reads the real src
+  const std::unordered_set<const Stmt*>* dropped = nullptr;  // forwarding writes
 };
 
 bool valid_ident(const std::string& s) {
@@ -49,13 +82,26 @@ bool valid_ident(const std::string& s) {
   return true;
 }
 
-std::string inter_local(const Inter& in, const std::string& field) {
-  return "__m" + std::to_string(in.index) + "_" + field;
+bool is_var(const Expr* e, const std::string& name) {
+  return e && e->kind == ExprKind::kVarRef && e->str_value == name;
 }
 
-const FieldDescriptor* find_field(const FormatDescriptor& fmt, const std::string& name) {
-  for (const auto& fd : fmt.fields()) {
-    if (fd.name == name) return &fd;
+/// `p.f` with `p` a bare variable: the field name, else null.
+const std::string* param_field(const Expr& e, const std::string& param) {
+  if (e.kind == ExprKind::kFieldAccess && is_var(e.a.get(), param)) return &e.str_value;
+  return nullptr;
+}
+
+/// The `p.f` node an lvalue (`p.f`, `p.f[i]`, `p.f[i].x`, ...) is rooted
+/// at, or null when it is a local variable.
+const Expr* lvalue_head(const Expr& lv) {
+  const Expr* cur = &lv;
+  while (cur) {
+    if (cur->kind == ExprKind::kFieldAccess && cur->a && cur->a->kind == ExprKind::kVarRef) {
+      return cur;
+    }
+    if (cur->kind != ExprKind::kFieldAccess && cur->kind != ExprKind::kIndex) return nullptr;
+    cur = cur->a.get();
   }
   return nullptr;
 }
@@ -91,24 +137,464 @@ std::string trunc_fixup(const FieldDescriptor& fd, const std::string& local) {
          ") - " + std::to_string(bit) + ";";
 }
 
+// --- syntactic facts ------------------------------------------------------
+
+/// One mention of a field of a record parameter: `p.f`, `p.f[e]` or
+/// `p.f[e].x` (all count as a mention of `f`).
+struct Access {
+  std::string field;
+  bool write = false;
+  size_t top = 0;              // index of the enclosing top-level statement
+  const Stmt* stmt = nullptr;  // the writing statement (writes only)
+};
+
+/// Every mention of `param`'s fields in a hop, in statement order.
+class AccessCollector {
+ public:
+  explicit AccessCollector(const std::string& param) : param_(param) {}
+
+  std::vector<Access> run(const Program& prog) {
+    for (top_ = 0; top_ < prog.stmts.size(); ++top_) stmt(*prog.stmts[top_]);
+    return std::move(out_);
+  }
+
+ private:
+  void stmt(const Stmt& s) {
+    switch (s.kind) {
+      case StmtKind::kDecl:
+        for (const auto& d : s.decls) {
+          if (d.init) expr(*d.init);
+        }
+        return;
+      case StmtKind::kAssign:
+        lvalue(*s.lvalue, s, s.assign_op != AssignOp::kSet);
+        expr(*s.expr);
+        return;
+      case StmtKind::kIncDec:
+        lvalue(*s.lvalue, s, true);
+        return;
+      case StmtKind::kExpr:
+      case StmtKind::kReturn:
+        if (s.expr) expr(*s.expr);
+        return;
+      case StmtKind::kIf:
+        expr(*s.expr);
+        stmt(*s.then_branch);
+        if (s.else_branch) stmt(*s.else_branch);
+        return;
+      case StmtKind::kWhile:
+      case StmtKind::kDoWhile:
+        expr(*s.expr);
+        stmt(*s.body);
+        return;
+      case StmtKind::kFor:
+        if (s.for_init) stmt(*s.for_init);
+        if (s.expr) expr(*s.expr);
+        if (s.for_step) stmt(*s.for_step);
+        stmt(*s.body);
+        return;
+      case StmtKind::kBlock:
+        for (const auto& inner : s.stmts) stmt(*inner);
+        return;
+      case StmtKind::kBreak:
+      case StmtKind::kContinue:
+        return;
+    }
+  }
+
+  /// The head of an lvalue is a write (and a read too for compound forms);
+  /// its index expressions are reads.
+  void lvalue(const Expr& lv, const Stmt& s, bool also_read) {
+    const Expr* cur = &lv;
+    while (cur->kind == ExprKind::kFieldAccess || cur->kind == ExprKind::kIndex) {
+      if (cur->kind == ExprKind::kIndex) expr(*cur->b);
+      if (const std::string* f = param_field(*cur, param_)) {
+        out_.push_back(Access{*f, true, top_, &s});
+        if (also_read) out_.push_back(Access{*f, false, top_, nullptr});
+        return;
+      }
+      cur = cur->a.get();
+    }
+  }
+
+  void expr(const Expr& e) {
+    if (const std::string* f = param_field(e, param_)) {
+      out_.push_back(Access{*f, false, top_, nullptr});
+      return;
+    }
+    if (e.a) expr(*e.a);
+    if (e.b) expr(*e.b);
+    if (e.c) expr(*e.c);
+    for (const auto& arg : e.args) expr(*arg);
+  }
+
+  const std::string& param_;
+  size_t top_ = 0;
+  std::vector<Access> out_;
+};
+
+/// True when `s` (or anything nested in it) assigns or declares `var`.
+bool writes_var(const Stmt& s, const std::string& var) {
+  switch (s.kind) {
+    case StmtKind::kDecl:
+      for (const auto& d : s.decls) {
+        if (d.name == var) return true;
+      }
+      return false;
+    case StmtKind::kAssign:
+    case StmtKind::kIncDec:
+      return is_var(s.lvalue.get(), var);
+    case StmtKind::kIf:
+      return writes_var(*s.then_branch, var) ||
+             (s.else_branch && writes_var(*s.else_branch, var));
+    case StmtKind::kWhile:
+    case StmtKind::kDoWhile:
+      return writes_var(*s.body, var);
+    case StmtKind::kFor:
+      return (s.for_init && writes_var(*s.for_init, var)) ||
+             (s.for_step && writes_var(*s.for_step, var)) || writes_var(*s.body, var);
+    case StmtKind::kBlock:
+      for (const auto& inner : s.stmts) {
+        if (writes_var(*inner, var)) return true;
+      }
+      return false;
+    default:
+      return false;
+  }
+}
+
+/// What a `for` statement looks like from the outside.
+struct LoopShape {
+  std::string var;          // index variable ("" when none is recognisable)
+  bool declares = false;    // the init clause declares it
+  bool canonical = false;   // for (i = 0; i < p.cnt; i++), i not written in the body
+  std::string bound_param;  // canonical: p
+  std::string bound_field;  // canonical: cnt
+};
+
+LoopShape loop_shape(const Stmt& s) {
+  LoopShape shape;
+  const Stmt* init = s.for_init.get();
+  const Expr* zero = nullptr;
+  if (init && init->kind == StmtKind::kDecl && init->decls.size() == 1) {
+    shape.var = init->decls[0].name;
+    shape.declares = true;
+    if (init->decl_type == TyKind::kInt) zero = init->decls[0].init.get();
+  } else if (init && init->kind == StmtKind::kAssign && init->assign_op == AssignOp::kSet &&
+             init->lvalue->kind == ExprKind::kVarRef) {
+    shape.var = init->lvalue->str_value;
+    zero = init->expr.get();
+  }
+  if (shape.var.empty() || !zero || zero->kind != ExprKind::kIntLit || zero->int_value != 0) {
+    return shape;
+  }
+  const Expr* cond = s.expr.get();
+  if (!cond || cond->kind != ExprKind::kBinary || cond->bin_op != BinOp::kLt ||
+      !is_var(cond->a.get(), shape.var) || cond->b->kind != ExprKind::kFieldAccess ||
+      !cond->b->a || cond->b->a->kind != ExprKind::kVarRef) {
+    return shape;
+  }
+  const Stmt* step = s.for_step.get();
+  bool unit_step =
+      step && is_var(step->lvalue.get(), shape.var) &&
+      ((step->kind == StmtKind::kIncDec && step->inc_delta == 1) ||
+       (step->kind == StmtKind::kAssign && step->assign_op == AssignOp::kAdd &&
+        step->expr->kind == ExprKind::kIntLit && step->expr->int_value == 1));
+  if (!unit_step || writes_var(*s.body, shape.var)) return shape;
+  shape.canonical = true;
+  shape.bound_param = cond->b->a->str_value;
+  shape.bound_field = cond->b->str_value;
+  return shape;
+}
+
+/// The statements a loop body runs, one block deep.
+std::vector<const Stmt*> body_stmts(const Stmt& body) {
+  std::vector<const Stmt*> out;
+  if (body.kind == StmtKind::kBlock) {
+    for (const auto& s : body.stmts) out.push_back(s.get());
+  } else {
+    out.push_back(&body);
+  }
+  return out;
+}
+
+/// `p.A[var]` or `p.A[var].x`: {A, x (empty for a whole element)}.
+struct ElemRef {
+  std::string array;
+  std::string field;
+};
+
+bool elem_ref(const Expr& e, const std::string& param, const std::string& var, ElemRef& out) {
+  const Expr* idx = &e;
+  out.field.clear();
+  if (e.kind == ExprKind::kFieldAccess) {
+    out.field = e.str_value;
+    idx = e.a.get();
+  }
+  if (!idx || idx->kind != ExprKind::kIndex || !is_var(idx->b.get(), var)) return false;
+  const std::string* arr = param_field(*idx->a, param);
+  if (!arr) return false;
+  out.array = *arr;
+  return true;
+}
+
+// --- forwarding analysis --------------------------------------------------
+
+/// The original source as a view: every field forwards to itself.
+View source_view(const FormatDescriptor& fmt, const std::string& param) {
+  View v;
+  v.fmt = &fmt;
+  for (const auto& fd : fmt.fields()) {
+    Binding b;
+    b.fd = &fd;
+    b.home = Home::kForward;
+    b.text = param + "." + fd.name;
+    if (fd.kind == FieldKind::kDynArray) {
+      if (!fd.element_format) {
+        b.elems[""] = "";
+      } else {
+        for (const auto& ef : fd.element_format->fields()) {
+          if (pbio::is_basic(ef.kind)) b.elems[ef.name] = ef.name;
+        }
+      }
+    }
+    v.fields.emplace(fd.name, std::move(b));
+  }
+  return v;
+}
+
+/// Why a copy of `src`'s field `name` cannot forward: it has no storage.
+std::string no_storage(const View& src, const std::string& name) {
+  return "copies " + src.where(name) + ", which has no storage: " + src.at(name).why;
+}
+
+/// Decides the Home of every field of hop k's destination record `dst`
+/// (an intermediate). Statements that become dead because their field is
+/// forwarded are added to `dropped`.
+class HopAnalysis {
+ public:
+  HopAnalysis(const Program& prog, const FuseHop& hop, const View& src,
+              const std::string& no_forward, std::unordered_set<const Stmt*>& dropped)
+      : prog_(prog), hop_(hop), src_(src), no_forward_(no_forward), dropped_(dropped) {}
+
+  View run(int index) {
+    View v;
+    v.index = index;
+    v.fmt = hop_.dst_fmt.get();
+    accesses_ = AccessCollector(hop_.dst_param).run(prog_);
+    for (const auto& fd : v.fmt->fields()) {
+      Binding b;
+      b.fd = &fd;
+      if (fd.kind == FieldKind::kStruct || fd.kind == FieldKind::kStaticArray) {
+        throw Bail{"intermediate field " + v.where(fd.name) + " is a struct or static array"};
+      }
+      if (fd.kind != FieldKind::kDynArray) scalar_or_string(v, b);
+      v.fields.emplace(fd.name, std::move(b));
+    }
+    // Arrays last: their count fields must already be decided.
+    for (auto& [name, b] : v.fields) {
+      if (b.fd->kind != FieldKind::kDynArray) continue;
+      b.why = forward_array(v, b);
+      b.home = b.why.empty() ? Home::kForward : Home::kDead;
+    }
+    return v;
+  }
+
+ private:
+  std::vector<const Access*> mentions(const std::string& field, bool write) const {
+    std::vector<const Access*> out;
+    for (const auto& a : accesses_) {
+      if (a.field == field && a.write == write) out.push_back(&a);
+    }
+    return out;
+  }
+
+  /// Scalar: D.f = S.g once at top level, same kind and size -> forward,
+  /// else an i64/f64 local. String: same rule, else dead.
+  void scalar_or_string(const View& v, Binding& b) {
+    const FieldDescriptor& fd = *b.fd;
+    b.why = forward_copy(fd, b.text);
+    if (b.why.empty()) {
+      b.home = Home::kForward;
+    } else if (pbio::is_fixed_scalar(fd.kind)) {
+      if (fd.kind == FieldKind::kFloat && fd.size != 8) {
+        throw Bail{"intermediate float field " + v.where(fd.name) + " is narrower than f64"};
+      }
+      if (!valid_ident(fd.name)) {
+        throw Bail{"intermediate field " + v.where(fd.name) + " is not a printable identifier"};
+      }
+      b.home = Home::kLocal;
+      b.text = "__m" + std::to_string(v.index) + "_" + fd.name;
+    } else {
+      b.home = Home::kDead;
+    }
+  }
+
+  /// Empty when `fd` is a forwardable verbatim copy (its target in `out`);
+  /// otherwise why not.
+  std::string forward_copy(const FieldDescriptor& fd, std::string& out) {
+    if (!no_forward_.empty()) return no_forward_;
+    auto writes = mentions(fd.name, true);
+    if (writes.empty()) return "never written";
+    if (writes.size() > 1) return "written more than once";
+    const Access& w = *writes.front();
+    const Stmt& s = *w.stmt;
+    if (&s != prog_.stmts[w.top].get()) return "conditional write (not at the top level)";
+    if (s.kind != StmtKind::kAssign || s.assign_op != AssignOp::kSet) {
+      return "not a plain assignment";
+    }
+    const std::string* g = param_field(*s.expr, hop_.src_param);
+    if (!g) return "not a verbatim copy of a source field";
+    for (const Access* r : mentions(fd.name, false)) {
+      if (r->top <= w.top) return "read before its write";
+    }
+    const Binding& sb = src_.at(*g);
+    if (fd.kind != sb.fd->kind || fd.size != sb.fd->size) {
+      return "copies " + src_.where(*g) + ", whose kind or size differs";
+    }
+    if (sb.home == Home::kDead) return no_storage(src_, *g);
+    out = sb.text;
+    dropped_.insert(&s);
+    return "";
+  }
+
+  /// Empty when D.A forwards from S.B: D.A's count forwards from S.B's
+  /// count and every element write sits in one top-level canonical loop
+  /// `for (int i = 0; i < S.cnt; i++)` whose body only copies elements of
+  /// S.B verbatim. Otherwise why not (the array is then dead).
+  std::string forward_array(const View& v, Binding& b) {
+    if (!no_forward_.empty()) return no_forward_;
+    const FieldDescriptor& fd = *b.fd;
+    auto writes = mentions(fd.name, true);
+    if (writes.empty()) return "never written";
+    if (!mentions(fd.name, false).empty()) return "read in the hop that writes it";
+    const size_t top = writes.front()->top;
+    for (const Access* w : writes) {
+      if (w->top != top) return "element writes are not all in one top-level loop";
+    }
+    const Stmt& loop = *prog_.stmts[top];
+    if (loop.kind != StmtKind::kFor) return "element writes are not all in one top-level loop";
+    LoopShape shape = loop_shape(loop);
+    if (!shape.canonical || !shape.declares) {
+      return "element writes are not in a canonical 'for (int i = 0; i < n; i++)' loop";
+    }
+    std::vector<const Stmt*> body = body_stmts(*loop.body);
+    for (const Access* w : writes) {
+      if (std::find(body.begin(), body.end(), w->stmt) == body.end()) {
+        return "element write outside the body of its loop";
+      }
+    }
+    std::string src_array;
+    for (const Stmt* st : body) {
+      std::string why = element_copy(v, *st, shape.var, b, src_array);
+      if (!why.empty()) return why;
+    }
+    const Binding& sa = src_.at(src_array);
+    if (shape.bound_param != hop_.src_param || shape.bound_field != sa.fd->length_field) {
+      return "loop not bounded by the length field " + src_.where(sa.fd->length_field) +
+             " of the copied array";
+    }
+    // Count fields are scalars, so the source count always has a text.
+    const Binding& dc = v.at(fd.length_field);
+    if (dc.home != Home::kForward || dc.text != src_.at(sa.fd->length_field).text) {
+      return "count field " + v.where(fd.length_field) +
+             " is not forwarded from the source array's length field";
+    }
+    b.text = sa.text;
+    dropped_.insert(&loop);
+    return "";
+  }
+
+  /// One statement of a producing loop: `D.A[i].x = S.B[i].y` or
+  /// `D.A[i] = S.B[i]`. Records x -> (what y forwards to) in `b.elems`.
+  std::string element_copy(const View& v, const Stmt& st, const std::string& var, Binding& b,
+                           std::string& src_array) {
+    const FieldDescriptor& fd = *b.fd;
+    const std::string what = v.where(fd.name);
+    ElemRef d;
+    if (st.kind != StmtKind::kAssign || st.assign_op != AssignOp::kSet ||
+        !elem_ref(*st.lvalue, hop_.dst_param, var, d)) {
+      return "loop that writes " + what +
+             " does more than copy elements (per-element scratch slots are out of scope)";
+    }
+    if (d.array != fd.name) {
+      return "loop that writes " + what + " also writes " + v.where(d.array) +
+             " (loop merging is out of scope)";
+    }
+    ElemRef s;
+    if (!elem_ref(*st.expr, hop_.src_param, var, s)) {
+      return "computed element field " + what + "[]" + (d.field.empty() ? "" : "." + d.field) +
+             " (per-element scratch slots are out of scope)";
+    }
+    if (!src_array.empty() && s.array != src_array) {
+      return "loop that writes " + what + " copies from more than one array";
+    }
+    src_array = s.array;
+    const Binding& sa = src_.at(s.array);
+    if (sa.fd->kind != FieldKind::kDynArray) return what + " copies a non-dynamic array";
+    if (sa.home != Home::kForward) return no_storage(src_, s.array);
+    const std::string mismatch = "element kind or size mismatch in " + what;
+    if (d.field.empty() != s.field.empty()) return mismatch;
+    bool same = false;
+    if (d.field.empty()) {
+      if (fd.element_format || sa.fd->element_format) {
+        return "whole-element copy of struct elements into " + what;
+      }
+      same = fd.element_kind == sa.fd->element_kind && fd.element_size == sa.fd->element_size;
+    } else {
+      const FieldDescriptor* de =
+          fd.element_format ? fd.element_format->find_field(d.field) : nullptr;
+      const FieldDescriptor* se =
+          sa.fd->element_format ? sa.fd->element_format->find_field(s.field) : nullptr;
+      if (de && !pbio::is_basic(de->kind)) {
+        return "element field " + what + "[]." + d.field + " is not basic";
+      }
+      same = de && se && de->kind == se->kind && de->size == se->size;
+    }
+    if (!same) return mismatch;
+    auto it = sa.elems.find(s.field);
+    if (it == sa.elems.end()) {
+      return "reads element field " + src_.where(s.array) + "[]." + s.field +
+             " that its producing loop never wrote";
+    }
+    if (!b.elems.emplace(d.field, it->second).second) {
+      return "element field " + what + "[]." + d.field + " written more than once";
+    }
+    return "";
+  }
+
+  const Program& prog_;
+  const FuseHop& hop_;
+  const View& src_;
+  const std::string& no_forward_;
+  std::unordered_set<const Stmt*>& dropped_;
+  std::vector<Access> accesses_;
+};
+
+// --- printing -------------------------------------------------------------
+
 /// Pretty-printer for one hop's AST with intermediate records replaced by
-/// locals and hop locals renamed into a per-hop namespace.
+/// locals or forwarded reads and hop locals renamed into a per-hop
+/// namespace.
 class HopPrinter {
  public:
   HopPrinter(const HopCtx& ctx, std::string& out) : c_(ctx), out_(out) {}
 
   void stmt(const Stmt& s, int depth) {
+    if (c_.dropped->count(&s) != 0) return;
     switch (s.kind) {
       case StmtKind::kDecl:
         line(depth, decl_text(s) + ";");
         return;
       case StmtKind::kAssign: {
+        if (dead_write(*s.lvalue)) return;
         auto [text, fixup] = assign_text(s);
         line(depth, text + ";");
         if (!fixup.empty()) line(depth, fixup);
         return;
       }
       case StmtKind::kIncDec: {
+        if (dead_write(*s.lvalue)) return;
         auto [text, fixup] = incdec_text(s);
         line(depth, text + ";");
         if (!fixup.empty()) line(depth, fixup);
@@ -184,6 +670,7 @@ class HopPrinter {
           init = decl_text(*s.for_init);
           break;
         case StmtKind::kAssign: {
+          if (dead_write(*s.for_init->lvalue)) throw Bail{"for-init writes a dead field"};
           auto [text, fixup] = assign_text(*s.for_init);
           if (fixup.empty()) {
             init = text;
@@ -206,12 +693,14 @@ class HopPrinter {
     if (s.for_step) {
       switch (s.for_step->kind) {
         case StmtKind::kAssign: {
+          if (dead_write(*s.for_step->lvalue)) throw Bail{"for-step writes a dead field"};
           auto [text, fixup] = assign_text(*s.for_step);
           if (!fixup.empty()) throw Bail{"for-step writes a truncating intermediate field"};
           step = text;
           break;
         }
         case StmtKind::kIncDec: {
+          if (dead_write(*s.for_step->lvalue)) throw Bail{"for-step writes a dead field"};
           auto [text, fixup] = incdec_text(*s.for_step);
           if (!fixup.empty()) throw Bail{"for-step writes a truncating intermediate field"};
           step = text;
@@ -226,7 +715,9 @@ class HopPrinter {
     }
     std::string cond = s.expr ? expr(*s.expr) : std::string();
     line(depth, "for (" + init + "; " + cond + "; " + step + ")");
+    loops_.push_back(loop_shape(s));
     branch(*s.body, depth);
+    loops_.pop_back();
   }
 
   std::string decl_text(const Stmt& s) {
@@ -253,40 +744,100 @@ class HopPrinter {
   std::pair<std::string, std::string> assign_text(const Stmt& s) {
     static const char* kOps[] = {"=", "+=", "-=", "*=", "/=", "%="};
     const char* op = kOps[static_cast<int>(s.assign_op)];
-    auto [fd, local] = inter_target(*s.lvalue);
+    auto [fd, local] = local_target(*s.lvalue);
     std::string lhs = fd ? local : expr(*s.lvalue);
     std::string text = lhs + " " + op + " " + expr(*s.expr);
     return {text, fd ? trunc_fixup(*fd, local) : std::string()};
   }
 
   std::pair<std::string, std::string> incdec_text(const Stmt& s) {
-    auto [fd, local] = inter_target(*s.lvalue);
+    auto [fd, local] = local_target(*s.lvalue);
     std::string lhs = fd ? local : expr(*s.lvalue);
     std::string text = lhs + (s.inc_delta > 0 ? "++" : "--");
     return {text, fd ? trunc_fixup(*fd, local) : std::string()};
   }
 
-  /// When `lv` is a field of an intermediate record, its descriptor and the
-  /// replacement local; {nullptr, ""} otherwise.
-  std::pair<const FieldDescriptor*, std::string> inter_target(const Expr& lv) {
-    if (lv.kind == ExprKind::kFieldAccess && lv.a && lv.a->kind == ExprKind::kVarRef) {
-      const Inter* in = nullptr;
-      if (lv.a->str_value == *c_.dst_param) {
-        in = c_.dst_inter;
-      } else if (lv.a->str_value == *c_.src_param) {
-        in = c_.src_inter;
-      }
-      if (in) {
-        const FieldDescriptor* fd = find_field(*in->fmt, lv.str_value);
-        if (!fd) throw Bail{"unknown intermediate field '" + lv.str_value + "'"};
-        return {fd, inter_local(*in, lv.str_value)};
-      }
-    }
-    return {nullptr, std::string()};
+  /// The intermediate view `param` names in this hop, or null.
+  const View* inter_of(const std::string& param) const {
+    if (param == *c_.dst_param) return c_.dst_inter;
+    if (param == *c_.src_param) return c_.src_inter;
+    return nullptr;
   }
 
-  std::string local_name(const std::string& name) {
+  /// The binding an lvalue writes, when it writes an intermediate field.
+  const Binding* inter_write(const Expr& lv) const {
+    const Expr* head = lvalue_head(lv);
+    if (!head) return nullptr;
+    const View* in = inter_of(head->a->str_value);
+    return in ? &in->at(head->str_value) : nullptr;
+  }
+
+  /// A write to a dead intermediate field is dropped. Writes to forwarded
+  /// fields never reach the printer: the analysis drops them.
+  bool dead_write(const Expr& lv) const {
+    const Binding* b = inter_write(lv);
+    if (b && b->home == Home::kForward) throw Bail{"write to a forwarded field"};
+    return b && b->home == Home::kDead;
+  }
+
+  /// When `lv` writes an intermediate field kept in a local, its descriptor
+  /// and the local; {nullptr, ""} otherwise.
+  std::pair<const FieldDescriptor*, std::string> local_target(const Expr& lv) const {
+    const Binding* b = inter_write(lv);
+    if (!b) return {nullptr, std::string()};
+    if (b->home != Home::kLocal || lv.kind != ExprKind::kFieldAccess) {
+      throw Bail{"unsupported write to an intermediate field"};
+    }
+    return {b->fd, b->text};
+  }
+
+  std::string local_name(const std::string& name) const {
     return "__h" + std::to_string(c_.hop) + "_" + name;
+  }
+
+  [[noreturn]] static void bail_unreadable(const View& in, const Binding& b) {
+    throw Bail{"intermediate field " + in.where(b.fd->name) +
+               " is read but cannot be forwarded: " + b.why};
+  }
+
+  /// `p.A[e]` (whole element, `field` null) or `p.A[e].x` on a forwarded
+  /// intermediate array: read the source array directly. Only sound when
+  /// e is the index of an enclosing canonical loop bounded by p's count
+  /// field, so it never reaches past the elements the copy wrote.
+  std::string elem_read(const View& in, const Expr& index, const std::string* field) {
+    const Expr& arr = *index.a;
+    const std::string& param = arr.a->str_value;
+    const Binding& b = in.at(arr.str_value);
+    const std::string what = in.where(arr.str_value);
+    if (b.home != Home::kForward) bail_unreadable(in, b);
+    const LoopShape* loop = nullptr;
+    if (index.b->kind == ExprKind::kVarRef) {
+      for (auto it = loops_.rbegin(); it != loops_.rend() && !loop; ++it) {
+        if (it->var == index.b->str_value) loop = &*it;
+      }
+    }
+    if (!loop || !loop->canonical || loop->bound_param != param ||
+        loop->bound_field != b.fd->length_field) {
+      throw Bail{"read of " + what + " is not indexed by the variable of a canonical loop "
+                 "bounded by '" + param + "." + b.fd->length_field + "'"};
+    }
+    auto it = b.elems.find(field ? *field : std::string());
+    if (it == b.elems.end()) {
+      if (!field) throw Bail{"whole-element use of " + what};
+      throw Bail{"reads element field " + what + "[]." + *field +
+                 " that its producing loop never wrote"};
+    }
+    std::string out = b.text + "[" + local_name(loop->var) + "]";
+    return field ? out + "." + it->second : out;
+  }
+
+  /// `p.A` of an intermediate array under an index; null otherwise.
+  const View* inter_array(const Expr& index) const {
+    if (index.kind != ExprKind::kIndex || index.a->kind != ExprKind::kFieldAccess ||
+        !index.a->a || index.a->a->kind != ExprKind::kVarRef) {
+      return nullptr;
+    }
+    return inter_of(index.a->a->str_value);
   }
 
   std::string expr(const Expr& e) {
@@ -298,21 +849,27 @@ class HopPrinter {
       case ExprKind::kStringLit:
         return quote(e.str_value);
       case ExprKind::kVarRef:
-        if (e.str_value == *c_.dst_param) {
-          if (c_.dst_inter) throw Bail{"whole-record use of an intermediate record"};
-          return e.str_value;
-        }
-        if (e.str_value == *c_.src_param) {
-          if (c_.src_inter) throw Bail{"whole-record use of an intermediate record"};
+        if (e.str_value == *c_.dst_param || e.str_value == *c_.src_param) {
+          if (inter_of(e.str_value)) throw Bail{"whole-record use of an intermediate record"};
           return e.str_value;
         }
         return local_name(e.str_value);
       case ExprKind::kFieldAccess: {
-        auto [fd, local] = inter_target(e);
-        if (fd) return local;
+        if (e.a->kind == ExprKind::kVarRef) {
+          if (const View* in = inter_of(e.a->str_value)) {
+            const Binding& b = in->at(e.str_value);
+            if (b.home == Home::kDead) bail_unreadable(*in, b);
+            if (b.fd->kind == FieldKind::kDynArray) {
+              throw Bail{"whole-array use of " + in->where(e.str_value)};
+            }
+            return b.text;
+          }
+        }
+        if (const View* in = inter_array(*e.a)) return elem_read(*in, *e.a, &e.str_value);
         return expr(*e.a) + "." + e.str_value;
       }
       case ExprKind::kIndex:
+        if (const View* in = inter_array(e)) return elem_read(*in, e, nullptr);
         return expr(*e.a) + "[" + expr(*e.b) + "]";
       case ExprKind::kUnary: {
         const char* op = e.un_op == UnOp::kNeg ? "-" : e.un_op == UnOp::kNot ? "!" : "~";
@@ -368,11 +925,12 @@ class HopPrinter {
 
   const HopCtx& c_;
   std::string& out_;
+  std::vector<LoopShape> loops_;  // enclosing `for` statements, innermost last
 };
 
 }  // namespace
 
-FuseResult fuse_chain(const std::vector<FuseHop>& hops) {
+FuseResult fuse_chain(const std::vector<FuseHop>& hops, const pbio::FormatDescriptor& src_fmt) {
   FuseResult result;
   try {
     if (hops.size() < 2) throw Bail{"chain has fewer than two hops"};
@@ -384,38 +942,39 @@ FuseResult fuse_chain(const std::vector<FuseHop>& hops) {
       if (!h.dst_fmt) throw Bail{"hop without a destination format"};
     }
 
-    // Every intermediate field must be a fixed scalar an i64/f64 local can
-    // represent exactly (f32 stores round, so only f64 floats qualify).
-    std::vector<Inter> inters;
-    inters.reserve(hops.size() - 1);
-    for (size_t k = 0; k + 1 < hops.size(); ++k) {
-      const FormatDescriptor& fmt = *hops[k].dst_fmt;
-      for (const auto& fd : fmt.fields()) {
-        const std::string where = "'" + fmt.name() + "." + fd.name + "'";
-        if (!pbio::is_fixed_scalar(fd.kind)) {
-          throw Bail{"intermediate field " + where + " is not a fixed-size scalar"};
-        }
-        if (fd.kind == FieldKind::kFloat && fd.size != 8) {
-          throw Bail{"intermediate float field " + where + " is narrower than f64"};
-        }
-        if (!valid_ident(fd.name)) {
-          throw Bail{"intermediate field " + where + " is not a printable identifier"};
-        }
-      }
-      inters.push_back(Inter{static_cast<int>(k), hops[k].dst_fmt.get()});
-    }
-
     std::vector<std::unique_ptr<Program>> progs;
     progs.reserve(hops.size());
     for (const auto& h : hops) progs.push_back(parse(h.code));
 
+    // A forwarded read assumes its source field keeps its value for the
+    // rest of the chain, which a hop that writes its own source breaks.
+    std::string no_forward;
+    for (size_t k = 0; k < hops.size() && no_forward.empty(); ++k) {
+      auto acc = AccessCollector(hops[k].src_param).run(*progs[k]);
+      if (std::any_of(acc.begin(), acc.end(), [](const Access& a) { return a.write; })) {
+        no_forward = "hop " + std::to_string(k) + " writes its source parameter '" +
+                     hops[k].src_param + "'";
+      }
+    }
+
+    // views[0] is the original source; views[k + 1] the record hop k writes.
+    std::vector<View> views;
+    views.reserve(hops.size());
+    views.push_back(source_view(src_fmt, src_name));
+    std::unordered_set<const Stmt*> dropped;
+    for (size_t k = 0; k + 1 < hops.size(); ++k) {
+      HopAnalysis analysis(*progs[k], hops[k], views[k], no_forward, dropped);
+      views.push_back(analysis.run(static_cast<int>(k)));
+    }
+
     std::string out = "/* fused " + std::to_string(hops.size()) + "-hop chain: " + src_name +
                       " -> " + dst_name + " */\n";
-    for (const auto& in : inters) {
-      for (const auto& fd : in.fmt->fields()) {
+    for (size_t k = 1; k < views.size(); ++k) {
+      for (const auto& fd : views[k].fmt->fields()) {
+        const Binding& b = views[k].at(fd.name);
+        if (b.home != Home::kLocal) continue;
         bool f = fd.kind == FieldKind::kFloat;
-        out += std::string(f ? "double " : "long ") + inter_local(in, fd.name) +
-               (f ? " = 0.0;\n" : " = 0;\n");
+        out += std::string(f ? "double " : "long ") + b.text + (f ? " = 0.0;\n" : " = 0;\n");
       }
     }
     for (size_t k = 0; k < hops.size(); ++k) {
@@ -424,8 +983,9 @@ FuseResult fuse_chain(const std::vector<FuseHop>& hops) {
       ctx.final_hop = k + 1 == hops.size();
       ctx.dst_param = &hops[k].dst_param;
       ctx.src_param = &hops[k].src_param;
-      ctx.dst_inter = ctx.final_hop ? nullptr : &inters[k];
-      ctx.src_inter = k == 0 ? nullptr : &inters[k - 1];
+      ctx.dst_inter = ctx.final_hop ? nullptr : &views[k + 1];
+      ctx.src_inter = k == 0 ? nullptr : &views[k];
+      ctx.dropped = &dropped;
       out += "{\n";
       HopPrinter printer(ctx, out);
       for (const auto& st : progs[k]->stmts) printer.stmt(*st, 1);

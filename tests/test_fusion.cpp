@@ -4,8 +4,10 @@
 // hop-wise execution instead of fusing wrong code.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -37,12 +39,31 @@ TransformSpec spec_of(FormatPtr src, FormatPtr dst, std::string code) {
 }
 
 MorphChain make_chain(const std::vector<TransformSpec>& specs, bool fuse = true,
-                      ecode::VerifyMode verify = ecode::VerifyMode::kOff) {
+                      ecode::VerifyMode verify = ecode::VerifyMode::kOff,
+                      ecode::ExecBackend backend = ecode::ExecBackend::kAuto) {
   std::vector<const TransformSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
   ecode::CompileOptions opts;
   opts.verify = verify;
+  opts.backend = backend;
   return MorphChain(ptrs, opts, fuse);
+}
+
+/// The backends every fused program must agree on: the bytecode VM always,
+/// native code when this process may emit it (not under MORPH_DISABLE_JIT).
+std::vector<ecode::ExecBackend> backends() {
+  std::vector<ecode::ExecBackend> out{ecode::ExecBackend::kInterpreter};
+  if (ecode::jit_supported()) out.push_back(ecode::ExecBackend::kJit);
+  return out;
+}
+
+size_t count_of(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 /// Run `chain` fused and hop-wise over `iters` random records of its source
@@ -87,20 +108,37 @@ TEST(Fusion, DisabledDoesNotFuse) {
 }
 
 TEST(Fusion, StringIntermediateBails) {
+  // A string stamped from a literal has no source field to forward from;
+  // once a later hop reads it, fusion must give up.
   auto a = FormatBuilder("M").add_int("x", 8).build();
   auto mid = FormatBuilder("Mid").add_int("x", 8).add_string("s").build();
   auto c = FormatBuilder("O").add_int("x", 8).build();
   auto chain = make_chain({spec_of(a, mid, "old.x = new.x; old.s = \"hi\";"),
-                           spec_of(mid, c, "old.x = new.x;")});
+                           spec_of(mid, c, "old.x = new.x + strlen(new.s);")});
   EXPECT_FALSE(chain.fused());
-  EXPECT_NE(chain.fusion_bailout().find("not a fixed-size scalar"), std::string::npos)
+  EXPECT_NE(chain.fusion_bailout().find("'Mid.s' is read but cannot be forwarded: not a verbatim "
+                                        "copy of a source field"),
+            std::string::npos)
       << chain.fusion_bailout();
   // The chain still runs, hop-wise.
   RecordArena arena;
   auto* src = static_cast<int64_t*>(pbio::alloc_record(*chain.src_format(), arena));
   *src = 7;
   auto* out = static_cast<int64_t*>(chain.apply(src, arena));
-  EXPECT_EQ(*out, 7);
+  EXPECT_EQ(*out, 9);
+}
+
+TEST(Fusion, UnreadStringIntermediateGetsNoCode) {
+  // The same literal string, never read downstream: the field is dead, so
+  // its write disappears and the chain fuses.
+  auto a = FormatBuilder("M").add_int("x", 8).build();
+  auto mid = FormatBuilder("Mid").add_int("x", 8).add_string("s").build();
+  auto c = FormatBuilder("O").add_int("x", 8).build();
+  auto chain = make_chain({spec_of(a, mid, "old.x = new.x; old.s = \"hi\";"),
+                           spec_of(mid, c, "old.x = new.x;")});
+  ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+  EXPECT_EQ(chain.fused_source().find("hi"), std::string::npos) << chain.fused_source();
+  expect_differential(chain, 16, 12);
 }
 
 TEST(Fusion, Float32IntermediateBails) {
@@ -226,7 +264,7 @@ TEST(Fusion, ControlFlowAndLocalRenaming) {
 }
 
 TEST(Fusion, FinalHopWritesStringsAndDynArrays) {
-  // Intermediates must be scalar, but the real destination keeps its full
+  // The intermediate is scalar, but the real destination keeps its full
   // shape: the final hop fans a scalar count out into a dynamic array and
   // stamps a string literal.
   auto a = FormatBuilder("M").add_int("n", 8).build();
@@ -268,6 +306,299 @@ TEST(Fusion, VerifyFindingsReturnsStableReference) {
   EXPECT_EQ(&first, &second);
 }
 
+// --- copy-forwarding through strings and dynamic arrays ----------------------
+
+/// Retro-transform copying every field of `dst` from the same-named field
+/// of its source: scalars and strings by assignment, dynamic arrays
+/// element-wise (struct elements field by field) in a canonical loop over
+/// the source's count. The shape a schema-evolution tool emits for a
+/// revision that only adds fields.
+std::string copy_code(const pbio::FormatDescriptor& dst) {
+  std::string code;
+  for (const auto& fd : dst.fields()) {
+    if (fd.kind != pbio::FieldKind::kDynArray) {
+      code += "old." + fd.name + " = new." + fd.name + ";\n";
+      continue;
+    }
+    code += "for (int i = 0; i < new." + fd.length_field + "; i++) {\n";
+    if (fd.element_format == nullptr) {
+      code += "  old." + fd.name + "[i] = new." + fd.name + "[i];\n";
+    } else {
+      for (const auto& ef : fd.element_format->fields()) {
+        code += "  old." + fd.name + "[i]." + ef.name + " = new." + fd.name + "[i]." + ef.name +
+                ";\n";
+      }
+    }
+    code += "}\n";
+  }
+  return code;
+}
+
+/// Specs from the newest revision down to rev 0, one copy hop per step.
+std::vector<TransformSpec> ladder(const std::vector<FormatPtr>& revs) {
+  std::vector<TransformSpec> specs;
+  for (size_t k = revs.size() - 1; k >= 1; --k) {
+    specs.push_back(spec_of(revs[k], revs[k - 1], copy_code(*revs[k - 1])));
+  }
+  return specs;
+}
+
+/// A scan of sensor readings in 5 revisions: every revision adds a record
+/// field and one element field to the readings array of structs.
+std::vector<TransformSpec> scan_ladder() {
+  std::vector<FormatPtr> revs;
+  for (int rev = 0; rev <= 4; ++rev) {
+    FormatBuilder r("Reading");
+    r.add_int("ts", 8).add_float("v", 8);
+    if (rev >= 1) r.add_int("q", 4);
+    if (rev >= 2) r.add_int("flags", 4);
+    if (rev >= 3) r.add_float("err", 8);
+    if (rev >= 4) r.add_int("src", 4);
+    FormatBuilder b("Scan");
+    b.add_int("seq", 8).add_string("name").add_int("site", 4).add_string("notes");
+    b.add_int("nreadings", 4).add_dyn_array("readings", r.build(), "nreadings");
+    if (rev >= 1) b.add_float("gain", 8);
+    if (rev >= 2) b.add_int("zone", 4);
+    if (rev >= 3) b.add_string("label");
+    if (rev >= 4) b.add_int("epoch", 8);
+    revs.push_back(b.build());
+  }
+  return ladder(revs);
+}
+
+/// A small tick in 3 revisions: strings, an int array, and a station id
+/// that narrows from int8 to int4 on the way down.
+std::vector<TransformSpec> tick_ladder() {
+  std::vector<FormatPtr> revs;
+  for (int rev = 0; rev <= 2; ++rev) {
+    FormatBuilder b("Tick");
+    b.add_int("seq", 8).add_int("station", rev >= 2 ? 8 : 4).add_int("kind", 4);
+    b.add_float("value", 8).add_string("tag").add_int("nsamples", 4);
+    b.add_dyn_array("samples", pbio::FieldKind::kInt, 4, "nsamples");
+    if (rev >= 1) b.add_int("flags", 4).add_string("unit");
+    if (rev >= 2) b.add_float("quality", 8);
+    revs.push_back(b.build());
+  }
+  return ladder(revs);
+}
+
+TEST(FusionWorkload, ScanLadderFusesIntoOneCopyPass) {
+  auto specs = scan_ladder();
+  for (auto verify : {ecode::VerifyMode::kOff, ecode::VerifyMode::kEnforce}) {
+    for (auto backend : backends()) {
+      SCOPED_TRACE(::testing::Message() << "verify " << static_cast<int>(verify) << " backend "
+                                        << static_cast<int>(backend));
+      auto chain = make_chain(specs, true, verify, backend);
+      ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+      EXPECT_EQ(chain.hops(), 4u);
+      // Three intermediate copy loops forward; only the final hop's loop,
+      // bounded by the original count, is left.
+      EXPECT_EQ(count_of(chain.fused_source(), "for ("), 1u) << chain.fused_source();
+      EXPECT_NE(chain.fused_source().find("< new.nreadings"), std::string::npos)
+          << chain.fused_source();
+      expect_differential(chain, 64, 21);
+    }
+  }
+}
+
+TEST(FusionWorkload, TickLadderFusesWithNarrowedStation) {
+  auto specs = tick_ladder();
+  for (auto verify : {ecode::VerifyMode::kOff, ecode::VerifyMode::kEnforce}) {
+    for (auto backend : backends()) {
+      SCOPED_TRACE(::testing::Message() << "verify " << static_cast<int>(verify) << " backend "
+                                        << static_cast<int>(backend));
+      auto chain = make_chain(specs, true, verify, backend);
+      ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+      EXPECT_EQ(chain.hops(), 2u);
+      // int8 -> int4 is not a verbatim copy: the station keeps a truncated
+      // local, which the next hop's int4 -> int4 copy forwards.
+      EXPECT_NE(chain.fused_source().find("long __m0_station"), std::string::npos)
+          << chain.fused_source();
+      EXPECT_EQ(count_of(chain.fused_source(), "for ("), 1u) << chain.fused_source();
+      expect_differential(chain, 64, 22);
+    }
+  }
+}
+
+void clobber_string(uint8_t* slot) {
+  char* str = nullptr;
+  std::memcpy(&str, slot, sizeof str);
+  if (str) std::memset(str, 'Z', std::strlen(str));
+}
+
+/// Overwrite every string and array element `rec` points at, in place.
+void scribble(const pbio::FormatDescriptor& fmt, void* rec) {
+  auto* base = static_cast<uint8_t*>(rec);
+  for (const auto& fd : fmt.fields()) {
+    if (fd.kind == pbio::FieldKind::kString) {
+      clobber_string(base + fd.offset);
+    } else if (fd.kind == pbio::FieldKind::kDynArray) {
+      auto* elems = static_cast<uint8_t*>(pbio::read_pointer(rec, fd));
+      const int64_t n = pbio::read_scalar_i64(rec, *fmt.find_field(fd.length_field));
+      for (int64_t i = 0; elems && i < n; ++i) {
+        uint8_t* e = elems + static_cast<size_t>(i) * fd.element_stride();
+        if (fd.element_format) scribble(*fd.element_format, e);
+        if (!fd.element_format && fd.element_kind == pbio::FieldKind::kString) clobber_string(e);
+        std::memset(e, 0xA5, fd.element_stride());
+      }
+    }
+  }
+}
+
+TEST(FusionWorkload, ForwardedOutputOwnsItsStringsAndElements) {
+  // Forwarded reads go straight to the source record; the final hop must
+  // still copy, so clobbering the source after apply() leaves the output
+  // as the hop-wise run saw it.
+  for (const auto& specs : {scan_ladder(), tick_ladder()}) {
+    auto chain = make_chain(specs);
+    ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+    Rng rng(23);
+    for (int i = 0; i < 16; ++i) {
+      RecordArena src_arena;
+      RecordArena out_arena;
+      void* src = pbio::from_dyn(pbio::random_dyn(rng, chain.src_format()), src_arena);
+      pbio::DynValue expected =
+          pbio::to_dyn(*chain.dst_format(), chain.apply_hopwise(src, out_arena));
+      void* out = chain.apply(src, out_arena);
+      scribble(*chain.src_format(), src);
+      ASSERT_EQ(pbio::to_dyn(*chain.dst_format(), out), expected)
+          << "iteration " << i << "\nfused source:\n"
+          << chain.fused_source();
+    }
+  }
+}
+
+/// Expect `chain` to run hop-wise because of `reason`, and to still agree
+/// with itself hop-wise.
+void expect_bail(const MorphChain& chain, const std::string& reason, uint64_t seed) {
+  EXPECT_FALSE(chain.fused()) << chain.fused_source();
+  EXPECT_NE(chain.fusion_bailout().find(reason), std::string::npos) << chain.fusion_bailout();
+  expect_differential(chain, 32, seed);
+}
+
+TEST(FusionForwarding, ConditionalStringWriteBails) {
+  auto a = FormatBuilder("M").add_int("x", 8).add_string("s").build();
+  auto mid = FormatBuilder("Mid").add_int("x", 8).add_string("s").build();
+  auto chain = make_chain({spec_of(a, mid, "old.x = new.x; if (new.x > 0) { old.s = new.s; }"),
+                           spec_of(mid, a, "old.x = new.x; old.s = new.s;")});
+  expect_bail(chain, "'Mid.s' is read but cannot be forwarded: conditional write", 31);
+}
+
+/// Count n, an int array xs sized by n; `wide` makes the elements int8.
+FormatPtr ints(const std::string& name, bool wide = false) {
+  return FormatBuilder(name)
+      .add_int("n", 4)
+      .add_dyn_array("xs", pbio::FieldKind::kInt, wide ? 8 : 4, "n")
+      .build();
+}
+
+constexpr const char* kCopyInts =
+    "old.n = new.n; for (int i = 0; i < new.n; i++) { old.xs[i] = new.xs[i]; }";
+
+TEST(FusionForwarding, ArrayLoopNotBoundedByLengthFieldBails) {
+  // old.n holds the same value as new.n, but the proof is syntactic.
+  auto chain = make_chain(
+      {spec_of(ints("M"), ints("Mid"),
+               "old.n = new.n; for (int i = 0; i < old.n; i++) { old.xs[i] = new.xs[i]; }"),
+       spec_of(ints("Mid"), ints("O"), kCopyInts)});
+  expect_bail(chain, "'Mid.xs' is read but cannot be forwarded: loop not bounded by the length "
+              "field 'M.n'", 32);
+}
+
+TEST(FusionForwarding, ReadIndexedByNonLoopVariableBails) {
+  auto out = FormatBuilder("O").add_int("first", 8).build();
+  auto chain = make_chain({spec_of(ints("M"), ints("Mid"), kCopyInts),
+                           spec_of(ints("Mid"), out,
+                                   "long j = 0; if (new.n > 0) { old.first = new.xs[j]; }")});
+  expect_bail(chain, "read of 'Mid.xs' is not indexed by the variable of a canonical loop", 33);
+}
+
+TEST(FusionForwarding, ReadInLoopNotBoundedByCountBails) {
+  // Element n lies past what the copy wrote: hop-wise it reads the
+  // intermediate's zeroed spare capacity, forwarded it would read past the
+  // source array.
+  auto out = FormatBuilder("O").add_int("sum", 8).build();
+  auto chain = make_chain(
+      {spec_of(ints("M"), ints("Mid"), kCopyInts),
+       spec_of(ints("Mid"), out,
+               "long s = 0;"
+               "for (int i = 0; i < new.n + 1; i++) { if (new.n > 0) { s += new.xs[i]; } }"
+               "old.sum = s;")});
+  expect_bail(chain, "read of 'Mid.xs' is not indexed by the variable of a canonical loop "
+              "bounded by 'new.n'", 40);
+}
+
+/// A readings array of {ts int8, v f64} structs sized by n.
+FormatPtr readings(const std::string& name) {
+  auto r = FormatBuilder("R").add_int("ts", 8).add_float("v", 8).build();
+  return FormatBuilder(name).add_int("n", 4).add_dyn_array("rs", r, "n").build();
+}
+
+constexpr const char* kCopyReadings =
+    "old.n = new.n;"
+    "for (int i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts; old.rs[i].v = new.rs[i].v; }";
+
+TEST(FusionForwarding, ComputedElementFieldBails) {
+  auto chain = make_chain(
+      {spec_of(readings("M"), readings("Mid"),
+               "old.n = new.n;"
+               "for (int i = 0; i < new.n; i++) {"
+               "  old.rs[i].ts = new.rs[i].ts; old.rs[i].v = new.rs[i].v * 2.0;"
+               "}"),
+       spec_of(readings("Mid"), readings("O"), kCopyReadings)});
+  expect_bail(chain, "cannot be forwarded: computed element field 'Mid.rs'[].v", 34);
+}
+
+TEST(FusionForwarding, ElementKindOrSizeMismatchBails) {
+  auto chain = make_chain({spec_of(ints("M", true), ints("Mid"), kCopyInts),
+                           spec_of(ints("Mid"), ints("O", true), kCopyInts)});
+  expect_bail(chain, "'Mid.xs' is read but cannot be forwarded: element kind or size mismatch",
+              35);
+}
+
+TEST(FusionForwarding, HopWritingItsSourceBails) {
+  auto a = FormatBuilder("M").add_int("x", 8).add_string("s").build();
+  auto mid = FormatBuilder("Mid").add_int("x", 8).add_string("s").build();
+  auto chain = make_chain({spec_of(a, mid, "old.x = new.x; old.s = new.s;"),
+                           spec_of(mid, a, "new.x = new.x + 1; old.x = new.x; old.s = new.s;")});
+  expect_bail(chain, "'Mid.s' is read but cannot be forwarded: hop 1 writes its source parameter "
+              "'new'", 36);
+}
+
+TEST(FusionForwarding, ElementFieldNeverWrittenBails) {
+  auto chain = make_chain(
+      {spec_of(readings("M"), readings("Mid"),
+               "old.n = new.n; for (int i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts; }"),
+       spec_of(readings("Mid"), readings("O"), kCopyReadings)});
+  expect_bail(chain, "reads element field 'Mid.rs'[].v that its producing loop never wrote", 37);
+}
+
+TEST(FusionForwarding, ScalarCopiesForwardWithoutLocals) {
+  // Same-kind, same-size copies need no storage at all; the fused program
+  // reads the original source directly.
+  auto a = FormatBuilder("M").add_int("x", 4).add_float("f", 4).add_string("s").build();
+  auto b = FormatBuilder("N").add_int("x", 4).add_float("f", 4).add_string("s").build();
+  auto c = FormatBuilder("O").add_int("x", 8).add_float("f", 8).add_string("s").build();
+  auto chain = make_chain({spec_of(a, b, "old.x = new.x; old.f = new.f; old.s = new.s;"),
+                           spec_of(b, c, "old.x = new.x * 2; old.f = new.f; old.s = new.s;")});
+  ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+  EXPECT_EQ(chain.fused_source().find("__m0_"), std::string::npos) << chain.fused_source();
+  expect_differential(chain, 64, 38);
+}
+
+TEST(FusionForwarding, ReadBeforeWriteKeepsALocal) {
+  // A field read before its copy is not a verbatim copy at that read; it
+  // keeps today's local (and its initial zero).
+  auto a = FormatBuilder("M").add_int("x", 8).build();
+  auto mid = FormatBuilder("Mid").add_int("x", 8).add_int("y", 8).build();
+  auto c = FormatBuilder("O").add_int("x", 8).add_int("y", 8).build();
+  auto chain = make_chain({spec_of(a, mid, "old.y = old.x + 1; old.x = new.x;"),
+                           spec_of(mid, c, "old.x = new.x; old.y = new.y;")});
+  ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+  EXPECT_NE(chain.fused_source().find("long __m0_x"), std::string::npos) << chain.fused_source();
+  expect_differential(chain, 32, 39);
+}
+
 // --- the committed corpus, differentially -----------------------------------
 
 std::vector<TransformSpec> read_bundle(const std::filesystem::path& path) {
@@ -290,22 +621,28 @@ bool specs_chain(const std::vector<TransformSpec>& specs) {
 }
 
 TEST(FusionCorpus, EveryBundleRunsFusedAgainstHopwise) {
-  int bundles = 0;
-  int fused_chains = 0;
+  // The expected outcome of every bundle, pinned so a silent fall-back to
+  // hop-wise execution fails loudly: "" means fused, anything else is the
+  // bail-out reason. telemetry_chain.eco carries a string intermediate
+  // that forwards; sensor_fusion_chain.eco is all scalar.
+  const std::map<std::string, std::string> expected = {
+      {"b2b_supplier_a.eco", "single-hop chain"},
+      {"echo_response_v2_v1.eco", "single-hop chain"},
+      {"quickstart_retro.eco", "single-hop chain"},
+      {"sensor_fusion_chain.eco", ""},
+      {"telemetry_chain.eco", ""},
+  };
+  std::map<std::string, std::string> seen;
   for (const auto& entry : std::filesystem::directory_iterator(MORPH_TRANSFORMS_DIR)) {
     if (entry.path().extension() != ".eco") continue;
     SCOPED_TRACE(entry.path().string());
     auto specs = read_bundle(entry.path());
     ASSERT_TRUE(specs_chain(specs));
     auto chain = make_chain(specs);
-    ++bundles;
-    if (chain.fused()) ++fused_chains;
-    expect_differential(chain, 48, 0xC0FFEE + static_cast<uint64_t>(bundles));
+    seen[entry.path().filename().string()] = chain.fusion_bailout();
+    expect_differential(chain, 48, 0xC0FFEE + seen.size());
   }
-  ASSERT_GE(bundles, 5) << "corpus went missing from " << MORPH_TRANSFORMS_DIR;
-  // sensor_fusion_chain.eco exists precisely so the corpus exercises the
-  // fused path; a silent universal bail-out should fail loudly here.
-  EXPECT_GE(fused_chains, 1);
+  EXPECT_EQ(seen, expected) << "corpus in " << MORPH_TRANSFORMS_DIR;
 }
 
 TEST(FusionCorpus, SensorChainFusesUnderEnforcedVerification) {
