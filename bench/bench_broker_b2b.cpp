@@ -10,10 +10,6 @@
 // We measure per-message broker CPU and receiver CPU for both designs.
 #include "bench_support.hpp"
 
-#include <atomic>
-#include <memory>
-
-#include "core/parallel_receiver.hpp"
 #include "core/receiver.hpp"
 #include "core/transform.hpp"
 #include "pbio/decode.hpp"
@@ -135,8 +131,6 @@ RetailerOrder* make_order(uint32_t items, RecordArena& arena, Rng& rng) {
   return order;
 }
 
-void concurrent_scaling_table();
-
 void paper_table() {
   std::printf("Ablation D: B2B broker designs (ms per order, 50-line orders)\n\n");
   std::printf("%-28s  %12s  %12s\n", "design", "broker-CPU", "receiver-CPU");
@@ -193,80 +187,6 @@ void paper_table() {
               broker_xslt_ms / broker_forward_ms);
   std::printf("note: the morphing receiver ALSO pays less than the XML receiver (%.1fx)\n",
               recv_xml_ms / recv_morph_ms);
-
-  concurrent_scaling_table();
-}
-
-// Morphing receiver throughput, single-threaded Receiver loop vs a
-// ParallelReceiver pool (--threads N, default 1). Each worker runs the full
-// Algorithm 2 pipeline — sharded cache lookup, decode, compiled Ecode chain,
-// delivery — against its own arena; the decision cache is shared and warm.
-void concurrent_scaling_table() {
-  constexpr size_t kMessages = 2000;
-  constexpr uint32_t kLines = 50;
-  const size_t threads = bench_threads();
-
-  // Pre-encode a batch of distinct retailer orders.
-  Rng rng(23);
-  RecordArena enc_arena;
-  std::vector<std::unique_ptr<ByteBuffer>> wires;
-  std::vector<core::FramedMessage> batch;
-  wires.reserve(kMessages);
-  batch.reserve(kMessages);
-  for (size_t i = 0; i < kMessages; ++i) {
-    auto wire = std::make_unique<ByteBuffer>();
-    pbio::Encoder(retailer_order_format()).encode(make_order(kLines, enc_arena, rng), *wire);
-    batch.push_back({wire->data(), wire->size()});
-    wires.push_back(std::move(wire));
-  }
-
-  core::Receiver rx;
-  std::atomic<uint64_t> delivered{0};
-  rx.register_handler(supplier_order_format(), [&](const core::Delivery& d) {
-    benchmark::DoNotOptimize(d.record);
-    delivered.fetch_add(1, std::memory_order_relaxed);
-  });
-  rx.learn_format(retailer_order_format());
-  rx.learn_transform(retailer_to_supplier_spec());
-
-  // Warm the decision cache (compile the chain once, outside the timing).
-  {
-    RecordArena warm;
-    rx.process(batch[0].data, batch[0].size, warm);
-  }
-
-  Stopwatch single_sw;
-  {
-    RecordArena arena;
-    for (const auto& m : batch) {
-      arena.reset();
-      rx.process(m.data, m.size, arena);
-    }
-  }
-  double single_ms = single_sw.elapsed_millis();
-
-  double pool_ms;
-  {
-    core::ParallelReceiver pool(rx, threads);
-    Stopwatch pool_sw;
-    pool.process_batch(batch.data(), batch.size());
-    pool_ms = pool_sw.elapsed_millis();
-  }
-
-  double single_rate = static_cast<double>(kMessages) / (single_ms / 1000.0);
-  double pool_rate = static_cast<double>(kMessages) / (pool_ms / 1000.0);
-  std::printf("\nConcurrent receiver scaling (%zu morphed %u-line orders)\n\n",
-              kMessages, kLines);
-  std::printf("%-28s  %12s  %12s\n", "pipeline", "msgs/s", "speedup");
-  std::printf("%s\n", std::string(58, '-').c_str());
-  std::printf("%-28s  %12.0f  %12s\n", "single-thread Receiver", single_rate, "1.0x");
-  std::printf("%-28s  %12.0f  %11.1fx\n",
-              ("ParallelReceiver x" + std::to_string(threads)).c_str(), pool_rate,
-              pool_rate / single_rate);
-  if (delivered.load() != 2 * kMessages + 1) {
-    std::printf("WARNING: delivered %llu of %zu messages\n",
-                static_cast<unsigned long long>(delivered.load()), 2 * kMessages + 1);
-  }
 }
 
 void bm_broker_xslt(benchmark::State& state) {

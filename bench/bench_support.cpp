@@ -13,7 +13,6 @@
 namespace morph::bench {
 
 namespace {
-size_t g_threads = 1;
 bool g_fused = true;
 std::string g_bench_name = "bench";          // argv[0] basename
 std::vector<std::string> g_cols;             // from the last print_header
@@ -32,8 +31,6 @@ const std::vector<size_t>& paper_sizes() {
   }();
   return kSizes;
 }
-
-size_t bench_threads() { return g_threads; }
 
 bool bench_fused() { return g_fused; }
 
@@ -78,9 +75,6 @@ int bench_main(int argc, char** argv, const std::function<void()>& paper_table) 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gbench") == 0) {
       gbench = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      long n = std::strtol(argv[++i], nullptr, 10);
-      g_threads = n > 0 ? static_cast<size_t>(n) : 1;
     } else if (std::strcmp(argv[i], "--fused") == 0 && i + 1 < argc) {
       g_fused = std::strcmp(argv[++i], "off") != 0;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {

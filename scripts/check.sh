@@ -38,7 +38,11 @@ echo "== evolution audit (vs examples/transforms/AUDIT_golden.json) =="
 
 if [[ "${1:-}" != "--bench-smoke" ]]; then
   echo "== bench smoke (paper tables) =="
-  for b in build/bench/*; do
+  # One run per bench source, so stale binaries left in an incremental build
+  # dir are not run; a target that was not built (the optional
+  # bench_libxml_reference, or bench_support, which is a library) is skipped.
+  for src in bench/bench_*.cpp; do
+    b="build/bench/$(basename "$src" .cpp)"
     [ -f "$b" ] && [ -x "$b" ] || continue
     echo "--- $b"
     "$b"

@@ -1,5 +1,7 @@
 #include "core/receiver.hpp"
 
+#include <iterator>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/flight.hpp"
@@ -84,31 +86,32 @@ RxMetrics& rx() {
   return m;
 }
 
+/// Every ReceiverStats counter, so field-wise arithmetic lives in one place.
+constexpr uint64_t ReceiverStats::*kStatFields[] = {
+    &ReceiverStats::messages,        &ReceiverStats::cache_hits,
+    &ReceiverStats::cache_misses,    &ReceiverStats::exact,
+    &ReceiverStats::perfect,         &ReceiverStats::morphed,
+    &ReceiverStats::reconciled,      &ReceiverStats::defaulted,
+    &ReceiverStats::rejected,        &ReceiverStats::transforms_compiled,
+    &ReceiverStats::verify_rejected, &ReceiverStats::zero_copy,
+    &ReceiverStats::cache_flushes,   &ReceiverStats::resolve_fetched,
+    &ReceiverStats::resolve_degraded, &ReceiverStats::morph_fused,
+    &ReceiverStats::morph_hopwise,   &ReceiverStats::morph_inplace,
+    &ReceiverStats::chains_fused,    &ReceiverStats::fusion_bailouts,
+};
+static_assert(sizeof(ReceiverStats) == std::size(kStatFields) * sizeof(uint64_t),
+              "a ReceiverStats field is missing from kStatFields");
 }  // namespace
 
 ReceiverStats ReceiverStats::delta(const ReceiverStats& earlier) const {
-  ReceiverStats d;
-  d.messages = messages - earlier.messages;
-  d.cache_hits = cache_hits - earlier.cache_hits;
-  d.cache_misses = cache_misses - earlier.cache_misses;
-  d.exact = exact - earlier.exact;
-  d.perfect = perfect - earlier.perfect;
-  d.morphed = morphed - earlier.morphed;
-  d.reconciled = reconciled - earlier.reconciled;
-  d.defaulted = defaulted - earlier.defaulted;
-  d.rejected = rejected - earlier.rejected;
-  d.transforms_compiled = transforms_compiled - earlier.transforms_compiled;
-  d.verify_rejected = verify_rejected - earlier.verify_rejected;
-  d.zero_copy = zero_copy - earlier.zero_copy;
-  d.cache_flushes = cache_flushes - earlier.cache_flushes;
-  d.resolve_fetched = resolve_fetched - earlier.resolve_fetched;
-  d.resolve_degraded = resolve_degraded - earlier.resolve_degraded;
-  d.morph_fused = morph_fused - earlier.morph_fused;
-  d.morph_hopwise = morph_hopwise - earlier.morph_hopwise;
-  d.morph_inplace = morph_inplace - earlier.morph_inplace;
-  d.chains_fused = chains_fused - earlier.chains_fused;
-  d.fusion_bailouts = fusion_bailouts - earlier.fusion_bailouts;
+  ReceiverStats d = *this;
+  for (auto f : kStatFields) d.*f -= earlier.*f;
   return d;
+}
+
+ReceiverStats& ReceiverStats::operator+=(const ReceiverStats& other) {
+  for (auto f : kStatFields) this->*f += other.*f;
+  return *this;
 }
 
 const char* resolve_policy_name(ResolvePolicy p) {

@@ -141,6 +141,9 @@ struct ReceiverStats {
   /// field is well-defined (wraps if you subtract a later snapshot).
   ReceiverStats delta(const ReceiverStats& earlier) const;
 
+  /// Field-wise sum: aggregates the stats of several receivers.
+  ReceiverStats& operator+=(const ReceiverStats& other);
+
   /// Messages that reached a terminal outcome. Every processed message
   /// lands in exactly one of these counters.
   uint64_t outcome_sum() const {

@@ -152,7 +152,7 @@ class GroupPublisher {
   /// encode the source record once, morph + encode once per group, hand the
   /// shared frame to every resolved sink. Sinks in unreachable groups (and
   /// sinks `resolve` cannot map) go through `fallback` — the caller's
-  /// legacy per-subscriber path. Bumps the echo_fanout_* obs counters.
+  /// per-sink fallback. Bumps the echo_fanout_* obs counters.
   PublishCounts publish(const pbio::FormatPtr& fmt, const void* record,
                         const GroupSnapshot& snapshot, const ResolvePort& resolve,
                         const Fallback& fallback);

@@ -8,7 +8,7 @@ namespace morph::echo {
 EchoTcpNode::EchoTcpNode(std::string contact, NodeOptions options)
     : listener_(options.port),
       process_(std::make_unique<EchoProcess>(std::move(contact), options.version,
-                                             options.receiver, options.fanout)),
+                                             options.receiver)),
       // One loop: EchoProcess is single-threaded and that loop owns it.
       server_(listener_, transport::ReactorOptions{.max_connections = options.max_connections},
               [this](transport::AsyncTcpLink& link) {

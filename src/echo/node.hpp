@@ -25,6 +25,9 @@
 
 namespace morph::echo {
 
+/// Single-valued stub: grouped fan-out is the only engine; perfbench/broker.cpp still names it.
+enum class FanoutMode { kGrouped };
+
 struct NodeOptions {
   uint16_t port = 0;  // 0 picks an ephemeral port; read back with port()
   /// Unread stub (the reactor is the only engine); perfbench/broker.cpp still sets it.
@@ -32,6 +35,7 @@ struct NodeOptions {
   size_t max_connections = 1u << 20;
   core::ReceiverOptions receiver;
   EchoVersion version = EchoVersion::kV2;
+  /// Unread stub (grouped fan-out is the only engine); perfbench/broker.cpp still sets it.
   FanoutMode fanout = FanoutMode::kGrouped;
 };
 

@@ -83,11 +83,10 @@ struct EchoProcess::Peer {
 static SinkId sink_id(const void* peer) { return reinterpret_cast<SinkId>(peer); }
 
 EchoProcess::EchoProcess(std::string contact, EchoVersion version,
-                         core::ReceiverOptions receiver_options, FanoutMode fanout)
+                         core::ReceiverOptions receiver_options)
     : contact_(std::move(contact)),
       version_(version),
       rx_options_(receiver_options),
-      fanout_mode_(fanout),
       planner_(planner_options(receiver_options)),
       publisher_(planner_) {}
 
@@ -514,26 +513,6 @@ size_t EchoProcess::publish(const std::string& channel, const pbio::FormatPtr& f
   if (it == channels_.end()) throw Error("echo: unknown channel '" + channel + "'");
   ++stats_.events_published;
   em().events_published.inc();
-  if (fanout_mode_ == FanoutMode::kGrouped) {
-    return publish_grouped(channel, it->second.members, fmt, record);
-  }
-  size_t sent = 0;
-  for (const auto& m : it->second.members) {
-    if (!m.is_sink || m.contact == contact_) continue;
-    Peer* p = peer_by_contact(m.contact);
-    if (p == nullptr) {
-      MORPH_LOG_WARN("echo") << contact_ << ": no link to sink " << m.contact;
-      continue;
-    }
-    p->port->send_record(fmt, record);
-    ++sent;
-  }
-  return sent;
-}
-
-size_t EchoProcess::publish_grouped(const std::string& channel,
-                                    const std::vector<Member>& members,
-                                    const pbio::FormatPtr& fmt, const void* record) {
   auto snap = groups_.snapshot(FanoutRegistry::key(channel, fmt->name()));
   size_t sent = 0;
 
@@ -542,8 +521,8 @@ size_t EchoProcess::publish_grouped(const std::string& channel,
       // SinkIds are Peer addresses (sink_id); the registry only ever holds
       // peers of this process, so the cast back is safe.
       [](SinkId sink) { return reinterpret_cast<Peer*>(sink)->port.get(); },
-      // Unreachable target format: this sink keeps the legacy contract and
-      // receives the source-format record; its own receiver reconciles.
+      // Unreachable target format: per-sink fallback, the source-format
+      // record, which the sink's own receiver reconciles.
       [&](SinkId sink) {
         reinterpret_cast<Peer*>(sink)->port->send_record(fmt, record);
         ++sent;
@@ -558,14 +537,14 @@ size_t EchoProcess::publish_grouped(const std::string& channel,
 
   // Sink members outside every group — nothing announced for this event
   // format (an old peer, or a sink that registered a different format
-  // name) — still get the legacy per-subscriber delivery.
+  // name) — get the same per-sink fallback.
   auto grouped = [&](SinkId sink) {
     for (const auto& g : snap->groups) {
       if (std::binary_search(g.sinks.begin(), g.sinks.end(), sink)) return true;
     }
     return false;
   };
-  for (const auto& m : members) {
+  for (const auto& m : it->second.members) {
     if (!m.is_sink || m.contact == contact_) continue;
     Peer* p = peer_by_contact(m.contact);
     if (p == nullptr) {
@@ -581,19 +560,7 @@ size_t EchoProcess::publish_grouped(const std::string& channel,
 
 core::ReceiverStats EchoProcess::receiver_totals() const {
   core::ReceiverStats total;
-  for (const auto& p : peers_) {
-    const auto& s = p->receiver->stats();
-    total.messages += s.messages;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.exact += s.exact;
-    total.perfect += s.perfect;
-    total.morphed += s.morphed;
-    total.reconciled += s.reconciled;
-    total.defaulted += s.defaulted;
-    total.rejected += s.rejected;
-    total.transforms_compiled += s.transforms_compiled;
-  }
+  for (const auto& p : peers_) total += p->receiver->stats();
   return total;
 }
 
@@ -602,8 +569,8 @@ core::ReceiverStats EchoProcess::receiver_totals() const {
 // ---------------------------------------------------------------------------
 
 EchoProcess& EchoDomain::spawn(const std::string& contact, EchoVersion version,
-                               core::ReceiverOptions options, FanoutMode fanout) {
-  processes_.push_back(std::make_unique<EchoProcess>(contact, version, options, fanout));
+                               core::ReceiverOptions options) {
+  processes_.push_back(std::make_unique<EchoProcess>(contact, version, options));
   return *processes_.back();
 }
 

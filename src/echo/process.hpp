@@ -38,18 +38,6 @@ namespace morph::echo {
 
 enum class EchoVersion { kV1, kV2 };
 
-/// How publish() delivers events to a channel's sinks.
-///   kPerSubscriber — the historical path: encode and send the source-format
-///     record once per sink; every sink's receiver runs its own decode/morph.
-///   kGrouped — format-grouped fan-out: sinks announce their registered
-///     event formats (EVTSUB control frames), the publisher groups them by
-///     target fingerprint, morphs once per group, encodes once per group
-///     into a refcounted shared frame, and every link in the group forwards
-///     the same buffer. Sinks that never announced, or whose target is
-///     unreachable (no transform chain), transparently fall back to the
-///     per-subscriber path.
-enum class FanoutMode { kPerSubscriber, kGrouped };
-
 struct Member {
   std::string contact;
   int32_t id = 0;
@@ -68,11 +56,8 @@ using EventHandler = std::function<void(const Event&)>;
 class EchoProcess {
  public:
   EchoProcess(std::string contact, EchoVersion version,
-              core::ReceiverOptions receiver_options = {},
-              FanoutMode fanout = FanoutMode::kGrouped);
+              core::ReceiverOptions receiver_options = {});
   ~EchoProcess();
-
-  FanoutMode fanout_mode() const { return fanout_mode_; }
 
   const std::string& contact() const { return contact_; }
   EchoVersion version() const { return version_; }
@@ -116,10 +101,16 @@ class EchoProcess {
   void set_meta_publisher(transport::MessagePort::MetaPublisher publisher);
 
   /// Publish an event to every sink member of `channel` (except self).
-  /// Returns the number of peers the event was sent to. In kGrouped mode
-  /// the event is morphed once per target format and the same encoded
-  /// frame is shared across each group's links; sinks outside any group
-  /// receive the source-format record exactly as in kPerSubscriber mode.
+  /// Returns the number of peers the event was sent to.
+  ///
+  /// Format-grouped fan-out: sinks announce their registered event formats
+  /// (EVTSUB control frames), the publisher groups them by target
+  /// fingerprint, morphs once per group, encodes once per group into a
+  /// refcounted shared frame, and every link in the group forwards the same
+  /// buffer. Sinks outside every group (never announced, or dropped by the
+  /// EVTSUB cap) and sinks whose target is unreachable (no transform chain)
+  /// fall back to per-sink delivery: the source-format record, which the
+  /// sink's own receiver morphs.
   size_t publish(const std::string& channel, const pbio::FormatPtr& fmt, const void* record);
 
   // --- introspection ---------------------------------------------------------
@@ -145,7 +136,7 @@ class EchoProcess {
   };
   const ProcessStats& stats() const { return stats_; }
 
-  /// Planner behind kGrouped publishing (plan cache, fusion, verification).
+  /// Planner behind grouped publishing (plan cache, fusion, verification).
   const core::FanoutPlanner& fanout_planner() const { return planner_; }
   /// Sink grouping registry (announcement x membership).
   const FanoutRegistry& fanout_groups() const { return groups_; }
@@ -173,8 +164,6 @@ class EchoProcess {
   /// and the peers' announced event formats (both sync points: membership
   /// changes and EVTSUB arrivals funnel here).
   void sync_channel_groups(const std::string& channel);
-  size_t publish_grouped(const std::string& channel, const std::vector<Member>& members,
-                         const pbio::FormatPtr& fmt, const void* record);
 
   struct ChannelState {
     bool creator = false;
@@ -185,7 +174,6 @@ class EchoProcess {
   std::string contact_;
   EchoVersion version_;
   core::ReceiverOptions rx_options_;
-  FanoutMode fanout_mode_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::map<std::string, ChannelState> channels_;
   // deque: handlers capture pointers to entries, which must stay stable as
@@ -204,8 +192,7 @@ class EchoProcess {
 class EchoDomain {
  public:
   EchoProcess& spawn(const std::string& contact, EchoVersion version,
-                     core::ReceiverOptions options = {},
-                     FanoutMode fanout = FanoutMode::kGrouped);
+                     core::ReceiverOptions options = {});
   void connect(EchoProcess& a, EchoProcess& b);
 
   /// Deliver queued traffic until the network is quiet.

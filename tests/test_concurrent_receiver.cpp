@@ -1,5 +1,5 @@
 // Concurrent receiver pipeline: N producer threads hammer one shared
-// Receiver / ParallelReceiver with a mix of exact, perfect, morphed and
+// Receiver with a mix of exact, perfect, morphed and
 // unknown formats. Every delivery must land in the right handler exactly
 // once, the decision cache must build each pipeline exactly once (the
 // cache-miss counter doubles as a build counter), and all outcome totals
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/parallel_receiver.hpp"
 #include "core/receiver.hpp"
 #include "pbio/encode.hpp"
 #include "pbio/record.hpp"
@@ -298,80 +297,6 @@ TEST(ConcurrentReceiver, HandlerRegistrationUnderLoadDoesNotDeadlock) {
   EXPECT_EQ(t.content_mismatches.load(), 0u);
   EXPECT_EQ(t.alpha.load(), kThreads * kPerThread);
   EXPECT_EQ(rx.stats().exact, kThreads * kPerThread);
-}
-
-TEST(ParallelReceiver, BatchMatchesOracleAndCountsEveryMessage) {
-  constexpr size_t kMessages = 2000;
-  auto log = make_log(kMessages);
-
-  Tallies oracle_t;
-  Receiver oracle;
-  wire_up(oracle, oracle_t);
-  RecordArena oracle_arena;
-  for (const auto& buf : log) {
-    oracle_arena.reset();
-    oracle.process(buf.data(), buf.size(), oracle_arena);
-  }
-
-  Tallies t;
-  Receiver rx;
-  wire_up(rx, t);
-  std::vector<FramedMessage> frames;
-  frames.reserve(log.size());
-  for (const auto& buf : log) frames.push_back({buf.data(), buf.size()});
-
-  ParallelReceiver pool(rx, 4);
-  EXPECT_EQ(pool.threads(), 4u);
-  pool.process_batch(frames.data(), frames.size());
-
-  EXPECT_EQ(pool.processed(), kMessages);
-  EXPECT_EQ(pool.failed(), 0u);
-  EXPECT_EQ(t.content_mismatches.load(), 0u);
-  EXPECT_EQ(t.alpha.load(), oracle_t.alpha.load());
-  EXPECT_EQ(t.tick.load(), oracle_t.tick.load());
-  EXPECT_EQ(t.defaulted.load(), oracle_t.defaulted.load());
-  EXPECT_EQ(t.alpha_seq_sum.load(), oracle_t.alpha_seq_sum.load());
-  EXPECT_EQ(t.tick_seq_sum.load(), oracle_t.tick_seq_sum.load());
-  EXPECT_EQ(rx.stats().messages, kMessages);
-  EXPECT_EQ(rx.stats().cache_misses, oracle.stats().cache_misses);
-  EXPECT_TRUE(rx.stats().consistent());
-}
-
-TEST(ParallelReceiver, SubmitDrainReusableAcrossRounds) {
-  Tallies t;
-  Receiver rx;
-  wire_up(rx, t);
-  auto buf = encode_with(alpha_reader(), 3);
-
-  ParallelReceiver pool(rx, 2);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) pool.submit(buf.data(), buf.size());
-    pool.drain();
-    EXPECT_EQ(pool.processed(), static_cast<uint64_t>((round + 1) * 100));
-  }
-  EXPECT_EQ(t.alpha.load(), 300u);
-  EXPECT_EQ(pool.failed(), 0u);
-}
-
-TEST(ParallelReceiver, HostileFramesAreCountedNotFatal) {
-  Tallies t;
-  Receiver rx;
-  wire_up(rx, t);
-
-  auto good = encode_with(alpha_reader(), 5);
-  std::vector<uint8_t> garbage(24, 0xEE);  // bad magic/header: decode throws
-
-  ParallelReceiver pool(rx, 2);
-  std::vector<FramedMessage> frames;
-  for (int i = 0; i < 50; ++i) {
-    frames.push_back({good.data(), good.size()});
-    frames.push_back({garbage.data(), garbage.size()});
-  }
-  pool.process_batch(frames.data(), frames.size());
-
-  EXPECT_EQ(pool.processed(), 100u);
-  EXPECT_EQ(pool.failed(), 50u);
-  EXPECT_EQ(t.alpha.load(), 50u);
 }
 
 }  // namespace

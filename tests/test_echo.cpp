@@ -3,8 +3,11 @@
 // other way around).
 #include <gtest/gtest.h>
 
+#include "echo/messages.hpp"
 #include "echo/process.hpp"
 #include "pbio/record.hpp"
+#include "transport/link.hpp"
+#include "transport/port.hpp"
 #include "transport/tcp.hpp"
 
 namespace morph::echo {
@@ -220,47 +223,100 @@ TEST(Echo, EvolvedEventFormatMorphsOnceAtSource) {
 }
 
 TEST(Echo, EvolvedEventFormatMorphsAtOldSinkPerSubscriber) {
-  // The historical per-subscriber path, still selectable: the source sends
-  // its own format and the sink's receiver runs the morph.
+  // A sink the grouped engine does not cover — a bare port that never
+  // announces its event format (no EVTSUB) — gets the per-sink fallback:
+  // the source sends its own format and the sink's receiver runs the morph.
   auto t = tick_formats();
 
-  EchoDomain dom;
-  auto& creator =
-      dom.spawn("creator", EchoVersion::kV1, {}, FanoutMode::kPerSubscriber);
-  auto& source = dom.spawn("source", EchoVersion::kV2, {}, FanoutMode::kPerSubscriber);
-  auto& sink = dom.spawn("sink", EchoVersion::kV1, {}, FanoutMode::kPerSubscriber);
-  dom.connect(creator, source);
-  dom.connect(creator, sink);
-  dom.connect(source, sink);
-  dom.pump();
+  EchoProcess source("source", EchoVersion::kV2);
+  transport::InprocPair pair;
+  core::Receiver sink_rx;
+  transport::MessagePort sink_port(pair.b(), &sink_rx);
+  source.attach_link(pair.a());
 
-  creator.create_channel("ticks");
   int morphed_events = 0;
-  sink.on_event("ticks", t.old_fmt, [&](const Event& ev) {
-    pbio::RecordRef r(ev.delivery->record, ev.delivery->format);
+  sink_rx.register_handler(t.old_fmt, [&](const core::Delivery& d) {
+    pbio::RecordRef r(d.record, d.format);
     EXPECT_EQ(r.get_int("seq"), 100);
     EXPECT_DOUBLE_EQ(r.get_float("v"), 1.25);
-    if (ev.delivery->outcome == core::Outcome::kMorphed) ++morphed_events;
+    if (d.outcome == core::Outcome::kMorphed) ++morphed_events;
   });
+  source.create_channel("ticks");
   source.declare_event_transform(t.spec);
 
-  sink.open_channel("ticks", "creator", false, true);
-  source.open_channel("ticks", "creator", true, false);
-  dom.pump();
-
   RecordArena arena;
+  auto req_fmt = channel_open_request_format();
+  auto* req = static_cast<ChannelOpenRequest*>(pbio::alloc_record(*req_fmt, arena));
+  req->channel_id = arena.copy_string("ticks");
+  req->contact = arena.copy_string("sink");
+  req->as_source = 0;
+  req->as_sink = 1;
+  sink_port.send_record(req_fmt, req);
+  pair.pump();
+
   void* rec = pbio::alloc_record(*t.new_fmt, arena);
   pbio::RecordRef r(rec, t.new_fmt);
   r.set_int("seq", 100);
   r.set_float("v", 1.25);
   r.set_string("unit", "ms", arena);
   r.set_int("quality", 3);
-  source.publish("ticks", t.new_fmt, rec);
-  dom.pump();
+  EXPECT_EQ(source.publish("ticks", t.new_fmt, rec), 1u);
+  pair.pump();
 
   EXPECT_EQ(morphed_events, 1);
-  EXPECT_EQ(sink.stats().events_morphed, 1u);
+  EXPECT_EQ(sink_rx.stats().morphed, 1u);
   EXPECT_EQ(source.stats().fanout_morphs, 0u);
+  EXPECT_EQ(source.stats().fanout_deliveries, 0u);
+}
+
+TEST(Echo, ReceiverTotalsSumEveryCounter) {
+  // receiver_totals() aggregates every ReceiverStats field, the fusion
+  // counters included: a bare-port publisher's event crosses a two-hop
+  // chain, which the sink's receiver runs fused.
+  auto rev = [](int n) {
+    FormatBuilder b("Tick");
+    b.add_int("seq", n == 0 ? 4 : 8).add_float("v", 8);
+    for (int i = 1; i <= n; ++i) b.add_int("extra" + std::to_string(i), 4);
+    return b.build();
+  };
+  auto hop = [&](int n, const std::string& code) {
+    core::TransformSpec s;
+    s.src = rev(n);
+    s.dst = rev(n - 1);
+    s.code = code;
+    return s;
+  };
+
+  EchoProcess sink("sink", EchoVersion::kV1);
+  transport::InprocPair pair;
+  transport::MessagePort publisher(pair.b(), nullptr);
+  sink.attach_link(pair.a());
+  int received = 0;
+  sink.on_event("ticks", rev(0), [&](const Event& ev) {
+    EXPECT_EQ(pbio::RecordRef(ev.delivery->record, ev.delivery->format).get_int("seq"), 42);
+    ++received;
+  });
+  publisher.declare_transform(hop(2, "old.seq = new.seq; old.v = new.v; old.extra1 = new.extra1;"));
+  publisher.declare_transform(hop(1, "old.seq = new.seq; old.v = new.v;"));
+
+  RecordArena arena;
+  auto src = rev(2);
+  void* rec = pbio::alloc_record(*src, arena);
+  pbio::RecordRef r(rec, src);
+  r.set_int("seq", 42);
+  r.set_float("v", 0.5);
+  r.set_int("extra1", 1);
+  r.set_int("extra2", 2);
+  publisher.send_record(src, rec);
+  pair.pump();
+
+  ASSERT_EQ(received, 1);
+  auto totals = sink.receiver_totals();
+  EXPECT_EQ(totals.morphed, 1u);
+  EXPECT_EQ(totals.transforms_compiled, 2u);
+  EXPECT_EQ(totals.chains_fused, 1u);
+  EXPECT_EQ(totals.morph_fused, 1u);
+  EXPECT_EQ(totals.morph_hopwise, 0u);
 }
 
 TEST(Echo, DuplicateEventFormatNameOnOtherChannelRejected) {

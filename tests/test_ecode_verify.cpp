@@ -67,6 +67,9 @@ struct NegativeCase {
   const char* diagnostic;  // substring expected in its field or message
 };
 
+// Print a case by name, as PositiveCase does below: stable test ids.
+void PrintTo(const NegativeCase& c, std::ostream* os) { *os << c.name; }
+
 class VerifyNegative : public ::testing::TestWithParam<NegativeCase> {};
 
 /// The first error finding for `c.code` is `c.check` at `c.line`, and its

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -351,64 +352,74 @@ TEST(FanoutInvariants, CountersConserveAcrossBurst) {
   EXPECT_EQ(rx_events, sink_events);
 }
 
-// Grouped vs per-subscriber, end to end through real EchoDomains: identical
-// scenario, byte-identical deliveries at every sink.
+// Grouped delivery end to end through a real EchoDomain: every sink's
+// deliveries must be byte-identical to what the per-subscriber pipeline
+// (a LegacySink fed the publisher's wire bytes) makes of the same events.
 TEST(FanoutDifferential, EchoDomainsGroupedVsPerSubscriber) {
   constexpr int kSinks = 6;
   constexpr int kEvents = 4;
   constexpr int kRevs = 2;
 
-  struct Capture {
-    std::vector<std::vector<uint8_t>> frames;  // re-encoded deliveries, in order
-  };
-
-  auto run = [&](echo::FanoutMode mode) {
-    auto captures = std::make_shared<std::vector<Capture>>(kSinks);
-    echo::EchoDomain dom;
-    auto& creator = dom.spawn("creator", echo::EchoVersion::kV1, {}, mode);
-    auto& source = dom.spawn("source", echo::EchoVersion::kV2, {}, mode);
-    dom.connect(creator, source);
-    std::vector<echo::EchoProcess*> sinks;
-    for (int i = 0; i < kSinks; ++i) {
-      auto& s = dom.spawn("sink" + std::to_string(i), echo::EchoVersion::kV1, {}, mode);
-      dom.connect(creator, s);
-      dom.connect(source, s);
-      sinks.push_back(&s);
-    }
-    dom.pump();
-    creator.create_channel("fan");
-    for (int i = 0; i < kSinks; ++i) {
-      auto fmt = rev_format(i % (kRevs + 1));
-      sinks[i]->on_event("fan", fmt, [captures, i](const echo::Event& ev) {
-        (*captures)[i].frames.push_back(
-            encode_bytes(ev.delivery->format, ev.delivery->record));
-      });
-    }
-    for (int r = kRevs; r >= 1; --r) source.declare_event_transform(rev_spec(r));
-    for (auto* s : sinks) s->open_channel("fan", "creator", false, true);
-    source.open_channel("fan", "creator", true, false);
-    dom.pump();
-
-    auto pub_fmt = rev_format(kRevs);
-    RecordArena arena;
-    for (int e = 0; e < kEvents; ++e) {
-      arena.reset();
-      void* rec = pbio::alloc_record(*pub_fmt, arena);
-      pbio::RecordRef r(rec, pub_fmt);
-      r.set_int("seq", 7000 + e);
-      r.set_float("v", 1.5 * e);
-      for (int i = 1; i <= kRevs; ++i) r.set_int("extra" + std::to_string(i), 10 * e + i);
-      source.publish("fan", pub_fmt, rec);
-      dom.pump();
-    }
-    return captures;
-  };
-
-  auto grouped = run(echo::FanoutMode::kGrouped);
-  auto legacy = run(echo::FanoutMode::kPerSubscriber);
+  std::vector<std::vector<std::vector<uint8_t>>> frames(kSinks);  // per sink, in order
+  echo::EchoDomain dom;
+  auto& creator = dom.spawn("creator", echo::EchoVersion::kV1);
+  auto& source = dom.spawn("source", echo::EchoVersion::kV2);
+  dom.connect(creator, source);
+  std::vector<echo::EchoProcess*> sinks;
   for (int i = 0; i < kSinks; ++i) {
-    ASSERT_EQ((*grouped)[i].frames.size(), static_cast<size_t>(kEvents)) << "sink " << i;
-    EXPECT_EQ((*grouped)[i].frames, (*legacy)[i].frames) << "sink " << i;
+    auto& s = dom.spawn("sink" + std::to_string(i), echo::EchoVersion::kV1);
+    dom.connect(creator, s);
+    dom.connect(source, s);
+    sinks.push_back(&s);
+  }
+  dom.pump();
+  creator.create_channel("fan");
+  for (int i = 0; i < kSinks; ++i) {
+    sinks[i]->on_event("fan", rev_format(i % (kRevs + 1)), [&frames, i](const echo::Event& ev) {
+      frames[i].push_back(encode_bytes(ev.delivery->format, ev.delivery->record));
+    });
+  }
+  std::vector<TransformSpec> specs;
+  for (int r = kRevs; r >= 1; --r) {
+    specs.push_back(rev_spec(r));
+    source.declare_event_transform(specs.back());
+  }
+  for (auto* s : sinks) s->open_channel("fan", "creator", false, true);
+  source.open_channel("fan", "creator", true, false);
+  dom.pump();
+
+  std::vector<std::unique_ptr<LegacySink>> oracles;
+  for (int i = 0; i < kSinks; ++i) {
+    oracles.push_back(std::make_unique<LegacySink>(rev_format(i % (kRevs + 1)), specs,
+                                                   ReceiverOptions{}.fuse));
+  }
+  std::vector<std::vector<std::vector<uint8_t>>> expected(kSinks);
+  auto pub_fmt = rev_format(kRevs);
+  RecordArena arena;
+  for (int e = 0; e < kEvents; ++e) {
+    arena.reset();
+    void* rec = pbio::alloc_record(*pub_fmt, arena);
+    pbio::RecordRef r(rec, pub_fmt);
+    r.set_int("seq", 7000 + e);
+    r.set_float("v", 1.5 * e);
+    for (int i = 1; i <= kRevs; ++i) r.set_int("extra" + std::to_string(i), 10 * e + i);
+    ASSERT_EQ(source.publish("fan", pub_fmt, rec), static_cast<size_t>(kSinks));
+    dom.pump();
+
+    auto wire = encode_bytes(pub_fmt, rec);
+    for (int i = 0; i < kSinks; ++i) {
+      RecordArena sink_arena;
+      oracles[i]->record = nullptr;
+      oracles[i]->rx.process(wire.data(), wire.size(), sink_arena);
+      ASSERT_NE(oracles[i]->record, nullptr) << "sink " << i;
+      expected[i].push_back(encode_bytes(oracles[i]->format, oracles[i]->record));
+    }
+  }
+  // Every delivery went through a group, none through the per-sink fallback.
+  EXPECT_EQ(source.stats().fanout_deliveries, static_cast<uint64_t>(kSinks * kEvents));
+  for (int i = 0; i < kSinks; ++i) {
+    ASSERT_EQ(frames[i].size(), static_cast<size_t>(kEvents)) << "sink " << i;
+    EXPECT_EQ(frames[i], expected[i]) << "sink " << i;
   }
 }
 

@@ -1,14 +1,13 @@
 // Resolver and service under contention: single-flight stampedes, fetches
-// racing metrics scrapes, parallel receivers resolving out-of-band, and
-// graceful degradation with every worker hammering a dead endpoint. Run
-// under TSan via scripts/check.sh --tsan.
+// racing metrics scrapes, one receiver shared by many threads resolving
+// out-of-band, and graceful degradation with every worker hammering a dead
+// endpoint. Run under TSan via scripts/check.sh --tsan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "core/parallel_receiver.hpp"
 #include "core/receiver.hpp"
 #include "fmtsvc/resolver.hpp"
 #include "fmtsvc/server.hpp"
@@ -166,8 +165,9 @@ TEST(FmtsvcConcurrency, ParallelReceiverResolvesOutOfBand) {
   ByteBuffer wire;
   pbio::Encoder(fmt1).encode(rec, wire);
 
-  // Every worker slams the same cold fingerprint: exactly one fetch runs
-  // inside the once-guarded decision build, the rest wait on that entry.
+  // Plain threads share one Receiver (the test name is historical) and all
+  // slam the same cold fingerprint: exactly one fetch runs inside the
+  // once-guarded decision build, the rest wait on that entry.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;
   std::vector<std::thread> threads;
