@@ -117,7 +117,7 @@ struct Fleet {
 
   /// The grouped engine: one morph + one shared encode per revision. The
   /// caller pumps; frames queue zero-copy until then.
-  echo::PublishCounts publish_grouped(const void* record) {
+  echo::PublisherStats publish_grouped(const void* record) {
     auto snap = registry.snapshot(key);
     return publisher.publish(
         src, record, *snap, [this](echo::SinkId s) { return ports[s].get(); },
@@ -273,7 +273,7 @@ void bm_fanout_grouped(benchmark::State& state) {
   fleet.publish_grouped(rec);  // compile plans
   fleet.pump();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fleet.publish_grouped(rec).deliveries);
+    benchmark::DoNotOptimize(fleet.publish_grouped(rec).fanout_deliveries);
     fleet.pump();
   }
 }

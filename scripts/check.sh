@@ -149,6 +149,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # telemetry collector, ECho node), whose protocol handling runs on loop
   # threads while test threads publish and read stats.
   ./build-tsan/tests/tests_concurrency
+  ./build-tsan/tests/tests_obs
   ./build-tsan/tests/tests_fmtsvc
   ./build-tsan/tests/tests_telemetry
   ./build-tsan/tests/tests_middleware --gtest_filter='EchoTcp*:EchoNode*:Soak.*'

@@ -10,39 +10,13 @@
 namespace morph::core {
 
 namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
+using C = FanoutPlannerStats::Id;
 
-/// Process-wide planner metrics, resolved once (registry pointers are valid
-/// forever; metrics are never erased).
-struct PlannerMetrics {
-  obs::Counter& hits = obs::metrics().counter("morph_fanout_plans_total{result=\"hit\"}");
-  obs::Counter& built = obs::metrics().counter("morph_fanout_plans_total{result=\"built\"}");
-  obs::Counter& unreachable =
-      obs::metrics().counter("morph_fanout_plans_total{result=\"unreachable\"}");
-  obs::Counter& fused = obs::metrics().counter("morph_fanout_chain_fusion_total{result=\"fused\"}");
-  obs::Counter& bailout =
-      obs::metrics().counter("morph_fanout_chain_fusion_total{result=\"bailout\"}");
-  obs::Counter& verify_rejected = obs::metrics().counter("morph_fanout_verify_rejected_total");
-  obs::Counter& flushes = obs::metrics().counter("morph_fanout_cache_flushes_total");
-  obs::Histogram& build_ns = obs::metrics().histogram("morph_span_ns{span=\"fanout.plan_build\"}");
-};
-
-PlannerMetrics& pm() {
-  static PlannerMetrics* m = new PlannerMetrics();  // leaked: outlives all planners
-  return *m;
+obs::Histogram& build_ns() {
+  static obs::Histogram& h = obs::metrics().histogram("morph_span_ns{span=\"fanout.plan_build\"}");
+  return h;
 }
 }  // namespace
-
-struct FanoutPlanner::AtomicStats {
-  std::atomic<uint64_t> plans_requested{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> plans_built{0};
-  std::atomic<uint64_t> unreachable{0};
-  std::atomic<uint64_t> chains_fused{0};
-  std::atomic<uint64_t> fusion_bailouts{0};
-  std::atomic<uint64_t> verify_rejected{0};
-  std::atomic<uint64_t> cache_flushes{0};
-};
 
 void* GroupPlan::morph(const void* wire, size_t size, RecordArena& arena) const {
   void* rec = decode_->execute(wire, size, arena);
@@ -60,10 +34,7 @@ size_t GroupPlan::encode(const void* record, ByteBuffer& out) const {
   return encoder_->encode(record, out);
 }
 
-FanoutPlanner::FanoutPlanner(FanoutPlannerOptions options)
-    : options_(options), stats_(std::make_unique<AtomicStats>()) {}
-
-FanoutPlanner::~FanoutPlanner() = default;
+FanoutPlanner::FanoutPlanner(FanoutPlannerOptions options) : options_(options) {}
 
 FanoutPlanner::Shard& FanoutPlanner::shard_for(const PlanKey& key) {
   size_t h = PlanKeyHash{}(key);
@@ -92,13 +63,12 @@ void FanoutPlanner::flush_cache() {
     std::unique_lock lock(shard.mutex);
     shard.entries.clear();
   }
-  stats_->cache_flushes.fetch_add(1, kRelaxed);
-  pm().flushes.inc();
+  stats_.inc(C::cache_flushes);
 }
 
 std::shared_ptr<const GroupPlan> FanoutPlanner::plan(const pbio::FormatPtr& source,
                                                      uint64_t target_fp) {
-  stats_->plans_requested.fetch_add(1, kRelaxed);
+  stats_.inc(C::plans_requested);
   formats_.register_format(source);
 
   PlanKey key{source->fingerprint(), target_fp};
@@ -125,15 +95,12 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::plan(const pbio::FormatPtr& sour
     built_here = true;
   });
   if (built_here) {
-    stats_->plans_built.fetch_add(1, kRelaxed);
-    pm().built.inc();
+    stats_.inc(C::plans_built);
     if (!entry->plan->reachable()) {
-      stats_->unreachable.fetch_add(1, kRelaxed);
-      pm().unreachable.inc();
+      stats_.inc(C::unreachable);
     }
   } else {
-    stats_->cache_hits.fetch_add(1, kRelaxed);
-    pm().hits.inc();
+    stats_.inc(C::cache_hits);
   }
 
   // Bound the cache: recomputable, so overflow just flushes (the hostile
@@ -157,7 +124,7 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
     plan->decode_ = std::make_unique<pbio::ConversionPlan>(source, source);
     plan->encoder_ = std::make_unique<pbio::Encoder>(source);
     plan->reachable_ = true;
-    pm().build_ns.record(obs::monotonic_ns() - t0);
+    build_ns().record(obs::monotonic_ns() - t0);
     return plan;
   }
 
@@ -181,8 +148,7 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
   try {
     plan->chain_ = std::make_shared<MorphChain>(*specs, copts, options_.fuse);
   } catch (const ecode::VerifyError& e) {
-    stats_->verify_rejected.fetch_add(1, kRelaxed);
-    pm().verify_rejected.inc();
+    stats_.inc(C::verify_rejected);
     std::ostringstream msg;
     msg << "fan-out chain for target fingerprint " << target_fp
         << " rejected by the static verifier:";
@@ -191,11 +157,9 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
     return plan;
   }
   if (plan->chain_->fused()) {
-    stats_->chains_fused.fetch_add(1, kRelaxed);
-    pm().fused.inc();
+    stats_.inc(C::chains_fused);
   } else if (plan->chain_->hops() > 1) {
-    stats_->fusion_bailouts.fetch_add(1, kRelaxed);
-    pm().bailout.inc();
+    stats_.inc(C::fusion_bailouts);
   }
 
   // The chain compiles against host-native relayouts; decode the publisher's
@@ -205,21 +169,8 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
   plan->decode_ = std::make_unique<pbio::ConversionPlan>(source, plan->chain_->src_format());
   plan->encoder_ = std::make_unique<pbio::Encoder>(plan->target_);
   plan->reachable_ = true;
-  pm().build_ns.record(obs::monotonic_ns() - t0);
+  build_ns().record(obs::monotonic_ns() - t0);
   return plan;
-}
-
-FanoutPlannerStats FanoutPlanner::stats() const {
-  FanoutPlannerStats s;
-  s.plans_requested = stats_->plans_requested.load(kRelaxed);
-  s.cache_hits = stats_->cache_hits.load(kRelaxed);
-  s.plans_built = stats_->plans_built.load(kRelaxed);
-  s.unreachable = stats_->unreachable.load(kRelaxed);
-  s.chains_fused = stats_->chains_fused.load(kRelaxed);
-  s.fusion_bailouts = stats_->fusion_bailouts.load(kRelaxed);
-  s.verify_rejected = stats_->verify_rejected.load(kRelaxed);
-  s.cache_flushes = stats_->cache_flushes.load(kRelaxed);
-  return s;
 }
 
 size_t FanoutPlanner::cached_plans() const {

@@ -26,6 +26,7 @@
 #include <unordered_map>
 
 #include "core/transform.hpp"
+#include "obs/metrics.hpp"
 #include "pbio/decode.hpp"
 #include "pbio/encode.hpp"
 #include "pbio/registry.hpp"
@@ -95,22 +96,27 @@ class GroupPlan {
   bool reachable_ = false;
 };
 
+/// The planner's counters: FanoutPlannerStats field and exported registry
+/// name, or nullptr for the per-instance request total.
+#define MORPH_FANOUT_PLANNER_COUNTERS(X)                                          \
+  X(plans_requested, nullptr)                                                     \
+  X(cache_hits, "morph_fanout_plans_total{result=\"hit\"}")                       \
+  X(plans_built, "morph_fanout_plans_total{result=\"built\"}")                    \
+  /* builds that produced a non-reachable plan */                                 \
+  X(unreachable, "morph_fanout_plans_total{result=\"unreachable\"}")              \
+  X(chains_fused, "morph_fanout_chain_fusion_total{result=\"fused\"}")            \
+  X(fusion_bailouts, "morph_fanout_chain_fusion_total{result=\"bailout\"}")       \
+  X(verify_rejected, "morph_fanout_verify_rejected_total")                        \
+  X(cache_flushes, "morph_fanout_cache_flushes_total")
+
 /// Point-in-time copy of the planner's counters.
 struct FanoutPlannerStats {
-  uint64_t plans_requested = 0;
-  uint64_t cache_hits = 0;
-  uint64_t plans_built = 0;
-  uint64_t unreachable = 0;  // builds that produced a non-reachable plan
-  uint64_t chains_fused = 0;
-  uint64_t fusion_bailouts = 0;
-  uint64_t verify_rejected = 0;
-  uint64_t cache_flushes = 0;
+  MORPH_STATS(FanoutPlannerStats, MORPH_FANOUT_PLANNER_COUNTERS)
 };
 
 class FanoutPlanner {
  public:
   explicit FanoutPlanner(FanoutPlannerOptions options = {});
-  ~FanoutPlanner();
 
   /// Learn a transform (typically a declared retro-transform). Flushes the
   /// plan cache: cached plans may be stale once new chains exist. The
@@ -127,7 +133,7 @@ class FanoutPlanner {
   /// build (once_flag), as in the receiver's decision cache.
   std::shared_ptr<const GroupPlan> plan(const pbio::FormatPtr& source, uint64_t target_fp);
 
-  FanoutPlannerStats stats() const;
+  FanoutPlannerStats stats() const { return stats_.load(); }
   size_t cached_plans() const;
 
  private:
@@ -164,8 +170,7 @@ class FanoutPlanner {
   TransformCatalog transforms_;
   pbio::FormatRegistry formats_;
 
-  struct AtomicStats;
-  std::unique_ptr<AtomicStats> stats_;
+  obs::CounterSet<FanoutPlannerStats> stats_;
 };
 
 }  // namespace morph::core

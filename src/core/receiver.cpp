@@ -1,7 +1,5 @@
 #include "core/receiver.hpp"
 
-#include <iterator>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/flight.hpp"
@@ -15,104 +13,24 @@ using pbio::FormatPtr;
 
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
+using C = ReceiverStats::Id;
 
-/// Process-wide mirrors of the per-receiver counters, so one scrape covers
-/// every Receiver in the process. The per-instance Counters stay
-/// authoritative for stats(); these are bumped alongside them (same relaxed
-/// adds, so the mirror costs one extra add per event).
+/// Process-wide receiver histograms. The counters live in each receiver's
+/// CounterSet, which the registry reads directly.
 struct RxMetrics {
-  obs::Counter& messages;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
-  obs::Counter& cache_flushes;
-  obs::Counter& exact;
-  obs::Counter& perfect;
-  obs::Counter& morphed;
-  obs::Counter& reconciled;
-  obs::Counter& morphed_reconciled;
-  obs::Counter& defaulted;
-  obs::Counter& rejected;
-  obs::Counter& zero_copy;
-  obs::Counter& verify_rejected;
-  obs::Counter& transforms_compiled;
-  obs::Counter& resolve_fetched;
-  obs::Counter& resolve_degraded;
-  obs::Counter& morph_fused;
-  obs::Counter& morph_hopwise;
-  obs::Counter& morph_inplace;
-  obs::Counter& morphs;  // morph executions (chain and/or reconcile ran)
-  obs::Counter& chain_fused_builds;
-  obs::Counter& chain_fusion_bailouts;
-  obs::Histogram& chain_hops;
-  obs::Histogram& decide_hit_ns;
-  obs::Histogram& decide_miss_ns;
-  obs::Histogram& build_ns;
-  obs::Histogram& match_ns;
-
-  RxMetrics()
-      : messages(obs::metrics().counter("morph_rx_messages_total")),
-        cache_hits(obs::metrics().counter("morph_rx_cache_events_total{event=\"hit\"}")),
-        cache_misses(obs::metrics().counter("morph_rx_cache_events_total{event=\"miss\"}")),
-        cache_flushes(obs::metrics().counter("morph_rx_cache_events_total{event=\"flush\"}")),
-        exact(obs::metrics().counter("morph_rx_outcome_total{outcome=\"exact\"}")),
-        perfect(obs::metrics().counter("morph_rx_outcome_total{outcome=\"perfect\"}")),
-        morphed(obs::metrics().counter("morph_rx_outcome_total{outcome=\"morphed\"}")),
-        reconciled(obs::metrics().counter("morph_rx_outcome_total{outcome=\"reconciled\"}")),
-        morphed_reconciled(
-            obs::metrics().counter("morph_rx_outcome_total{outcome=\"morphed+reconciled\"}")),
-        defaulted(obs::metrics().counter("morph_rx_outcome_total{outcome=\"defaulted\"}")),
-        rejected(obs::metrics().counter("morph_rx_outcome_total{outcome=\"rejected\"}")),
-        zero_copy(obs::metrics().counter("morph_rx_zero_copy_total")),
-        verify_rejected(obs::metrics().counter("morph_rx_verify_rejected_total")),
-        transforms_compiled(obs::metrics().counter("morph_rx_transforms_compiled_total")),
-        resolve_fetched(obs::metrics().counter("morph_rx_resolve_total{result=\"fetched\"}")),
-        resolve_degraded(obs::metrics().counter("morph_rx_resolve_total{result=\"degraded\"}")),
-        morph_fused(obs::metrics().counter("morph_rx_fused_total")),
-        morph_hopwise(obs::metrics().counter("morph_rx_hopwise_total")),
-        morph_inplace(obs::metrics().counter("morph_rx_morph_inplace_total")),
-        morphs(obs::metrics().counter("morph_rx_morphs_total")),
-        chain_fused_builds(obs::metrics().counter("morph_rx_chain_fusion_total{result=\"fused\"}")),
-        chain_fusion_bailouts(
-            obs::metrics().counter("morph_rx_chain_fusion_total{result=\"bailout\"}")),
-        chain_hops(obs::metrics().histogram("morph_rx_chain_hops")),
-        decide_hit_ns(obs::metrics().histogram("morph_rx_decide_ns{result=\"hit\"}")),
-        decide_miss_ns(obs::metrics().histogram("morph_rx_decide_ns{result=\"miss\"}")),
-        build_ns(obs::metrics().histogram("morph_rx_decision_build_ns")),
-        match_ns(obs::metrics().histogram("morph_rx_match_ns")) {}
+  obs::Histogram& chain_hops = obs::metrics().histogram("morph_rx_chain_hops");
+  obs::Histogram& decide_hit_ns = obs::metrics().histogram("morph_rx_decide_ns{result=\"hit\"}");
+  obs::Histogram& decide_miss_ns =
+      obs::metrics().histogram("morph_rx_decide_ns{result=\"miss\"}");
+  obs::Histogram& build_ns = obs::metrics().histogram("morph_rx_decision_build_ns");
+  obs::Histogram& match_ns = obs::metrics().histogram("morph_rx_match_ns");
 };
 
 RxMetrics& rx() {
   static RxMetrics& m = *new RxMetrics();  // leaked: outlives static dtors
   return m;
 }
-
-/// Every ReceiverStats counter, so field-wise arithmetic lives in one place.
-constexpr uint64_t ReceiverStats::*kStatFields[] = {
-    &ReceiverStats::messages,        &ReceiverStats::cache_hits,
-    &ReceiverStats::cache_misses,    &ReceiverStats::exact,
-    &ReceiverStats::perfect,         &ReceiverStats::morphed,
-    &ReceiverStats::reconciled,      &ReceiverStats::defaulted,
-    &ReceiverStats::rejected,        &ReceiverStats::transforms_compiled,
-    &ReceiverStats::verify_rejected, &ReceiverStats::zero_copy,
-    &ReceiverStats::cache_flushes,   &ReceiverStats::resolve_fetched,
-    &ReceiverStats::resolve_degraded, &ReceiverStats::morph_fused,
-    &ReceiverStats::morph_hopwise,   &ReceiverStats::morph_inplace,
-    &ReceiverStats::chains_fused,    &ReceiverStats::fusion_bailouts,
-};
-static_assert(sizeof(ReceiverStats) == std::size(kStatFields) * sizeof(uint64_t),
-              "a ReceiverStats field is missing from kStatFields");
 }  // namespace
-
-ReceiverStats ReceiverStats::delta(const ReceiverStats& earlier) const {
-  ReceiverStats d = *this;
-  for (auto f : kStatFields) d.*f -= earlier.*f;
-  return d;
-}
-
-ReceiverStats& ReceiverStats::operator+=(const ReceiverStats& other) {
-  for (auto f : kStatFields) this->*f += other.*f;
-  return *this;
-}
 
 const char* resolve_policy_name(ResolvePolicy p) {
   switch (p) {
@@ -185,31 +103,6 @@ std::vector<FormatPtr> Receiver::reader_formats(const std::string& name) const {
   return reader_formats_.by_name(name);
 }
 
-ReceiverStats Receiver::stats() const {
-  ReceiverStats s;
-  s.messages = stats_.messages.load(kRelaxed);
-  s.cache_hits = stats_.cache_hits.load(kRelaxed);
-  s.cache_misses = stats_.cache_misses.load(kRelaxed);
-  s.exact = stats_.exact.load(kRelaxed);
-  s.perfect = stats_.perfect.load(kRelaxed);
-  s.morphed = stats_.morphed.load(kRelaxed);
-  s.reconciled = stats_.reconciled.load(kRelaxed);
-  s.defaulted = stats_.defaulted.load(kRelaxed);
-  s.rejected = stats_.rejected.load(kRelaxed);
-  s.transforms_compiled = stats_.transforms_compiled.load(kRelaxed);
-  s.verify_rejected = stats_.verify_rejected.load(kRelaxed);
-  s.zero_copy = stats_.zero_copy.load(kRelaxed);
-  s.cache_flushes = stats_.cache_flushes.load(kRelaxed);
-  s.resolve_fetched = stats_.resolve_fetched.load(kRelaxed);
-  s.resolve_degraded = stats_.resolve_degraded.load(kRelaxed);
-  s.morph_fused = stats_.morph_fused.load(kRelaxed);
-  s.morph_hopwise = stats_.morph_hopwise.load(kRelaxed);
-  s.morph_inplace = stats_.morph_inplace.load(kRelaxed);
-  s.chains_fused = stats_.chains_fused.load(kRelaxed);
-  s.fusion_bailouts = stats_.fusion_bailouts.load(kRelaxed);
-  return s;
-}
-
 void Receiver::flush_cache() {
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mutex);
@@ -232,8 +125,7 @@ Receiver::EntryPtr Receiver::decide(uint64_t fingerprint) {
       // Racy by design: concurrent overflowing threads may each flush, but
       // a flush only costs recomputation, never correctness.
       flush_cache();
-      stats_.cache_flushes.fetch_add(1, kRelaxed);
-      rx().cache_flushes.inc();
+      stats_.inc(C::cache_flushes);
     }
     std::unique_lock lock(shard.mutex);
     auto [it, inserted] = shard.entries.try_emplace(fingerprint);
@@ -250,8 +142,7 @@ Receiver::EntryPtr Receiver::decide(uint64_t fingerprint) {
   bool built_here = false;
   std::call_once(entry->build_once, [&] {
     built_here = true;
-    stats_.cache_misses.fetch_add(1, kRelaxed);
-    rx().cache_misses.inc();
+    stats_.inc(C::cache_misses);
     // Out-of-band resolution happens here, before the shared config lock:
     // registering the fetched format and transforms takes the config lock
     // exclusively, which would deadlock from inside the build.
@@ -276,8 +167,7 @@ Receiver::EntryPtr Receiver::decide(uint64_t fingerprint) {
     }
   }
   if (!built_here) {
-    stats_.cache_hits.fetch_add(1, kRelaxed);
-    rx().cache_hits.inc();
+    stats_.inc(C::cache_hits);
     rx().decide_hit_ns.record(obs::monotonic_ns() - t0);
   } else {
     rx().decide_miss_ns.record(obs::monotonic_ns() - t0);
@@ -290,12 +180,10 @@ void Receiver::maybe_resolve(uint64_t fingerprint, Decision& d) {
   if (learned_.by_fingerprint(fingerprint) != nullptr) return;  // already known
   if (auto resolved = options_.format_source->resolve(fingerprint)) {
     add_resolved(std::move(*resolved));
-    stats_.resolve_fetched.fetch_add(1, kRelaxed);
-    rx().resolve_fetched.inc();
+    stats_.inc(C::resolve_fetched);
     return;
   }
-  stats_.resolve_degraded.fetch_add(1, kRelaxed);
-  rx().resolve_degraded.inc();
+  stats_.inc(C::resolve_degraded);
   MORPH_LOG_WARN("receiver") << "out-of-band resolve of fingerprint " << fingerprint
                              << " failed (policy "
                              << resolve_policy_name(options_.resolve) << ")";
@@ -399,8 +287,7 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
       // Peer-supplied code failed static verification: reject the format
       // before any native code exists. The structured findings name the
       // check, the field, and the source line for the peer's operator.
-      stats_.verify_rejected.fetch_add(1, kRelaxed);
-      rx().verify_rejected.inc();
+      stats_.inc(C::verify_rejected);
       std::ostringstream msg;
       msg << "transform chain for fingerprint " << fingerprint
           << " rejected by the static verifier:";
@@ -417,17 +304,14 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
     for (const auto& f : d.chain->verify_findings()) {
       MORPH_LOG_WARN("receiver") << "transform verifier: " << f.to_string();
     }
-    stats_.transforms_compiled.fetch_add(d.chain->hops(), kRelaxed);
-    rx().transforms_compiled.add(d.chain->hops());
+    stats_.add(C::transforms_compiled, d.chain->hops());
     // Fusion happened (or bailed) inside the chain compile above — i.e.
     // once per (wire format, chain) under this entry's once-flag.
     rx().chain_hops.record(static_cast<int64_t>(d.chain->hops()));
     if (d.chain->fused()) {
-      stats_.chains_fused.fetch_add(1, kRelaxed);
-      rx().chain_fused_builds.inc();
+      stats_.inc(C::chains_fused);
     } else {
-      stats_.fusion_bailouts.fetch_add(1, kRelaxed);
-      rx().chain_fusion_bailouts.inc();
+      stats_.inc(C::fusion_bailouts);
       MORPH_LOG_INFO("receiver") << "morph chain for fingerprint " << fingerprint
                                  << " runs hop-wise: " << d.chain->fusion_bailout();
     }
@@ -462,24 +346,19 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
 Outcome Receiver::finish_delivery(const Decision& d, void* record) {
   switch (d.outcome) {
     case Outcome::kExact:
-      stats_.exact.fetch_add(1, kRelaxed);
-      rx().exact.inc();
+      stats_.inc(C::exact);
       break;
     case Outcome::kPerfect:
-      stats_.perfect.fetch_add(1, kRelaxed);
-      rx().perfect.inc();
+      stats_.inc(C::perfect);
       break;
     case Outcome::kMorphed:
-      stats_.morphed.fetch_add(1, kRelaxed);
-      rx().morphed.inc();
+      stats_.inc(C::morphed);
       break;
     case Outcome::kReconciled:
-      stats_.reconciled.fetch_add(1, kRelaxed);
-      rx().reconciled.inc();
+      stats_.inc(C::reconciled);
       break;
     case Outcome::kMorphedReconciled:
-      stats_.reconciled.fetch_add(1, kRelaxed);
-      rx().morphed_reconciled.inc();
+      stats_.inc(C::morphed_reconciled);
       break;
     default:
       break;
@@ -495,8 +374,7 @@ Outcome Receiver::finish_delivery(const Decision& d, void* record) {
 }
 
 Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
-  stats_.messages.fetch_add(1, kRelaxed);
-  rx().messages.inc();
+  stats_.inc(C::messages);
   pbio::WireInfo info = pbio::peek_header(buf, size);
   EntryPtr entry = decide(info.fingerprint);
   const Decision& d = entry->decision;
@@ -506,12 +384,10 @@ Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
     case Outcome::kDefaulted: {
       if (d.default_handler != nullptr && *d.default_handler) {
         (*d.default_handler)(buf, size);
-        stats_.defaulted.fetch_add(1, kRelaxed);
-        rx().defaulted.inc();
+        stats_.inc(C::defaulted);
         return Outcome::kDefaulted;
       }
-      stats_.rejected.fetch_add(1, kRelaxed);
-      rx().rejected.inc();
+      stats_.inc(C::rejected);
       return Outcome::kRejected;
     }
     default:
@@ -526,17 +402,15 @@ Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
     if (d.chain) {
       record = d.chain->apply(record, arena);
       if (d.chain->fused()) {
-        stats_.morph_fused.fetch_add(1, kRelaxed);
-        rx().morph_fused.inc();
+        stats_.inc(C::morph_fused);
       } else {
-        stats_.morph_hopwise.fetch_add(1, kRelaxed);
-        rx().morph_hopwise.inc();
+        stats_.inc(C::morph_hopwise);
       }
     }
     if (d.reconciler) record = d.reconciler->apply(record, arena);
     const uint64_t morph_dur = obs::monotonic_ns() - t1;
     if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-    rx().morphs.inc();
+    stats_.inc(C::morphs);
     obs::record_span("rx.morph", d.fmt_name, t1, morph_dur);
     if (morph_dur >= obs::flight_slow_ns()) {
       obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
@@ -556,10 +430,8 @@ Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
     if (record != nullptr) {
       // Zero-copy fast path: counters only, no clock reads (the in-place
       // decode is tens of ns — a timestamp pair would dominate it).
-      stats_.messages.fetch_add(1, kRelaxed);
-      stats_.zero_copy.fetch_add(1, kRelaxed);
-      rx().messages.inc();
-      rx().zero_copy.inc();
+      stats_.inc(C::messages);
+      stats_.inc(C::zero_copy);
       return finish_delivery(d, record);
     }
     // Foreign byte order: fall through to the copying path.
@@ -571,23 +443,19 @@ Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
     // plan never runs and no source-side record is materialized.
     void* record = d.morph_decoder->decode_in_place(buf, size);
     if (record != nullptr) {
-      stats_.messages.fetch_add(1, kRelaxed);
-      stats_.morph_inplace.fetch_add(1, kRelaxed);
-      rx().messages.inc();
-      rx().morph_inplace.inc();
+      stats_.inc(C::messages);
+      stats_.inc(C::morph_inplace);
       uint64_t t0 = obs::monotonic_ns();
       record = d.chain->apply(record, arena);
       if (d.chain->fused()) {
-        stats_.morph_fused.fetch_add(1, kRelaxed);
-        rx().morph_fused.inc();
+        stats_.inc(C::morph_fused);
       } else {
-        stats_.morph_hopwise.fetch_add(1, kRelaxed);
-        rx().morph_hopwise.inc();
+        stats_.inc(C::morph_hopwise);
       }
       if (d.reconciler) record = d.reconciler->apply(record, arena);
       const uint64_t morph_dur = obs::monotonic_ns() - t0;
       if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-      rx().morphs.inc();
+      stats_.inc(C::morphs);
       obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
       if (morph_dur >= obs::flight_slow_ns()) {
         obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
@@ -606,20 +474,17 @@ Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
   const Decision& d = entry->decision;
 
   if (d.outcome == Outcome::kRejected || d.outcome == Outcome::kDefaulted) {
-    stats_.messages.fetch_add(1, kRelaxed);
-    rx().messages.inc();
+    stats_.inc(C::messages);
     if (d.default_handler != nullptr && *d.default_handler) {
       // The default handler's contract is raw wire bytes; hand it a PBIO
       // encoding of the record (the bridge's frame bytes are long gone).
       ByteBuffer wire;
       pbio::encode_record(*fmt, record, wire);
       (*d.default_handler)(wire.data(), wire.size());
-      stats_.defaulted.fetch_add(1, kRelaxed);
-      rx().defaulted.inc();
+      stats_.inc(C::defaulted);
       return Outcome::kDefaulted;
     }
-    stats_.rejected.fetch_add(1, kRelaxed);
-    rx().rejected.inc();
+    stats_.inc(C::rejected);
     return Outcome::kRejected;
   }
 
@@ -631,29 +496,25 @@ Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
   };
 
   if (d.outcome == Outcome::kExact && same_layout(d.deliver_fmt)) {
-    stats_.messages.fetch_add(1, kRelaxed);
-    rx().messages.inc();
+    stats_.inc(C::messages);
     return finish_delivery(d, record);
   }
 
   if (d.chain != nullptr && same_layout(d.chain->src_format())) {
     // The record is already in the chain's source layout: feed it straight
     // into the morph pipeline, exactly as a decode-into-morph frame would.
-    stats_.messages.fetch_add(1, kRelaxed);
-    rx().messages.inc();
+    stats_.inc(C::messages);
     uint64_t t0 = obs::monotonic_ns();
     record = d.chain->apply(record, arena);
     if (d.chain->fused()) {
-      stats_.morph_fused.fetch_add(1, kRelaxed);
-      rx().morph_fused.inc();
+      stats_.inc(C::morph_fused);
     } else {
-      stats_.morph_hopwise.fetch_add(1, kRelaxed);
-      rx().morph_hopwise.inc();
+      stats_.inc(C::morph_hopwise);
     }
     if (d.reconciler) record = d.reconciler->apply(record, arena);
     const uint64_t morph_dur = obs::monotonic_ns() - t0;
     if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-    rx().morphs.inc();
+    stats_.inc(C::morphs);
     obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
     if (morph_dur >= obs::flight_slow_ns()) {
       obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
@@ -666,13 +527,12 @@ Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
   if (d.chain == nullptr && d.reconciler != nullptr && same_layout(d.native_fmt)) {
     // Already in the reconciler's input layout: fill defaults, drop extras,
     // deliver.
-    stats_.messages.fetch_add(1, kRelaxed);
-    rx().messages.inc();
+    stats_.inc(C::messages);
     uint64_t t0 = obs::monotonic_ns();
     record = d.reconciler->apply(record, arena);
     const uint64_t morph_dur = obs::monotonic_ns() - t0;
     if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-    rx().morphs.inc();
+    stats_.inc(C::morphs);
     obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
     return finish_delivery(d, record);
   }

@@ -112,42 +112,51 @@ struct ReceiverOptions {
   bool fuse = true;
 };
 
+/// The receiver's counters, one line each: the ReceiverStats field and the
+/// registry counter it exports as. Every outcome has its own field, so
+/// `reconciled` counts pure reconciliations only and morph-then-reconcile
+/// deliveries land in `morphed_reconciled`.
+#define MORPH_RECEIVER_COUNTERS(X)                                                   \
+  X(messages, "morph_rx_messages_total")                                             \
+  X(cache_hits, "morph_rx_cache_events_total{event=\"hit\"}")                        \
+  X(cache_misses, "morph_rx_cache_events_total{event=\"miss\"}")                     \
+  X(exact, "morph_rx_outcome_total{outcome=\"exact\"}")                              \
+  X(perfect, "morph_rx_outcome_total{outcome=\"perfect\"}")                          \
+  X(morphed, "morph_rx_outcome_total{outcome=\"morphed\"}")                          \
+  X(reconciled, "morph_rx_outcome_total{outcome=\"reconciled\"}")                    \
+  X(morphed_reconciled, "morph_rx_outcome_total{outcome=\"morphed+reconciled\"}")    \
+  X(defaulted, "morph_rx_outcome_total{outcome=\"defaulted\"}")                      \
+  X(rejected, "morph_rx_outcome_total{outcome=\"rejected\"}")                        \
+  X(transforms_compiled, "morph_rx_transforms_compiled_total")                       \
+  X(verify_rejected, "morph_rx_verify_rejected_total")                               \
+  X(zero_copy, "morph_rx_zero_copy_total")                                           \
+  X(cache_flushes, "morph_rx_cache_events_total{event=\"flush\"}")                   \
+  /* unknown formats fetched out-of-band / resolve attempts that fell back */        \
+  X(resolve_fetched, "morph_rx_resolve_total{result=\"fetched\"}")                   \
+  X(resolve_degraded, "morph_rx_resolve_total{result=\"degraded\"}")                 \
+  /* messages morphed by a fused chain / hop by hop / fed by an in-place decode */   \
+  X(morph_fused, "morph_rx_fused_total")                                             \
+  X(morph_hopwise, "morph_rx_hopwise_total")                                         \
+  X(morph_inplace, "morph_rx_morph_inplace_total")                                   \
+  X(morphs, "morph_rx_morphs_total") /* morph executions: chain and/or reconcile */  \
+  /* decision builds that installed a fused chain / fell back to hop-wise */         \
+  X(chains_fused, "morph_rx_chain_fusion_total{result=\"fused\"}")                   \
+  X(fusion_bailouts, "morph_rx_chain_fusion_total{result=\"bailout\"}")
+
 /// A point-in-time copy of the receiver's counters (the live counters are
-/// atomics updated with relaxed ordering; the snapshot is plain data).
+/// relaxed atomics; the snapshot is plain data).
 struct ReceiverStats {
-  uint64_t messages = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t exact = 0;
-  uint64_t perfect = 0;
-  uint64_t morphed = 0;
-  uint64_t reconciled = 0;
-  uint64_t defaulted = 0;
-  uint64_t rejected = 0;
-  uint64_t transforms_compiled = 0;
-  uint64_t verify_rejected = 0;
-  uint64_t zero_copy = 0;
-  uint64_t cache_flushes = 0;
-  uint64_t resolve_fetched = 0;   // unknown formats fetched out-of-band
-  uint64_t resolve_degraded = 0;  // resolve attempts that fell back (failed)
-  uint64_t morph_fused = 0;       // messages morphed by a fused chain
-  uint64_t morph_hopwise = 0;     // messages morphed hop by hop
-  uint64_t morph_inplace = 0;     // morphs fed by an in-place (zero-copy) decode
-  uint64_t chains_fused = 0;      // decision builds that installed a fused chain
-  uint64_t fusion_bailouts = 0;   // decision builds that fell back to hop-wise
+  MORPH_STATS(ReceiverStats, MORPH_RECEIVER_COUNTERS)
 
-  /// Field-wise `*this - earlier`: what happened between two snapshots.
-  /// Counters are monotone, so with snapshots taken in order every delta
-  /// field is well-defined (wraps if you subtract a later snapshot).
-  ReceiverStats delta(const ReceiverStats& earlier) const;
-
-  /// Field-wise sum: aggregates the stats of several receivers.
-  ReceiverStats& operator+=(const ReceiverStats& other);
+  ReceiverStats delta(const ReceiverStats& earlier) const {
+    return obs::stats_delta(*this, earlier);
+  }
+  ReceiverStats& operator+=(const ReceiverStats& other) { return obs::stats_add(*this, other); }
 
   /// Messages that reached a terminal outcome. Every processed message
   /// lands in exactly one of these counters.
   uint64_t outcome_sum() const {
-    return exact + perfect + morphed + reconciled + defaulted + rejected;
+    return exact + perfect + morphed + reconciled + morphed_reconciled + defaulted + rejected;
   }
 
   /// The pipeline's conservation law: every counted message reached exactly
@@ -198,7 +207,7 @@ class Receiver {
   /// hand over a PBIO encoding of the record.
   Outcome process_record(const pbio::FormatPtr& fmt, void* record, RecordArena& arena);
 
-  ReceiverStats stats() const;
+  ReceiverStats stats() const { return stats_.load(); }
   const ReceiverOptions& options() const { return options_; }
   size_t cached_decisions() const {
     return cached_count_.load(std::memory_order_relaxed);
@@ -263,31 +272,6 @@ class Receiver {
     std::unordered_map<uint64_t, EntryPtr> entries;
   };
 
-  /// Live counters. Relaxed atomics: each is an independent monotone
-  /// counter, never used to publish other data.
-  struct Counters {
-    std::atomic<uint64_t> messages{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> exact{0};
-    std::atomic<uint64_t> perfect{0};
-    std::atomic<uint64_t> morphed{0};
-    std::atomic<uint64_t> reconciled{0};
-    std::atomic<uint64_t> defaulted{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> transforms_compiled{0};
-    std::atomic<uint64_t> verify_rejected{0};
-    std::atomic<uint64_t> zero_copy{0};
-    std::atomic<uint64_t> cache_flushes{0};
-    std::atomic<uint64_t> resolve_fetched{0};
-    std::atomic<uint64_t> resolve_degraded{0};
-    std::atomic<uint64_t> morph_fused{0};
-    std::atomic<uint64_t> morph_hopwise{0};
-    std::atomic<uint64_t> morph_inplace{0};
-    std::atomic<uint64_t> chains_fused{0};
-    std::atomic<uint64_t> fusion_bailouts{0};
-  };
-
   Shard& shard_for(uint64_t fingerprint) {
     // Fingerprints are already well-mixed hashes; fold the high bits in so
     // shard choice never degenerates even if a bit range is biased.
@@ -317,7 +301,7 @@ class Receiver {
 
   std::array<Shard, kCacheShards> shards_;
   std::atomic<size_t> cached_count_{0};
-  mutable Counters stats_;
+  obs::CounterSet<ReceiverStats> stats_;
 };
 
 }  // namespace morph::core

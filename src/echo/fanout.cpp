@@ -10,21 +10,13 @@
 namespace morph::echo {
 
 namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
+using R = FanoutRegistryStats::Id;
 
-/// Process-wide fan-out metrics, resolved once. echo_fanout_events_total
-/// counts publishes that reached at least one grouped sink; the gauges hold
-/// the most recent event's shape (morphs per event == number of distinct
-/// non-identity formats, the O(formats)-not-O(subscribers) invariant).
+/// Process-wide fan-out gauges and histogram, resolved once. The gauges
+/// hold the most recent event's shape (morphs per event == number of
+/// distinct non-identity formats, the O(formats)-not-O(subscribers)
+/// invariant).
 struct FanoutMetrics {
-  obs::Counter& events = obs::metrics().counter("echo_fanout_events_total");
-  obs::Counter& groups = obs::metrics().counter("echo_fanout_groups_total");
-  obs::Counter& morphs = obs::metrics().counter("echo_fanout_morphs_total");
-  obs::Counter& morph_reuses = obs::metrics().counter("echo_fanout_morph_reuses_total");
-  obs::Counter& encodes = obs::metrics().counter("echo_fanout_encodes_total");
-  obs::Counter& pbuf_encodes = obs::metrics().counter("echo_fanout_pbuf_encodes_total");
-  obs::Counter& deliveries = obs::metrics().counter("echo_fanout_deliveries_total");
-  obs::Counter& fallbacks = obs::metrics().counter("echo_fanout_fallback_total");
   obs::Gauge& event_morphs = obs::metrics().gauge("echo_fanout_event_morphs");
   obs::Gauge& event_groups = obs::metrics().gauge("echo_fanout_event_groups");
   obs::Histogram& group_sinks = obs::metrics().histogram("echo_fanout_group_sinks");
@@ -54,7 +46,7 @@ void FanoutRegistry::subscribe(const std::string& key, SinkId sink, uint64_t tar
   }
   entry.members[sink] = Sub{target_fp, encoding};
   entry.snap = nullptr;  // invalidate; rebuilt on next snapshot()
-  subscribes_.fetch_add(1, kRelaxed);
+  counters_.inc(R::subscribes);
 }
 
 void FanoutRegistry::unsubscribe(const std::string& key, SinkId sink) {
@@ -64,7 +56,7 @@ void FanoutRegistry::unsubscribe(const std::string& key, SinkId sink) {
   if (it == shard.entries.end()) return;
   if (it->second.members.erase(sink) == 0) return;
   it->second.snap = nullptr;
-  unsubscribes_.fetch_add(1, kRelaxed);
+  counters_.inc(R::unsubscribes);
 }
 
 void FanoutRegistry::unsubscribe_all(SinkId sink) {
@@ -73,7 +65,7 @@ void FanoutRegistry::unsubscribe_all(SinkId sink) {
     for (auto& [key, entry] : shard.entries) {
       if (entry.members.erase(sink) != 0) {
         entry.snap = nullptr;
-        unsubscribes_.fetch_add(1, kRelaxed);
+        counters_.inc(R::unsubscribes);
       }
     }
   }
@@ -104,7 +96,7 @@ std::shared_ptr<const GroupSnapshot> FanoutRegistry::snapshot(const std::string&
     auto it = shard.entries.find(key);
     if (it == shard.entries.end()) return kEmpty;
     if (it->second.snap != nullptr) {
-      snapshot_hits_.fetch_add(1, kRelaxed);
+      counters_.inc(R::snapshot_hits);
       return it->second.snap;
     }
   }
@@ -113,34 +105,25 @@ std::shared_ptr<const GroupSnapshot> FanoutRegistry::snapshot(const std::string&
   if (it == shard.entries.end()) return kEmpty;
   if (it->second.snap == nullptr) {
     it->second.snap = build_snapshot(it->second);
-    rebuilds_.fetch_add(1, kRelaxed);
+    counters_.inc(R::rebuilds);
     // Gauges track the most recently rebuilt key — a live view of the
     // grouping shape under churn, not a sum across keys.
     fm().reg_groups.set(static_cast<double>(it->second.snap->groups.size()));
     fm().reg_subscribers.set(static_cast<double>(it->second.snap->total_sinks));
   } else {
-    snapshot_hits_.fetch_add(1, kRelaxed);
+    counters_.inc(R::snapshot_hits);
   }
   return it->second.snap;
-}
-
-FanoutRegistryStats FanoutRegistry::stats() const {
-  FanoutRegistryStats s;
-  s.subscribes = subscribes_.load(kRelaxed);
-  s.unsubscribes = unsubscribes_.load(kRelaxed);
-  s.rebuilds = rebuilds_.load(kRelaxed);
-  s.snapshot_hits = snapshot_hits_.load(kRelaxed);
-  return s;
 }
 
 // ---------------------------------------------------------------------------
 // GroupPublisher
 // ---------------------------------------------------------------------------
 
-PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* record,
-                                      const GroupSnapshot& snapshot, const ResolvePort& resolve,
-                                      const Fallback& fallback) {
-  PublishCounts out;
+PublisherStats GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* record,
+                                       const GroupSnapshot& snapshot, const ResolvePort& resolve,
+                                       const Fallback& fallback) {
+  PublisherStats out;
   if (snapshot.groups.empty()) return out;
 
   uint64_t trace_id = 0;
@@ -178,7 +161,7 @@ PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* re
     auto plan = planner_.plan(fmt, group.target_fp);
     if (!plan->reachable()) {
       for (SinkId sink : group.sinks) fallback(sink);
-      out.fallbacks += group.sinks.size();
+      out.fanout_fallbacks += group.sinks.size();
       continue;
     }
     const pbio::FormatPtr& send_fmt = plan->identity() ? fmt : plan->target();
@@ -190,7 +173,7 @@ PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* re
         // Sinks asked for protobuf but the target cannot express it (no
         // field numbers): keep the legacy contract instead of going dark.
         for (SinkId sink : group.sinks) fallback(sink);
-        out.fallbacks += group.sinks.size();
+        out.fanout_fallbacks += group.sinks.size();
         continue;
       }
     }
@@ -203,7 +186,7 @@ PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* re
       transport::MessagePort* port = resolve(sink);
       if (port == nullptr) {
         fallback(sink);
-        ++out.fallbacks;
+        ++out.fanout_fallbacks;
       } else {
         ports_.push_back(port);
       }
@@ -214,12 +197,12 @@ PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* re
     if (!plan->identity()) {
       if (morphed_cached != nullptr && morphed_fp == group.target_fp) {
         morphed = morphed_cached;
-        ++out.morph_reuses;
+        ++out.fanout_morph_reuses;
       } else {
         const uint64_t t0 = obs::monotonic_ns();
         morphed = plan->morph(wire_.data(), wire_.size(), arena_);
         const uint64_t morph_dur = obs::monotonic_ns() - t0;
-        ++out.morphs;
+        ++out.fanout_morphs;
         morphed_cached = morphed;
         morphed_fp = group.target_fp;
         // One span per format morph, tagged with the target format: the
@@ -240,7 +223,7 @@ PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* re
       pbuf_plan->encode(plan->identity() ? record : morphed, scratch_);
       frame = transport::make_shared_pbuf_frame(send_fmt->fingerprint(), scratch_.data(),
                                                 scratch_.size(), trace_id);
-      ++out.pbuf_encodes;
+      ++out.fanout_pbuf_encodes;
     } else if (plan->identity()) {
       frame = transport::make_shared_frame(wire_.data(), wire_.size(), trace_id);
     } else {
@@ -248,29 +231,23 @@ PublishCounts GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* re
       plan->encode(morphed, scratch_);
       frame = transport::make_shared_frame(scratch_.data(), scratch_.size(), trace_id);
     }
-    ++out.encodes;
+    ++out.fanout_encodes;
 
     for (transport::MessagePort* port : ports_) port->send_shared(send_fmt, frame);
-    ++out.groups;
-    out.deliveries += ports_.size();
+    ++out.fanout_groups;
+    out.fanout_deliveries += ports_.size();
     fm().group_sinks.record(ports_.size());
   }
 
-  if (out.deliveries > 0) {
-    fm().events.inc();
-    fm().groups.add(out.groups);
-    fm().morphs.add(out.morphs);
-    fm().morph_reuses.add(out.morph_reuses);
-    fm().encodes.add(out.encodes);
-    fm().pbuf_encodes.add(out.pbuf_encodes);
-    fm().deliveries.add(out.deliveries);
-    fm().event_morphs.set(static_cast<double>(out.morphs));
-    fm().event_groups.set(static_cast<double>(out.groups));
+  if (out.fanout_deliveries > 0) {
+    out.fanout_events = 1;
+    fm().event_morphs.set(static_cast<double>(out.fanout_morphs));
+    fm().event_groups.set(static_cast<double>(out.fanout_groups));
   }
-  if (out.fallbacks > 0) {
-    fm().fallbacks.add(out.fallbacks);
+  counters_.add(out);
+  if (out.fanout_fallbacks > 0) {
     obs::flight_record(obs::FlightKind::kFanoutFallback, trace_id,
-                       "fanout: " + std::to_string(out.fallbacks) +
+                       "fanout: " + std::to_string(out.fanout_fallbacks) +
                            " sink(s) fell back to unmorphed delivery");
   }
   return out;

@@ -39,6 +39,7 @@
 
 #include "common/thread_annotations.hpp"
 #include "core/fanout.hpp"
+#include "obs/metrics.hpp"
 #include "transport/port.hpp"
 
 namespace morph::echo {
@@ -68,11 +69,16 @@ struct GroupSnapshot {
   size_t total_sinks = 0;
 };
 
+/// The registry's counters, kept per instance only: snapshot rebuilds
+/// after churn, and snapshots served from the cached copy.
+#define MORPH_FANOUT_REGISTRY_COUNTERS(X) \
+  X(subscribes, nullptr)                  \
+  X(unsubscribes, nullptr)                \
+  X(rebuilds, nullptr)                    \
+  X(snapshot_hits, nullptr)
+
 struct FanoutRegistryStats {
-  uint64_t subscribes = 0;
-  uint64_t unsubscribes = 0;
-  uint64_t rebuilds = 0;       // snapshot rebuilds after churn
-  uint64_t snapshot_hits = 0;  // snapshots served from the cached copy
+  MORPH_STATS(FanoutRegistryStats, MORPH_FANOUT_REGISTRY_COUNTERS)
 };
 
 class FanoutRegistry {
@@ -99,7 +105,7 @@ class FanoutRegistry {
   /// snapshot is immutable and safe to use without the registry's locks.
   std::shared_ptr<const GroupSnapshot> snapshot(const std::string& key) const;
 
-  FanoutRegistryStats stats() const;
+  FanoutRegistryStats stats() const { return counters_.load(); }
 
  private:
   struct Sub {
@@ -122,22 +128,29 @@ class FanoutRegistry {
   static std::shared_ptr<const GroupSnapshot> build_snapshot(const Entry& entry);
 
   mutable std::array<Shard, kShards> shards_;
-  mutable std::atomic<uint64_t> subscribes_{0};
-  mutable std::atomic<uint64_t> unsubscribes_{0};
-  mutable std::atomic<uint64_t> rebuilds_{0};
-  mutable std::atomic<uint64_t> snapshot_hits_{0};
+  mutable obs::CounterSet<FanoutRegistryStats> counters_;
 };
 
-/// Per-event delivery tally returned by GroupPublisher::publish.
-struct PublishCounts {
-  size_t groups = 0;        // reachable groups delivered to
-  size_t morphs = 0;        // morph-chain executions (identity groups: none)
-  size_t morph_reuses = 0;  // groups that reused the previous group's morph
-                            // (same format, different encoding)
-  size_t encodes = 0;       // shared frames built (one per reachable group)
-  size_t pbuf_encodes = 0;  // of those, protobuf-encoded (kPbufData frames)
-  size_t deliveries = 0;    // send_shared calls (sum of group sizes)
-  size_t fallbacks = 0;     // sinks punted to the fallback callback
+/// The publisher's counters: PublisherStats field and exported registry
+/// name. publish() returns one event's tallies in the same struct; stats()
+/// sums them over publishes.
+#define MORPH_PUBLISHER_COUNTERS(X)                                                \
+  /* publishes that reached at least one grouped sink (0 or 1 per event) */        \
+  X(fanout_events, "echo_fanout_events_total")                                     \
+  X(fanout_groups, "echo_fanout_groups_total") /* reachable groups delivered to */ \
+  /* morph-chain executions (identity groups: none), and groups that reused the */ \
+  /* previous group's morph (same format, different encoding) */                   \
+  X(fanout_morphs, "echo_fanout_morphs_total")                                     \
+  X(fanout_morph_reuses, "echo_fanout_morph_reuses_total")                         \
+  /* shared frames built (one per reachable group); of those, protobuf-encoded */  \
+  X(fanout_encodes, "echo_fanout_encodes_total")                                   \
+  X(fanout_pbuf_encodes, "echo_fanout_pbuf_encodes_total")                         \
+  /* send_shared calls (sum of group sizes); sinks punted to the fallback */       \
+  X(fanout_deliveries, "echo_fanout_deliveries_total")                             \
+  X(fanout_fallbacks, "echo_fanout_fallback_total")
+
+struct PublisherStats {
+  MORPH_STATS(PublisherStats, MORPH_PUBLISHER_COUNTERS)
 };
 
 class GroupPublisher {
@@ -152,10 +165,13 @@ class GroupPublisher {
   /// encode the source record once, morph + encode once per group, hand the
   /// shared frame to every resolved sink. Sinks in unreachable groups (and
   /// sinks `resolve` cannot map) go through `fallback` — the caller's
-  /// per-sink fallback. Bumps the echo_fanout_* obs counters.
-  PublishCounts publish(const pbio::FormatPtr& fmt, const void* record,
-                        const GroupSnapshot& snapshot, const ResolvePort& resolve,
-                        const Fallback& fallback);
+  /// per-sink fallback. Returns the event's tallies and adds them to
+  /// stats().
+  PublisherStats publish(const pbio::FormatPtr& fmt, const void* record,
+                         const GroupSnapshot& snapshot, const ResolvePort& resolve,
+                         const Fallback& fallback);
+
+  PublisherStats stats() const { return counters_.load(); }
 
  private:
   /// Cached protobuf encoder for a group's target format; nullptr is a
@@ -170,6 +186,7 @@ class GroupPublisher {
   ByteBuffer wire_;      // scratch: the event's source-format encoding
   ByteBuffer scratch_;   // scratch: per-group morphed encoding
   std::vector<transport::MessagePort*> ports_;  // scratch: resolved group
+  obs::CounterSet<PublisherStats> counters_;
 };
 
 }  // namespace morph::echo

@@ -18,22 +18,7 @@ using core::Outcome;
 using transport::MessagePort;
 
 namespace {
-/// Process-wide mirrors of ProcessStats, resolved once (the RxMetrics
-/// discipline: per-instance counters in stats_ stay authoritative per
-/// process, these aggregate across processes for morph-stat).
-struct EchoMetrics {
-  obs::Counter& open_requests = obs::metrics().counter("morph_echo_open_requests_total");
-  obs::Counter& responses = obs::metrics().counter("morph_echo_responses_total");
-  obs::Counter& responses_morphed = obs::metrics().counter("morph_echo_responses_morphed_total");
-  obs::Counter& events = obs::metrics().counter("morph_echo_events_total");
-  obs::Counter& events_morphed = obs::metrics().counter("morph_echo_events_morphed_total");
-  obs::Counter& events_published = obs::metrics().counter("morph_echo_events_published_total");
-};
-
-EchoMetrics& em() {
-  static EchoMetrics* m = new EchoMetrics();  // leaked: outlives all processes
-  return *m;
-}
+using C = EchoProcess::ProcessStats::Id;
 
 core::FanoutPlannerOptions planner_options(const core::ReceiverOptions& rx) {
   core::FanoutPlannerOptions o;
@@ -140,11 +125,9 @@ void EchoProcess::setup_peer(Peer& peer) {
   for (const auto& reg : event_regs_) {
     const EventReg* r = &reg;
     peer.receiver->register_handler(reg.fmt, [this, r](const Delivery& d) {
-      ++stats_.events_received;
-      em().events.inc();
+      counters_.inc(C::events_received);
       if (d.outcome == Outcome::kMorphed || d.outcome == Outcome::kMorphedReconciled) {
-        ++stats_.events_morphed;
-        em().events_morphed.inc();
+        counters_.inc(C::events_morphed);
       }
       Event ev{&d, r->channel};
       r->handler(ev);
@@ -309,8 +292,7 @@ void EchoProcess::leave_channel(const std::string& channel,
 }
 
 void EchoProcess::handle_open_request(Peer& peer, const Delivery& d) {
-  ++stats_.open_requests_handled;
-  em().open_requests.inc();
+  counters_.inc(C::open_requests_handled);
   const auto* req = static_cast<const ChannelOpenRequest*>(d.record);
   std::string channel = req->channel_id == nullptr ? "" : req->channel_id;
   std::string contact = req->contact == nullptr ? "" : req->contact;
@@ -421,11 +403,9 @@ void EchoProcess::send_response_to(Peer& peer, const std::string& channel) {
 }
 
 void EchoProcess::handle_open_response(const Delivery& d, bool from_v2_format) {
-  ++stats_.responses_received;
-  em().responses.inc();
+  counters_.inc(C::responses_received);
   if (d.outcome == Outcome::kMorphed || d.outcome == Outcome::kMorphedReconciled) {
-    ++stats_.responses_morphed;
-    em().responses_morphed.inc();
+    counters_.inc(C::responses_morphed);
   }
 
   std::string channel;
@@ -486,11 +466,9 @@ void EchoProcess::on_event(const std::string& channel, pbio::FormatPtr fmt,
   const EventReg* r = &reg;
   for (auto& p : peers_) {
     p->receiver->register_handler(reg.fmt, [this, r](const Delivery& d) {
-      ++stats_.events_received;
-      em().events.inc();
+      counters_.inc(C::events_received);
       if (d.outcome == Outcome::kMorphed || d.outcome == Outcome::kMorphedReconciled) {
-        ++stats_.events_morphed;
-        em().events_morphed.inc();
+        counters_.inc(C::events_morphed);
       }
       Event ev{&d, r->channel};
       r->handler(ev);
@@ -511,12 +489,11 @@ size_t EchoProcess::publish(const std::string& channel, const pbio::FormatPtr& f
                             const void* record) {
   auto it = channels_.find(channel);
   if (it == channels_.end()) throw Error("echo: unknown channel '" + channel + "'");
-  ++stats_.events_published;
-  em().events_published.inc();
+  counters_.inc(C::events_published);
   auto snap = groups_.snapshot(FanoutRegistry::key(channel, fmt->name()));
   size_t sent = 0;
 
-  PublishCounts counts = publisher_.publish(
+  const PublisherStats counts = publisher_.publish(
       fmt, record, *snap,
       // SinkIds are Peer addresses (sink_id); the registry only ever holds
       // peers of this process, so the cast back is safe.
@@ -527,13 +504,7 @@ size_t EchoProcess::publish(const std::string& channel, const pbio::FormatPtr& f
         reinterpret_cast<Peer*>(sink)->port->send_record(fmt, record);
         ++sent;
       });
-  sent += counts.deliveries;
-  stats_.fanout_morphs += counts.morphs;
-  stats_.fanout_morph_reuses += counts.morph_reuses;
-  stats_.fanout_encodes += counts.encodes;
-  stats_.fanout_pbuf_encodes += counts.pbuf_encodes;
-  stats_.fanout_deliveries += counts.deliveries;
-  stats_.fanout_fallbacks += counts.fallbacks;
+  sent += counts.fanout_deliveries;
 
   // Sink members outside every group — nothing announced for this event
   // format (an old peer, or a sink that registered a different format
@@ -556,6 +527,12 @@ size_t EchoProcess::publish(const std::string& channel, const pbio::FormatPtr& f
     ++sent;
   }
   return sent;
+}
+
+EchoProcess::ProcessStats EchoProcess::stats() const {
+  ProcessStats s = counters_.load();
+  static_cast<PublisherStats&>(s) = publisher_.stats();
+  return s;
 }
 
 core::ReceiverStats EchoProcess::receiver_totals() const {

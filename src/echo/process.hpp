@@ -115,26 +115,23 @@ class EchoProcess {
 
   // --- introspection ---------------------------------------------------------
 
-  /// Per-process counters, mirrored 1:1 into the obs registry as
-  /// morph_echo_* / echo_fanout_* counters (the RxMetrics discipline:
-  /// per-instance fields stay exact per process, the global counters
-  /// aggregate across processes for morph-stat).
-  struct ProcessStats {
-    uint64_t open_requests_handled = 0;
-    uint64_t responses_received = 0;
-    uint64_t responses_morphed = 0;
-    uint64_t events_received = 0;
-    uint64_t events_morphed = 0;
-    uint64_t events_published = 0;
-    // Grouped fan-out tallies, summed over publishes (see PublishCounts).
-    uint64_t fanout_morphs = 0;
-    uint64_t fanout_morph_reuses = 0;
-    uint64_t fanout_encodes = 0;
-    uint64_t fanout_pbuf_encodes = 0;
-    uint64_t fanout_deliveries = 0;
-    uint64_t fanout_fallbacks = 0;
+  /// The process's own counters: ProcessStats field and exported registry
+  /// name. Each lives once, in this process's CounterSet, which the
+  /// registry reads at scrape time.
+#define MORPH_ECHO_PROCESS_COUNTERS(X)                             \
+  X(open_requests_handled, "morph_echo_open_requests_total")       \
+  X(responses_received, "morph_echo_responses_total")              \
+  X(responses_morphed, "morph_echo_responses_morphed_total")       \
+  X(events_received, "morph_echo_events_total")                    \
+  X(events_morphed, "morph_echo_events_morphed_total")             \
+  X(events_published, "morph_echo_events_published_total")
+
+  /// Per-process counters, plus the grouped fan-out tallies (fanout_*)
+  /// read from this process's GroupPublisher.
+  struct ProcessStats : PublisherStats {
+    MORPH_STATS(ProcessStats, MORPH_ECHO_PROCESS_COUNTERS)
   };
-  const ProcessStats& stats() const { return stats_; }
+  ProcessStats stats() const;
 
   /// Planner behind grouped publishing (plan cache, fusion, verification).
   const core::FanoutPlanner& fanout_planner() const { return planner_; }
@@ -184,7 +181,7 @@ class EchoProcess {
   core::FanoutPlanner planner_;
   FanoutRegistry groups_;
   GroupPublisher publisher_;
-  ProcessStats stats_;
+  obs::CounterSet<ProcessStats> counters_;
 };
 
 /// Deterministic in-process wiring for tests and examples: owns the links

@@ -13,7 +13,7 @@
 namespace morph::fmtsvc {
 
 namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
+using C = ResolverStats::Id;
 
 uint64_t now_ms() { return obs::monotonic_ns() / 1'000'000; }
 
@@ -24,51 +24,15 @@ uint64_t jittered(uint64_t ms) {
   thread_local Rng rng(obs::monotonic_ns() ^ (0x9e3779b97f4a7c15ull * obs::thread_stripe()));
   return ms / 2 + rng.next_below(ms + 1);
 }
+
+obs::Histogram& fetch_ns() {
+  static obs::Histogram& h = obs::metrics().histogram("morph_fmtsvc_client_fetch_ns");
+  return h;
+}
 }  // namespace
 
-/// Internal atomics plus their registry mirrors. The resolve_total{result=}
-/// family partitions resolves_total: every resolve() lands in exactly one
-/// result bucket (joining another thread's flight counts as "stampede"),
-/// which is the conservation law `morph-stat --check` asserts.
-struct FormatResolver::Counters {
-  std::atomic<uint64_t> resolves{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> negative_hits{0};
-  std::atomic<uint64_t> fetched{0};
-  std::atomic<uint64_t> failed{0};
-  std::atomic<uint64_t> lint_rejected{0};
-  std::atomic<uint64_t> expired{0};
-  std::atomic<uint64_t> evicted{0};
-  std::atomic<uint64_t> stampede_joins{0};
-  std::atomic<uint64_t> rpcs{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> published{0};
-
-  obs::Counter& m_resolves = obs::metrics().counter("morph_fmtsvc_client_resolves_total");
-  obs::Counter& m_cached =
-      obs::metrics().counter("morph_fmtsvc_client_resolve_total{result=\"cached\"}");
-  obs::Counter& m_negative =
-      obs::metrics().counter("morph_fmtsvc_client_resolve_total{result=\"negative\"}");
-  obs::Counter& m_fetched =
-      obs::metrics().counter("morph_fmtsvc_client_resolve_total{result=\"fetched\"}");
-  obs::Counter& m_failed =
-      obs::metrics().counter("morph_fmtsvc_client_resolve_total{result=\"failed\"}");
-  obs::Counter& m_lint_rejected =
-      obs::metrics().counter("morph_fmtsvc_client_resolve_total{result=\"lint_rejected\"}");
-  obs::Counter& m_stampede =
-      obs::metrics().counter("morph_fmtsvc_client_resolve_total{result=\"stampede\"}");
-  obs::Counter& m_expired =
-      obs::metrics().counter("morph_fmtsvc_client_cache_evictions_total{reason=\"ttl\"}");
-  obs::Counter& m_evicted =
-      obs::metrics().counter("morph_fmtsvc_client_cache_evictions_total{reason=\"capacity\"}");
-  obs::Counter& m_rpcs = obs::metrics().counter("morph_fmtsvc_client_rpcs_total");
-  obs::Counter& m_retries = obs::metrics().counter("morph_fmtsvc_client_retries_total");
-  obs::Counter& m_published = obs::metrics().counter("morph_fmtsvc_client_published_total");
-  obs::Histogram& fetch_ns = obs::metrics().histogram("morph_fmtsvc_client_fetch_ns");
-};
-
 FormatResolver::FormatResolver(ResolverOptions options)
-    : options_(std::move(options)), counters_(std::make_unique<Counters>()) {
+    : options_(std::move(options)) {
   if (options_.max_attempts < 1) options_.max_attempts = 1;
   if (options_.cache_capacity < 1) options_.cache_capacity = 1;
 }
@@ -76,18 +40,15 @@ FormatResolver::FormatResolver(ResolverOptions options)
 FormatResolver::~FormatResolver() = default;
 
 std::optional<core::ResolvedFormat> FormatResolver::resolve(uint64_t fingerprint) {
-  counters_->resolves.fetch_add(1, kRelaxed);
-  counters_->m_resolves.inc();
+  counters_.inc(C::resolves);
 
   bool negative = false;
   if (auto hit = cache_lookup(fingerprint, negative)) {
-    counters_->cache_hits.fetch_add(1, kRelaxed);
-    counters_->m_cached.inc();
+    counters_.inc(C::cache_hits);
     return hit;
   }
   if (negative) {
-    counters_->negative_hits.fetch_add(1, kRelaxed);
-    counters_->m_negative.inc();
+    counters_.inc(C::negative_hits);
     return std::nullopt;
   }
 
@@ -107,8 +68,7 @@ std::optional<core::ResolvedFormat> FormatResolver::resolve(uint64_t fingerprint
     }
   }
   if (!owner) {
-    counters_->stampede_joins.fetch_add(1, kRelaxed);
-    counters_->m_stampede.inc();
+    counters_.inc(C::stampede_joins);
     std::unique_lock<std::mutex> lock(flight->mutex);
     flight->cv.wait(lock, [&] { return flight->done; });
     return flight->result;
@@ -168,8 +128,7 @@ bool FormatResolver::publish(const pbio::FormatPtr& fmt,
                                << "' refused: " << status_name(rep.status);
       return false;
     }
-    counters_->published.fetch_add(1, kRelaxed);
-    counters_->m_published.inc();
+    counters_.inc(C::published);
     return true;
   } catch (const Error& e) {
     MORPH_LOG_WARN("fmtsvc") << "publish of '" << fmt->name() << "' failed: " << e.what();
@@ -195,23 +154,6 @@ void FormatResolver::flush_cache() {
   lru_.clear();
 }
 
-ResolverStats FormatResolver::stats() const {
-  ResolverStats s;
-  s.resolves = counters_->resolves.load(kRelaxed);
-  s.cache_hits = counters_->cache_hits.load(kRelaxed);
-  s.negative_hits = counters_->negative_hits.load(kRelaxed);
-  s.fetched = counters_->fetched.load(kRelaxed);
-  s.failed = counters_->failed.load(kRelaxed);
-  s.lint_rejected = counters_->lint_rejected.load(kRelaxed);
-  s.expired = counters_->expired.load(kRelaxed);
-  s.evicted = counters_->evicted.load(kRelaxed);
-  s.stampede_joins = counters_->stampede_joins.load(kRelaxed);
-  s.rpcs = counters_->rpcs.load(kRelaxed);
-  s.retries = counters_->retries.load(kRelaxed);
-  s.published = counters_->published.load(kRelaxed);
-  return s;
-}
-
 std::optional<core::ResolvedFormat> FormatResolver::cache_lookup(uint64_t fingerprint,
                                                                  bool& negative) {
   negative = false;
@@ -219,8 +161,7 @@ std::optional<core::ResolvedFormat> FormatResolver::cache_lookup(uint64_t finger
   auto it = cache_.find(fingerprint);
   if (it == cache_.end()) return std::nullopt;
   if (now_ms() >= it->second.expires_at_ms) {
-    counters_->expired.fetch_add(1, kRelaxed);
-    counters_->m_expired.inc();
+    counters_.inc(C::expired);
     lru_.erase(it->second.lru);
     cache_.erase(it);
     return std::nullopt;
@@ -242,8 +183,7 @@ void FormatResolver::cache_store(uint64_t fingerprint,
     cache_.erase(it);
   }
   while (cache_.size() >= options_.cache_capacity && !lru_.empty()) {
-    counters_->evicted.fetch_add(1, kRelaxed);
-    counters_->m_evicted.inc();
+    counters_.inc(C::evicted);
     cache_.erase(lru_.back());
     lru_.pop_back();
   }
@@ -269,8 +209,7 @@ std::optional<core::ResolvedFormat> FormatResolver::fetch_with_retries(uint64_t 
 
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0) {
-      counters_->retries.fetch_add(1, kRelaxed);
-      counters_->m_retries.inc();
+      counters_.inc(C::retries);
       obs::flight_record(obs::FlightKind::kResolverRetry, obs::current_trace().trace_id,
                          "fmtsvc: fetch of fingerprint " + std::to_string(fingerprint) +
                              " retrying (attempt " + std::to_string(attempt + 1) + "/" +
@@ -289,39 +228,34 @@ std::optional<core::ResolvedFormat> FormatResolver::fetch_with_retries(uint64_t 
     try {
       const uint64_t t0 = obs::monotonic_ns();
       Reply rep = rpc(req);
-      counters_->fetch_ns.record(obs::monotonic_ns() - t0);
+      fetch_ns().record(obs::monotonic_ns() - t0);
       if (rep.status == Status::kOverloaded) {
         throw TransportError("fmtsvc: service overloaded");  // retryable
       }
       if (!rep.items.empty() && rep.items.front().found) {
         if (auto value = admit(std::move(rep.items.front().entry))) {
-          counters_->fetched.fetch_add(1, kRelaxed);
-          counters_->m_fetched.inc();
+          counters_.inc(C::fetched);
           return value;
         }
-        counters_->lint_rejected.fetch_add(1, kRelaxed);
-        counters_->m_lint_rejected.inc();
+        counters_.inc(C::lint_rejected);
         return std::nullopt;
       }
       // Authoritative not-found: the service answered; retrying now would
       // only hammer it. The negative TTL owns the retry cadence.
-      counters_->failed.fetch_add(1, kRelaxed);
-      counters_->m_failed.inc();
+      counters_.inc(C::failed);
       return std::nullopt;
     } catch (const Error& e) {
       MORPH_LOG_WARN("fmtsvc") << "fetch of " << fingerprint << " attempt " << (attempt + 1)
                                << "/" << options_.max_attempts << " failed: " << e.what();
     }
   }
-  counters_->failed.fetch_add(1, kRelaxed);
-  counters_->m_failed.inc();
+  counters_.inc(C::failed);
   return std::nullopt;
 }
 
 Reply FormatResolver::rpc(Request& req) {
   std::lock_guard<std::mutex> lock(conn_mutex_);
-  counters_->rpcs.fetch_add(1, kRelaxed);
-  counters_->m_rpcs.inc();
+  counters_.inc(C::rpcs);
   try {
     if (link_ == nullptr) {
       link_ = transport::TcpLink::connect(options_.host, options_.port);

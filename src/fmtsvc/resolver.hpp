@@ -40,6 +40,7 @@
 #include "core/format_source.hpp"
 #include "core/lint.hpp"
 #include "fmtsvc/protocol.hpp"
+#include "obs/metrics.hpp"
 #include "transport/framing.hpp"
 #include "transport/tcp.hpp"
 
@@ -65,24 +66,29 @@ struct ResolverOptions {
   core::LintPolicy lint = core::LintPolicy::kWarn;
 };
 
-/// Point-in-time counter snapshot (see the matching morph_fmtsvc_client_*
-/// registry metrics). resolves == cache_hits + negative_hits + fetched +
-/// failed + lint_rejected + stampede_joins once the resolver is quiescent —
-/// every resolve() lands in exactly one bucket, the conservation law
-/// `morph-stat --check` asserts.
+/// The resolver's counters: ResolverStats field and exported registry name.
+/// resolves == cache_hits + negative_hits + fetched + failed +
+/// lint_rejected + stampede_joins once the resolver is quiescent — every
+/// resolve() lands in exactly one result bucket (joining another thread's
+/// flight counts as "stampede"), the conservation law `morph-stat --check`
+/// asserts.
+#define MORPH_RESOLVER_COUNTERS(X)                                                         \
+  X(resolves, "morph_fmtsvc_client_resolves_total")                                        \
+  X(cache_hits, "morph_fmtsvc_client_resolve_total{result=\"cached\"}")                    \
+  X(negative_hits, "morph_fmtsvc_client_resolve_total{result=\"negative\"}")               \
+  X(fetched, "morph_fmtsvc_client_resolve_total{result=\"fetched\"}")                      \
+  X(failed, "morph_fmtsvc_client_resolve_total{result=\"failed\"}")                        \
+  X(lint_rejected, "morph_fmtsvc_client_resolve_total{result=\"lint_rejected\"}")          \
+  X(expired, "morph_fmtsvc_client_cache_evictions_total{reason=\"ttl\"}")                  \
+  X(evicted, "morph_fmtsvc_client_cache_evictions_total{reason=\"capacity\"}")             \
+  X(stampede_joins, "morph_fmtsvc_client_resolve_total{result=\"stampede\"}")              \
+  X(rpcs, "morph_fmtsvc_client_rpcs_total") /* attempts, all ops */                        \
+  X(retries, "morph_fmtsvc_client_retries_total") /* attempts after the first */           \
+  X(published, "morph_fmtsvc_client_published_total") /* formats registered by publish() */
+
+/// Point-in-time counter snapshot.
 struct ResolverStats {
-  uint64_t resolves = 0;       // resolve() calls
-  uint64_t cache_hits = 0;     // served from a fresh positive entry
-  uint64_t negative_hits = 0;  // served from a fresh negative entry
-  uint64_t fetched = 0;        // RPC succeeded and returned the format
-  uint64_t failed = 0;         // RPC exhausted retries/deadline or not-found
-  uint64_t lint_rejected = 0;  // fetched but refused under LintPolicy::kEnforce
-  uint64_t expired = 0;        // cache entries evicted by TTL
-  uint64_t evicted = 0;        // cache entries evicted by LRU capacity
-  uint64_t stampede_joins = 0; // resolve() calls that joined another flight
-  uint64_t rpcs = 0;           // RPC attempts, all ops (fetch/prefetch/publish/list)
-  uint64_t retries = 0;        // attempts after the first
-  uint64_t published = 0;      // formats registered via publish()
+  MORPH_STATS(ResolverStats, MORPH_RESOLVER_COUNTERS)
 };
 
 class FormatResolver final : public core::FormatSource {
@@ -113,7 +119,7 @@ class FormatResolver final : public core::FormatSource {
   /// Drop every cached entry (tests and operational cache-busting).
   void flush_cache();
 
-  ResolverStats stats() const;
+  ResolverStats stats() const { return counters_.load(); }
   const ResolverOptions& options() const { return options_; }
 
  private:
@@ -161,8 +167,7 @@ class FormatResolver final : public core::FormatSource {
   std::unique_ptr<transport::TcpLink> link_;
   uint64_t next_request_id_ = 1;
 
-  struct Counters;
-  std::unique_ptr<Counters> counters_;
+  obs::CounterSet<ResolverStats> counters_;
 };
 
 }  // namespace morph::fmtsvc

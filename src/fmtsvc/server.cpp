@@ -9,25 +9,11 @@
 namespace morph::fmtsvc {
 
 namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
+using C = ServiceStats::Id;
 
-/// Process-wide service metrics (one registry entry per op/status, shared
-/// by every FormatService instance; per-instance numbers via stats()).
+/// Process-wide service gauges and span histogram (the counters live in
+/// each FormatService's CounterSet).
 struct SvcMetrics {
-  obs::Counter& req_register =
-      obs::metrics().counter("morph_fmtsvc_requests_total{op=\"register\"}");
-  obs::Counter& req_fetch = obs::metrics().counter("morph_fmtsvc_requests_total{op=\"fetch\"}");
-  obs::Counter& req_fetch_multi =
-      obs::metrics().counter("morph_fmtsvc_requests_total{op=\"fetch_multi\"}");
-  obs::Counter& req_list = obs::metrics().counter("morph_fmtsvc_requests_total{op=\"list\"}");
-  obs::Counter& not_found = obs::metrics().counter("morph_fmtsvc_server_not_found_total");
-  obs::Counter& lint_rejected =
-      obs::metrics().counter("morph_fmtsvc_server_lint_rejected_total");
-  obs::Counter& audit_rejected =
-      obs::metrics().counter("morph_fmtsvc_server_audit_rejected_total");
-  obs::Counter& audit_warned =
-      obs::metrics().counter("morph_fmtsvc_server_audit_warned_total");
-  obs::Counter& bad_frames = obs::metrics().counter("morph_fmtsvc_server_bad_frames_total");
   obs::Gauge& store_formats = obs::metrics().gauge("morph_fmtsvc_store_formats");
   obs::Gauge& live_conns = obs::metrics().gauge("morph_fmtsvc_server_connections");
   obs::Histogram& handle_ns = obs::metrics().histogram("morph_span_ns{span=\"fmtsvc.handle\"}");
@@ -48,19 +34,6 @@ FormatService::FormatService(FormatStore& store, ServiceOptions options)
           listener_, transport::ReactorOptions{.max_connections = options_.max_connections},
           [this](transport::AsyncTcpLink& link) { serve_conn(link); }) {}
 
-ServiceStats FormatService::stats() const {
-  ServiceStats s;
-  s.connections = counters_.connections.load(kRelaxed);
-  s.requests = counters_.requests.load(kRelaxed);
-  s.registered = counters_.registered.load(kRelaxed);
-  s.lint_rejected = counters_.lint_rejected.load(kRelaxed);
-  s.audit_rejected = counters_.audit_rejected.load(kRelaxed);
-  s.audit_warned = counters_.audit_warned.load(kRelaxed);
-  s.not_found = counters_.not_found.load(kRelaxed);
-  s.bad_frames = counters_.bad_frames.load(kRelaxed);
-  return s;
-}
-
 void FormatService::serve_conn(transport::AsyncTcpLink& link) {
   // Per-connection protocol state lives in the link's user slot. It dies
   // with the connection, at close or when the server stops, so the live
@@ -71,7 +44,7 @@ void FormatService::serve_conn(transport::AsyncTcpLink& link) {
     ~ConnState() { svc().live_conns.add(-1); }
     transport::FrameAssembler assembler;
   };
-  counters_.connections.fetch_add(1, kRelaxed);
+  counters_.inc(C::connections);
   auto state = std::make_shared<ConnState>();
   link.set_user(state);
   transport::AsyncTcpLink* l = &link;
@@ -97,8 +70,7 @@ void FormatService::serve_conn(transport::AsyncTcpLink& link) {
     } catch (const Error& e) {
       // Malformed frame or request: this connection is done, the service
       // keeps running.
-      counters_.bad_frames.fetch_add(1, kRelaxed);
-      svc().bad_frames.inc();
+      counters_.inc(C::bad_frames);
       MORPH_LOG_WARN("fmtsvc") << "connection dropped: " << e.what();
       l->close();
     }
@@ -106,14 +78,14 @@ void FormatService::serve_conn(transport::AsyncTcpLink& link) {
 }
 
 Reply FormatService::handle(const Request& req) {
-  counters_.requests.fetch_add(1, kRelaxed);
+  counters_.inc(C::requests);
   Reply reply;
   reply.op = req.op;
   reply.request_id = req.request_id;
 
   switch (req.op) {
     case Op::kRegister: {
-      svc().req_register.inc();
+      counters_.inc(C::register_requests);
       for (const auto& entry : req.entries) {
         if (options_.lint != core::LintPolicy::kOff) {
           core::LintReport rep = core::lint_resolved(*entry.format, entry.transforms);
@@ -124,8 +96,7 @@ Reply FormatService::handle(const Request& req) {
             }
           }
           if (options_.lint == core::LintPolicy::kEnforce && !rep.ok()) {
-            counters_.lint_rejected.fetch_add(1, kRelaxed);
-            svc().lint_rejected.inc();
+            counters_.inc(C::lint_rejected);
             reply.status = Status::kRejected;
             continue;  // reject this entry, keep processing the rest
           }
@@ -151,16 +122,14 @@ Reply FormatService::handle(const Request& req) {
           }
           if (breaking) {
             if (options_.audit == analysis::AuditPolicy::kEnforce) {
-              counters_.audit_rejected.fetch_add(1, kRelaxed);
-              svc().audit_rejected.inc();
+              counters_.inc(C::audit_rejected);
               reply.status = Status::kRejected;
               continue;
             }
-            counters_.audit_warned.fetch_add(1, kRelaxed);
-            svc().audit_warned.inc();
+            counters_.inc(C::audit_warned);
           }
         }
-        if (store_.put(entry)) counters_.registered.fetch_add(1, kRelaxed);
+        if (store_.put(entry)) counters_.inc(C::registered);
         ++reply.accepted;
       }
       svc().store_formats.set(static_cast<double>(store_.size()));
@@ -168,7 +137,7 @@ Reply FormatService::handle(const Request& req) {
     }
     case Op::kFetch:
     case Op::kFetchMulti: {
-      (req.op == Op::kFetch ? svc().req_fetch : svc().req_fetch_multi).inc();
+      counters_.inc(req.op == Op::kFetch ? C::fetch_requests : C::fetch_multi_requests);
       for (uint64_t fp : req.fingerprints) {
         ReplyItem item;
         item.fingerprint = fp;
@@ -176,8 +145,7 @@ Reply FormatService::handle(const Request& req) {
           item.found = true;
           item.entry = std::move(*entry);
         } else {
-          counters_.not_found.fetch_add(1, kRelaxed);
-          svc().not_found.inc();
+          counters_.inc(C::not_found);
           if (req.op == Op::kFetch) reply.status = Status::kNotFound;
         }
         reply.items.push_back(std::move(item));
@@ -185,7 +153,7 @@ Reply FormatService::handle(const Request& req) {
       break;
     }
     case Op::kList: {
-      svc().req_list.inc();
+      counters_.inc(C::list_requests);
       for (FormatEntry& entry : store_.list()) {
         if (reply.items.size() >= kMaxEntriesPerRequest) break;  // protocol cap
         ReplyItem item;

@@ -22,12 +22,12 @@
 // enters the store; under kWarn it is accepted but counted and logged.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "analysis/audit.hpp"
 #include "core/lint.hpp"
 #include "fmtsvc/store.hpp"
+#include "obs/metrics.hpp"
 #include "transport/reactor.hpp"
 #include "transport/tcp.hpp"
 
@@ -47,15 +47,26 @@ struct ServiceOptions {
   size_t max_connections = 64;
 };
 
+/// The service's counters: ServiceStats field and exported registry name,
+/// or nullptr for the per-instance totals. `requests` is partitioned by op.
+#define MORPH_SERVICE_COUNTERS(X)                                                    \
+  X(connections, nullptr)                                                            \
+  X(requests, nullptr)                                                               \
+  X(register_requests, "morph_fmtsvc_requests_total{op=\"register\"}")               \
+  X(fetch_requests, "morph_fmtsvc_requests_total{op=\"fetch\"}")                     \
+  X(fetch_multi_requests, "morph_fmtsvc_requests_total{op=\"fetch_multi\"}")         \
+  X(list_requests, "morph_fmtsvc_requests_total{op=\"list\"}")                       \
+  X(registered, nullptr) /* formats accepted into the store */                       \
+  /* REGISTER entries refused under kEnforce / by the audit gate */                  \
+  X(lint_rejected, "morph_fmtsvc_server_lint_rejected_total")                        \
+  X(audit_rejected, "morph_fmtsvc_server_audit_rejected_total")                      \
+  /* entries with breaking audits under kWarn */                                     \
+  X(audit_warned, "morph_fmtsvc_server_audit_warned_total")                          \
+  X(not_found, "morph_fmtsvc_server_not_found_total") /* FETCH misses */             \
+  X(bad_frames, "morph_fmtsvc_server_bad_frames_total") /* connections killed */
+
 struct ServiceStats {
-  uint64_t connections = 0;
-  uint64_t requests = 0;
-  uint64_t registered = 0;      // formats accepted into the store
-  uint64_t lint_rejected = 0;   // REGISTER entries refused under kEnforce
-  uint64_t audit_rejected = 0;  // REGISTER entries refused by the audit gate
-  uint64_t audit_warned = 0;    // entries with breaking audits under kWarn
-  uint64_t not_found = 0;       // FETCH fingerprints the store lacked
-  uint64_t bad_frames = 0;      // connections killed by malformed input
+  MORPH_STATS(ServiceStats, MORPH_SERVICE_COUNTERS)
 };
 
 class FormatService {
@@ -67,7 +78,7 @@ class FormatService {
   FormatService& operator=(const FormatService&) = delete;
 
   uint16_t port() const { return listener_.port(); }
-  ServiceStats stats() const;
+  ServiceStats stats() const { return counters_.load(); }
 
  private:
   void serve_conn(transport::AsyncTcpLink& link);
@@ -77,17 +88,7 @@ class FormatService {
   ServiceOptions options_;
   transport::TcpListener listener_;
 
-  struct Counters {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> registered{0};
-    std::atomic<uint64_t> lint_rejected{0};
-    std::atomic<uint64_t> audit_rejected{0};
-    std::atomic<uint64_t> audit_warned{0};
-    std::atomic<uint64_t> not_found{0};
-    std::atomic<uint64_t> bad_frames{0};
-  };
-  mutable Counters counters_;
+  obs::CounterSet<ServiceStats> counters_;
 
   // Declared last: serving starts after every other member exists and
   // stops (joining the loop) before any of them is destroyed.

@@ -54,6 +54,35 @@ uint64_t HistogramSnapshot::percentile(double q) const {
   return max;
 }
 
+uint64_t Counter::value() const {
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  uint64_t sum = 0;
+  for (const auto& s : stripes_) sum += s.v.load(std::memory_order_relaxed);
+  for (const SlotLink* l = live_; l != nullptr; l = l->next) {
+    sum += l->value->load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+void Counter::attach(SlotLink& slot) {
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  slot.prev = nullptr;
+  slot.next = live_;
+  if (live_ != nullptr) live_->prev = &slot;
+  live_ = &slot;
+}
+
+void Counter::fold(SlotLink& slot) {
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  add(slot.value->load(std::memory_order_relaxed));
+  if (slot.prev != nullptr) {
+    slot.prev->next = slot.next;
+  } else {
+    live_ = slot.next;
+  }
+  if (slot.next != nullptr) slot.next->prev = slot.prev;
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   {
     std::shared_lock lock(mutex_);

@@ -22,13 +22,23 @@
 // view, exact for quiescent metrics and within one in-flight update
 // otherwise. The TSan suite runs writers against scrapers to keep this
 // honest.
+//
+// A subsystem whose instances keep their own counts (a Receiver, a port, a
+// server) declares them once, as an X-macro list of (field, exported name)
+// pairs, and keeps them in a CounterSet: one relaxed atomic per counter,
+// owned by the instance and attached to the registry Counter of that name.
+// The registry reads live slots at scrape time, so each event costs one
+// add, and the instance's stats() and the scrape read the same store.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -43,8 +53,17 @@ inline uint32_t thread_stripe() {
   return idx;
 }
 
+/// Registry-side link of one live CounterSet slot: the intrusive list node
+/// through which its Counter reads it.
+struct SlotLink {
+  const std::atomic<uint64_t>* value = nullptr;
+  SlotLink* prev = nullptr;
+  SlotLink* next = nullptr;
+};
+
 /// Monotone counter, striped to keep concurrent writers off each other's
-/// cache lines. value() is a relaxed sum over the stripes.
+/// cache lines. Besides its own adds it sums the CounterSet slots attached
+/// to it; a destroyed set's slots are folded into the stripes.
 class Counter {
  public:
   void add(uint64_t delta) {
@@ -52,18 +71,28 @@ class Counter {
   }
   void inc() { add(1); }
 
-  uint64_t value() const {
-    uint64_t sum = 0;
-    for (const auto& s : stripes_) sum += s.v.load(std::memory_order_relaxed);
-    return sum;
-  }
+  /// Stripes plus live slots, read under the lock that attach and fold
+  /// take: a slot is counted either live or folded, never both or neither,
+  /// so successive reads never go backwards.
+  uint64_t value() const;
 
  private:
+  template <class Stats>
+  friend class CounterSet;
+
+  /// Link `slot` into the live list (CounterSet construction).
+  void attach(SlotLink& slot);
+  /// Add `slot`'s final value to the stripes and unlink it (CounterSet
+  /// destruction).
+  void fold(SlotLink& slot);
+
   static constexpr size_t kStripes = 8;
   struct alignas(64) Stripe {
     std::atomic<uint64_t> v{0};
   };
   Stripe stripes_[kStripes];
+  mutable std::mutex slots_mutex_;
+  SlotLink* live_ = nullptr;  // guarded by slots_mutex_
 };
 
 /// A double-valued gauge (atomic<double> is lock-free on every target we
@@ -171,5 +200,120 @@ class MetricsRegistry {
 
 /// Shorthand for MetricsRegistry::global().
 MetricsRegistry& metrics();
+
+/// One entry of a subsystem's counter list: the stats field it fills and
+/// the registry name it exports as (labels baked in), or nullptr for a
+/// counter kept per instance only.
+template <class Stats>
+struct StatField {
+  uint64_t Stats::*field;
+  const char* name;
+};
+
+#define MORPH_STATS_FIELD_(field, name) uint64_t field = 0;
+#define MORPH_STATS_ID_(field, name) field,
+#define MORPH_STATS_COUNT_(field, name) +1
+#define MORPH_STATS_ENTRY_(field, name) ::morph::obs::StatField<S>{&S::field, name},
+
+/// Inside a stats struct, declares its counters from one X-macro list of
+/// `X(field, "exported_name" or nullptr)` entries: a uint64_t per entry,
+/// the slot ids `Self::Id::field`, their number, and the field table
+/// `fields()` that CounterSet, stats_delta and stats_add walk.
+#define MORPH_STATS(Self, LIST)                                     \
+  LIST(MORPH_STATS_FIELD_)                                          \
+  enum class Id : size_t { LIST(MORPH_STATS_ID_) };                 \
+  static constexpr size_t kCounters = 0 LIST(MORPH_STATS_COUNT_);   \
+  static constexpr auto fields() {                                  \
+    using S = Self;                                                 \
+    return std::array{LIST(MORPH_STATS_ENTRY_)};                    \
+  }
+
+/// Field-wise `later - earlier`: what happened between two snapshots.
+/// Counters are monotone, so with snapshots taken in order every field is
+/// well-defined (wraps if you subtract a later snapshot).
+template <class Stats>
+Stats stats_delta(Stats later, const Stats& earlier) {
+  for (const auto& f : Stats::fields()) later.*f.field -= earlier.*f.field;
+  return later;
+}
+
+/// Field-wise sum: aggregates the stats of several instances.
+template <class Stats>
+Stats& stats_add(Stats& into, const Stats& other) {
+  for (const auto& f : Stats::fields()) into.*f.field += other.*f.field;
+  return into;
+}
+
+/// The live counters of one instance of a subsystem whose stats struct is
+/// declared with MORPH_STATS. Each slot is a relaxed atomic; a named slot
+/// is attached to the global registry's Counter of that name for the set's
+/// lifetime and folded into it on destruction, so scrapes count every
+/// event once, whether its instance is alive or gone.
+template <class Stats>
+class CounterSet {
+ public:
+  using Id = typename Stats::Id;
+
+  CounterSet() {
+    const auto& counters = registry_counters();
+    for (size_t i = 0; i < kSize; ++i) {
+      if (counters[i] == nullptr) continue;
+      links_[i].value = &slots_[i];
+      counters[i]->attach(links_[i]);
+    }
+  }
+  ~CounterSet() {
+    const auto& counters = registry_counters();
+    for (size_t i = 0; i < kSize; ++i) {
+      if (counters[i] != nullptr) counters[i]->fold(links_[i]);
+    }
+  }
+  CounterSet(const CounterSet&) = delete;
+  CounterSet& operator=(const CounterSet&) = delete;
+
+  void add(Id id, uint64_t delta) {
+    slots_[static_cast<size_t>(id)].fetch_add(delta, std::memory_order_relaxed);
+  }
+  void inc(Id id) { add(id, 1); }
+  /// Field-wise add of a tally (zero fields cost nothing).
+  void add(const Stats& delta) {
+    constexpr auto fields = Stats::fields();
+    for (size_t i = 0; i < kSize; ++i) {
+      const uint64_t v = delta.*fields[i].field;
+      if (v != 0) slots_[i].fetch_add(v, std::memory_order_relaxed);
+    }
+  }
+
+  /// A point-in-time copy (relaxed loads, like a scrape).
+  Stats load() const {
+    constexpr auto fields = Stats::fields();
+    Stats s;
+    for (size_t i = 0; i < kSize; ++i) {
+      s.*fields[i].field = slots_[i].load(std::memory_order_relaxed);
+    }
+    return s;
+  }
+
+ private:
+  // The size only: a stats struct nested in its owner's class has no
+  // fields() table until the owner is complete.
+  static constexpr size_t kSize = Stats::kCounters;
+
+  /// The registry Counter behind each named slot, looked up once per type.
+  static const std::array<Counter*, kSize>& registry_counters() {
+    static const std::array<Counter*, kSize> counters = [] {
+      std::array<Counter*, kSize> c{};
+      for (size_t i = 0; i < kSize; ++i) {
+        const char* name = Stats::fields()[i].name;
+        if (name != nullptr) c[i] = &metrics().counter(name);
+      }
+      return c;
+    }();
+    return counters;
+  }
+
+  std::array<std::atomic<uint64_t>, kSize> slots_{};
+  std::array<SlotLink, kSize> links_{};
+};
 
 }  // namespace morph::obs

@@ -13,23 +13,11 @@
 namespace morph::transport {
 
 namespace {
-/// Process-wide port metrics, resolved once. Every MessagePort shares them
-/// (the registry aggregates across ports; per-port numbers stay available
-/// through MessagePort::stats()).
+using C = MessagePort::PortStats::Id;
+
+/// Process-wide port span histograms (the counters live in each port's
+/// CounterSet).
 struct PortMetrics {
-  obs::Counter& data_sent = obs::metrics().counter("morph_port_frames_sent_total{type=\"data\"}");
-  obs::Counter& meta_sent = obs::metrics().counter("morph_port_frames_sent_total{type=\"meta\"}");
-  obs::Counter& bytes_sent = obs::metrics().counter("morph_port_bytes_sent_total");
-  obs::Counter& data_received =
-      obs::metrics().counter("morph_port_frames_received_total{type=\"data\"}");
-  obs::Counter& meta_received =
-      obs::metrics().counter("morph_port_frames_received_total{type=\"meta\"}");
-  obs::Counter& meta_published = obs::metrics().counter("morph_port_meta_published_total");
-  obs::Counter& bad_frames = obs::metrics().counter("morph_port_bad_frames_total");
-  obs::Counter& pbuf_sent = obs::metrics().counter("morph_port_frames_sent_total{type=\"pbuf\"}");
-  obs::Counter& pbuf_received =
-      obs::metrics().counter("morph_port_frames_received_total{type=\"pbuf\"}");
-  obs::Counter& pbuf_rejects = obs::metrics().counter("morph_port_pbuf_rejects_total");
   obs::Histogram& send_ns = obs::metrics().histogram("morph_span_ns{span=\"port.send\"}");
   obs::Histogram& deliver_ns = obs::metrics().histogram("morph_span_ns{span=\"port.deliver\"}");
 };
@@ -56,10 +44,8 @@ void MessagePort::declare_transform(core::TransformSpec spec) {
     ByteBuffer frame;
     write_frame(frame, FrameType::kTransformDef, payload.data(), payload.size());
     link_.send(frame);
-    ++stats_.meta_frames_sent;
-    stats_.bytes_sent += frame.size();
-    port_metrics().meta_sent.inc();
-    port_metrics().bytes_sent.add(frame.size());
+    stats_.inc(C::meta_frames_sent);
+    stats_.add(C::bytes_sent, frame.size());
   }
 }
 
@@ -72,8 +58,7 @@ void MessagePort::send_meta_for(const pbio::FormatPtr& fmt) {
       if (spec.src->fingerprint() == fmt->fingerprint()) attached.push_back(spec);
     }
     if (meta_publisher_(fmt, attached)) {
-      ++stats_.meta_published;
-      port_metrics().meta_published.inc();
+      stats_.inc(C::meta_published);
       // Chain targets go out of band too, so a receiver fetching this
       // format can resolve the whole retro-transformation chain.
       for (const auto& spec : attached) send_meta_for(spec.dst);
@@ -88,10 +73,8 @@ void MessagePort::send_meta_for(const pbio::FormatPtr& fmt) {
   ByteBuffer frame;
   write_frame(frame, FrameType::kFormatDef, payload.data(), payload.size());
   link_.send(frame);
-  ++stats_.meta_frames_sent;
-  stats_.bytes_sent += frame.size();
-  port_metrics().meta_sent.inc();
-  port_metrics().bytes_sent.add(frame.size());
+  stats_.inc(C::meta_frames_sent);
+  stats_.add(C::bytes_sent, frame.size());
 
   // Ship every declared transform reachable from this format, walking the
   // retro-transformation chain (Figure 1).
@@ -102,10 +85,8 @@ void MessagePort::send_meta_for(const pbio::FormatPtr& fmt) {
     ByteBuffer tf;
     write_frame(tf, FrameType::kTransformDef, tp.data(), tp.size());
     link_.send(tf);
-    ++stats_.meta_frames_sent;
-    stats_.bytes_sent += tf.size();
-    port_metrics().meta_sent.inc();
-    port_metrics().bytes_sent.add(tf.size());
+    stats_.inc(C::meta_frames_sent);
+    stats_.add(C::bytes_sent, tf.size());
     send_meta_for(spec.dst);  // recurse down the chain
   }
 }
@@ -143,10 +124,8 @@ void MessagePort::send_record(const pbio::FormatPtr& fmt, const void* record) {
   ByteBuffer frame;
   write_frame(frame, FrameType::kData, msg.data(), msg.size(), trace_id);
   link_.send(frame);
-  ++stats_.data_sent;
-  stats_.bytes_sent += frame.size();
-  port_metrics().data_sent.inc();
-  port_metrics().bytes_sent.add(frame.size());
+  stats_.inc(C::data_sent);
+  stats_.add(C::bytes_sent, frame.size());
 }
 
 bool MessagePort::pbuf_sendable(const pbio::FormatPtr& fmt) {
@@ -170,12 +149,9 @@ void MessagePort::send_record_pbuf(const pbio::FormatPtr& fmt, const void* recor
   ByteBuffer frame;
   write_frame(frame, FrameType::kPbufData, msg.data(), msg.size(), trace_id);
   link_.send(frame);
-  ++stats_.data_sent;
-  ++stats_.pbuf_sent;
-  stats_.bytes_sent += frame.size();
-  port_metrics().data_sent.inc();
-  port_metrics().pbuf_sent.inc();
-  port_metrics().bytes_sent.add(frame.size());
+  stats_.inc(C::data_sent);
+  stats_.inc(C::pbuf_sent);
+  stats_.add(C::bytes_sent, frame.size());
 }
 
 void MessagePort::announce_pbuf() {
@@ -192,17 +168,15 @@ void MessagePort::send_shared(const pbio::FormatPtr& fmt, const SharedPayload& f
   obs::TraceSpan span("port.send", &port_metrics().send_ns);
   send_meta_for(fmt);
   link_.send_shared(frame);
-  ++stats_.data_sent;
-  stats_.bytes_sent += frame->size();
-  port_metrics().data_sent.inc();
-  port_metrics().bytes_sent.add(frame->size());
+  stats_.inc(C::data_sent);
+  stats_.add(C::bytes_sent, frame->size());
 }
 
 void MessagePort::send_control(const void* data, size_t size) {
   ByteBuffer frame;
   write_frame(frame, FrameType::kControl, data, size);
   link_.send(frame);
-  stats_.bytes_sent += frame.size();
+  stats_.add(C::control_bytes_sent, frame.size());
 }
 
 void MessagePort::on_bytes(const uint8_t* data, size_t size) {
@@ -216,15 +190,13 @@ void MessagePort::on_bytes(const uint8_t* data, size_t size) {
     feed_frames(data, size);
   } catch (const Error&) {
     wire_dead_ = true;
-    ++stats_.bad_frames;
-    port_metrics().bad_frames.inc();
+    stats_.inc(C::bad_frames);
   } catch (const std::bad_alloc&) {
     // Allocation failure while assembling or delivering a frame: go
     // wire-dead like any other poisoned stream instead of letting
     // bad_alloc unwind into the event loop driving the link.
     wire_dead_ = true;
-    ++stats_.bad_frames;
-    port_metrics().bad_frames.inc();
+    stats_.inc(C::bad_frames);
   }
 }
 
@@ -232,24 +204,21 @@ void MessagePort::feed_frames(const uint8_t* data, size_t size) {
   assembler_.feed(data, size, [this](Frame& frame) {
     switch (frame.type) {
       case FrameType::kFormatDef: {
-        ++stats_.meta_frames_received;
-        port_metrics().meta_received.inc();
+        stats_.inc(C::meta_frames_received);
         if (receiver_ == nullptr) return;
         ByteReader r(frame.payload.data(), frame.payload.size());
         receiver_->learn_format(pbio::FormatDescriptor::deserialize(r));
         break;
       }
       case FrameType::kTransformDef: {
-        ++stats_.meta_frames_received;
-        port_metrics().meta_received.inc();
+        stats_.inc(C::meta_frames_received);
         if (receiver_ == nullptr) return;
         ByteReader r(frame.payload.data(), frame.payload.size());
         receiver_->learn_transform(core::TransformSpec::deserialize(r));
         break;
       }
       case FrameType::kData: {
-        ++stats_.data_received;
-        port_metrics().data_received.inc();
+        stats_.inc(C::data_received);
         if (receiver_ == nullptr) return;
         // Adopt the sender's trace id (0 when the frame carried none) for
         // the duration of delivery, so receiver-side spans correlate with
@@ -275,10 +244,8 @@ void MessagePort::feed_frames(const uint8_t* data, size_t size) {
         break;
       }
       case FrameType::kPbufData: {
-        ++stats_.data_received;
-        ++stats_.pbuf_received;
-        port_metrics().data_received.inc();
-        port_metrics().pbuf_received.inc();
+        stats_.inc(C::data_received);
+        stats_.inc(C::pbuf_received);
         if (receiver_ == nullptr) return;
         obs::TraceScope trace_scope(obs::TraceContext{frame.trace_id});
         obs::TraceSpan span("port.deliver", &port_metrics().deliver_ns);
@@ -301,8 +268,7 @@ void MessagePort::deliver_pbuf(const Frame& frame) {
   // flight-recorded), never wire-death, and never an exception through the
   // link's receive callback.
   auto reject = [this](const std::string& detail) {
-    ++stats_.pbuf_rejects;
-    port_metrics().pbuf_rejects.inc();
+    stats_.inc(C::pbuf_rejects);
     obs::flight_record(obs::FlightKind::kReject, obs::current_trace().trace_id, detail);
   };
   if (frame.payload.size() < 8) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/receiver.hpp"
+#include "obs/metrics.hpp"
 #include "pbio/encode.hpp"
 #include "pbuf/bridge.hpp"
 #include "transport/framing.hpp"
@@ -80,19 +81,30 @@ class MessagePort {
       std::function<bool(const pbio::FormatPtr&, const std::vector<core::TransformSpec>&)>;
   void set_meta_publisher(MetaPublisher publisher) { meta_publisher_ = std::move(publisher); }
 
+  /// The port's counters: PortStats field and exported registry name, or
+  /// nullptr for the per-port control-frame bytes (bytes_sent counts data
+  /// and meta frames only).
+#define MORPH_PORT_COUNTERS(X)                                                     \
+  X(data_sent, "morph_port_frames_sent_total{type=\"data\"}")                      \
+  X(data_received, "morph_port_frames_received_total{type=\"data\"}")              \
+  X(meta_frames_sent, "morph_port_frames_sent_total{type=\"meta\"}")               \
+  X(meta_frames_received, "morph_port_frames_received_total{type=\"meta\"}")       \
+  /* formats handed to the meta publisher */                                       \
+  X(meta_published, "morph_port_meta_published_total")                             \
+  X(bytes_sent, "morph_port_bytes_sent_total")                                     \
+  X(control_bytes_sent, nullptr)                                                   \
+  /* malformed frames; the port is wire-dead after one */                          \
+  X(bad_frames, "morph_port_bad_frames_total")                                     \
+  /* data frames that went out protobuf-encoded / kPbufData frames that arrived */ \
+  X(pbuf_sent, "morph_port_frames_sent_total{type=\"pbuf\"}")                      \
+  X(pbuf_received, "morph_port_frames_received_total{type=\"pbuf\"}")              \
+  /* pbuf frames dropped (bad payload/unknown format) */                           \
+  X(pbuf_rejects, "morph_port_pbuf_rejects_total")
+
   struct PortStats {
-    uint64_t data_sent = 0;
-    uint64_t data_received = 0;
-    uint64_t meta_frames_sent = 0;
-    uint64_t meta_frames_received = 0;
-    uint64_t meta_published = 0;  // formats handed to the meta publisher
-    uint64_t bytes_sent = 0;
-    uint64_t bad_frames = 0;  // malformed frames; the port is wire-dead after one
-    uint64_t pbuf_sent = 0;      // data frames that went out protobuf-encoded
-    uint64_t pbuf_received = 0;  // kPbufData frames that arrived
-    uint64_t pbuf_rejects = 0;   // pbuf frames dropped (bad payload/unknown format)
+    MORPH_STATS(PortStats, MORPH_PORT_COUNTERS)
   };
-  const PortStats& stats() const { return stats_; }
+  PortStats stats() const { return stats_.load(); }
 
   /// True once a malformed frame poisoned the byte stream: the port stops
   /// processing input (framing cannot resynchronize) but never throws
@@ -119,7 +131,7 @@ class MessagePort {
   std::function<void(const uint8_t*, size_t)> on_control_;
   MetaPublisher meta_publisher_;
   RecordArena rx_arena_;
-  PortStats stats_;
+  obs::CounterSet<PortStats> stats_;
   bool wire_dead_ = false;
   bool peer_accepts_pbuf_ = false;
 };

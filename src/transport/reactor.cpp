@@ -20,6 +20,8 @@ namespace morph::transport {
 
 namespace {
 
+using C = Reactor::Stats::Id;
+
 uint64_t monotonic_ns() {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -35,22 +37,15 @@ void set_nonblocking(int fd) {
   }
 }
 
-/// Process-wide reactor metrics, looked up once (references stay valid for
-/// the registry's lifetime). Leaked singleton, same idiom as PortMetrics.
+/// Process-wide reactor gauges, histograms and the counters that have no
+/// per-loop twin, looked up once (references stay valid for the registry's
+/// lifetime). Leaked singleton.
 struct ReactorMetrics {
   obs::Gauge& connections = obs::metrics().gauge("morph_reactor_connections");
   obs::Gauge& outbox_bytes = obs::metrics().gauge("morph_reactor_outbox_bytes");
   obs::Histogram& loop_ns = obs::metrics().histogram("morph_reactor_loop_ns");
   obs::Histogram& dispatch_ns = obs::metrics().histogram("morph_reactor_dispatch_ns");
-  obs::Counter& accepted = obs::metrics().counter("morph_reactor_accepted_total");
-  obs::Counter& closed = obs::metrics().counter("morph_reactor_closed_total");
-  obs::Counter& refused = obs::metrics().counter("morph_reactor_refused_total");
-  obs::Counter& idle_timeouts = obs::metrics().counter("morph_reactor_idle_timeouts_total");
-  obs::Counter& backpressure_closes =
-      obs::metrics().counter("morph_reactor_backpressure_closes_total");
-  obs::Counter& send_drops = obs::metrics().counter("morph_reactor_send_drops_total");
   obs::Counter& wakeups = obs::metrics().counter("morph_reactor_wakeups_total");
-  obs::Counter& bad_callbacks = obs::metrics().counter("morph_reactor_bad_callbacks_total");
   obs::Counter& sendmsg = obs::metrics().counter("morph_reactor_sendmsg_total");
   obs::Counter& readv = obs::metrics().counter("morph_reactor_readv_total");
   obs::Counter& epoll_waits = obs::metrics().counter("morph_reactor_epoll_waits_total");
@@ -106,8 +101,7 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
     if (kill_ || closed_.load(std::memory_order_relaxed)) {
       // Closed or closing: the bytes have nowhere to go. Counted, not thrown
       // — async senders (fan-out loops, reply paths) cannot usefully unwind.
-      loop_->counters_.send_drops.fetch_add(1, std::memory_order_relaxed);
-      gm().send_drops.inc();
+      loop_->counters_.inc(C::send_drops);
       return false;
     }
     if (out_bytes_ + size > loop_->options_.max_outbox_bytes) {
@@ -126,10 +120,8 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
     }
   }
   if (overflow) {
-    loop_->counters_.send_drops.fetch_add(1, std::memory_order_relaxed);
-    loop_->counters_.backpressure_closes.fetch_add(1, std::memory_order_relaxed);
-    gm().send_drops.inc();
-    gm().backpressure_closes.inc();
+    loop_->counters_.inc(C::send_drops);
+    loop_->counters_.inc(C::backpressure_closes);
     loop_->request_close(shared(), "outbox overflow");
     return false;
   }
@@ -242,16 +234,14 @@ void Reactor::adopt(int fd) {
       return;  // fd closed by the link destructor
     }
     conns_[fd] = conn;
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    gm().accepted.inc();
+    counters_.inc(C::accepted);
     gm().connections.add(1);
     if (tick_ms_ > 0) wheel_touch(*conn, monotonic_ms());
     if (on_accept_) {
       try {
         on_accept_(*conn);
       } catch (...) {
-        counters_.bad_callbacks.fetch_add(1, std::memory_order_relaxed);
-        gm().bad_callbacks.inc();
+        counters_.inc(C::bad_callbacks);
         close_conn(*conn, "accept callback error");
       }
     }
@@ -368,8 +358,7 @@ void Reactor::close_conn(AsyncTcpLink& conn, const char* reason) {
   // the instant ::close runs, and anything it does in response (including a
   // test polling connections()) must not see a stale count.
   conn_count_.fetch_sub(1, std::memory_order_relaxed);
-  counters_.closed.fetch_add(1, std::memory_order_relaxed);
-  gm().closed.inc();
+  counters_.inc(C::closed);
   gm().connections.add(-1);
 
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd_, nullptr);
@@ -388,8 +377,7 @@ void Reactor::close_conn(AsyncTcpLink& conn, const char* reason) {
     try {
       on_close_(conn);
     } catch (...) {
-      counters_.bad_callbacks.fetch_add(1, std::memory_order_relaxed);
-      gm().bad_callbacks.inc();
+      counters_.inc(C::bad_callbacks);
     }
   }
   conn.user_.reset();  // application state dies on the loop thread
@@ -461,8 +449,7 @@ void Reactor::dispatch_ring(AsyncTcpLink& conn) {
     } catch (...) {
       // Exceptions never unwind through the loop: a throwing protocol
       // handler costs its connection, not the process.
-      counters_.bad_callbacks.fetch_add(1, std::memory_order_relaxed);
-      gm().bad_callbacks.inc();
+      counters_.inc(C::bad_callbacks);
       close_conn(conn, "data callback error");
       return;
     }
@@ -509,8 +496,7 @@ void Reactor::wheel_advance(uint64_t now_ms) {
       if (c->dead_) continue;
       const uint64_t deadline = c->last_active_ms_ + options_.idle_timeout_ms;
       if (deadline <= now_ms) {
-        counters_.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
-        gm().idle_timeouts.inc();
+        counters_.inc(C::idle_timeouts);
         close_conn(*c, "idle timeout");
         continue;
       }
@@ -578,17 +564,6 @@ void Reactor::run() {
   }
 }
 
-Reactor::Stats Reactor::stats() const {
-  Stats s;
-  s.accepted = counters_.accepted.load(std::memory_order_relaxed);
-  s.closed = counters_.closed.load(std::memory_order_relaxed);
-  s.idle_timeouts = counters_.idle_timeouts.load(std::memory_order_relaxed);
-  s.backpressure_closes = counters_.backpressure_closes.load(std::memory_order_relaxed);
-  s.send_drops = counters_.send_drops.load(std::memory_order_relaxed);
-  s.bad_callbacks = counters_.bad_callbacks.load(std::memory_order_relaxed);
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // ReactorServer
 
@@ -619,15 +594,7 @@ size_t ReactorServer::connections() const {
 
 Reactor::Stats ReactorServer::stats() const {
   Reactor::Stats total;
-  for (const auto& loop : loops_) {
-    const Reactor::Stats s = loop->stats();
-    total.accepted += s.accepted;
-    total.closed += s.closed;
-    total.idle_timeouts += s.idle_timeouts;
-    total.backpressure_closes += s.backpressure_closes;
-    total.send_drops += s.send_drops;
-    total.bad_callbacks += s.bad_callbacks;
-  }
+  for (const auto& loop : loops_) obs::stats_add(total, loop->stats());
   return total;
 }
 
@@ -641,8 +608,7 @@ void ReactorServer::accept_loop() {
     }
     if (!link) continue;
     if (connections() >= options_.max_connections) {
-      refused_.fetch_add(1, std::memory_order_relaxed);
-      gm().refused.inc();
+      loops_.front()->counters_.inc(C::refused);
       continue;  // link destructor closes: the client sees EOF
     }
     const size_t idx = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();

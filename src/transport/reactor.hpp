@@ -47,6 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "transport/link.hpp"
 #include "transport/tcp.hpp"
 
@@ -217,18 +218,27 @@ class Reactor {
   /// output waits behind handler work.
   static constexpr size_t kFlushBytes = 16u << 10;
 
+  /// The loop's counters: Stats field and exported registry name.
+#define MORPH_REACTOR_COUNTERS(X)                                            \
+  X(accepted, "morph_reactor_accepted_total")                                \
+  X(closed, "morph_reactor_closed_total")                                    \
+  X(idle_timeouts, "morph_reactor_idle_timeouts_total")                      \
+  X(backpressure_closes, "morph_reactor_backpressure_closes_total")          \
+  /* send() calls dropped (closed link or overflow) */                       \
+  X(send_drops, "morph_reactor_send_drops_total")                            \
+  /* callbacks that threw (connection closed) */                             \
+  X(bad_callbacks, "morph_reactor_bad_callbacks_total")                      \
+  /* accepts a ReactorServer refused at max_connections (its first loop) */  \
+  X(refused, "morph_reactor_refused_total")
+
   struct Stats {
-    uint64_t accepted = 0;
-    uint64_t closed = 0;
-    uint64_t idle_timeouts = 0;
-    uint64_t backpressure_closes = 0;
-    uint64_t send_drops = 0;  // send() calls dropped (closed link or overflow)
-    uint64_t bad_callbacks = 0;  // data callbacks that threw (connection closed)
+    MORPH_STATS(Stats, MORPH_REACTOR_COUNTERS)
   };
-  Stats stats() const;
+  Stats stats() const { return counters_.load(); }
 
  private:
   friend class AsyncTcpLink;
+  friend class ReactorServer;
 
   void run();
   void wake();
@@ -272,15 +282,7 @@ class Reactor {
   ConnCallback on_accept_;
   ConnCallback on_close_;
 
-  struct Counters {
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> closed{0};
-    std::atomic<uint64_t> idle_timeouts{0};
-    std::atomic<uint64_t> backpressure_closes{0};
-    std::atomic<uint64_t> send_drops{0};
-    std::atomic<uint64_t> bad_callbacks{0};
-  };
-  Counters counters_;
+  obs::CounterSet<Stats> counters_;
 
   std::thread thread_;  // initialized last: run() starts after members
 };
@@ -308,7 +310,7 @@ class ReactorServer {
   Reactor& loop(size_t i) { return *loops_[i]; }
 
   /// Accepts refused because max_connections was reached.
-  uint64_t refused() const { return refused_.load(std::memory_order_relaxed); }
+  uint64_t refused() const { return stats().refused; }
 
   /// Aggregated over all loops.
   Reactor::Stats stats() const;
@@ -320,7 +322,6 @@ class ReactorServer {
   ReactorOptions options_;
   std::vector<std::unique_ptr<Reactor>> loops_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> refused_{0};
   std::atomic<size_t> next_loop_{0};
   std::thread acceptor_;  // initialized last
 };

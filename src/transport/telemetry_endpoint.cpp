@@ -14,17 +14,11 @@ namespace morph::transport {
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// Process-wide exporter metrics, resolved once.
+/// Conservation inputs, read (not owned) by name: how many morphs this
+/// process performed and how many spans the ring already evicted. Their
+/// value() sums every receiver and publisher, live or destroyed; looking
+/// them up by name keeps this file free of upward dependencies.
 struct ExportMetrics {
-  obs::Counter& batches = obs::metrics().counter("morph_telemetry_export_batches_total");
-  obs::Counter& spans = obs::metrics().counter("morph_telemetry_export_spans_total");
-  obs::Counter& dropped = obs::metrics().counter("morph_telemetry_export_dropped_total");
-  obs::Counter& send_failures =
-      obs::metrics().counter("morph_telemetry_export_send_failures_total");
-  // Conservation inputs, read (not owned) by name: how many morphs this
-  // process performed and how many spans the ring already evicted. The
-  // lookups create the counters at zero when the instrumented code never
-  // ran — harmless, and it keeps obs free of upward dependencies.
   obs::Counter& rx_morphs = obs::metrics().counter("morph_rx_morphs_total");
   obs::Counter& fanout_morphs = obs::metrics().counter("echo_fanout_morphs_total");
   obs::Counter& ring_dropped = obs::metrics().counter("morph_obs_spans_dropped_total");
@@ -35,18 +29,12 @@ ExportMetrics& xm() {
   return m;
 }
 
-/// Process-wide collector metrics.
-struct CollectorMetrics {
-  obs::Counter& batches = obs::metrics().counter("morph_telemetry_batches_total");
-  obs::Counter& spans = obs::metrics().counter("morph_telemetry_spans_total");
-  obs::Counter& dumps = obs::metrics().counter("morph_telemetry_dumps_total");
-  obs::Counter& bad_frames = obs::metrics().counter("morph_telemetry_bad_frames_total");
-  obs::Gauge& live_conns = obs::metrics().gauge("morph_telemetry_connections");
-};
+using C = CollectorStats::Id;
+using E = ExporterStats::Id;
 
-CollectorMetrics& cm() {
-  static CollectorMetrics& m = *new CollectorMetrics();  // leaked
-  return m;
+obs::Gauge& live_conns() {
+  static obs::Gauge& g = obs::metrics().gauge("morph_telemetry_connections");
+  return g;
 }
 
 }  // namespace
@@ -86,7 +74,7 @@ bool SpanExporter::push_pending_locked() {
   if (pending_.size() > options_.max_pending) {
     size_t excess = pending_.size() - options_.max_pending;
     pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(excess));
-    xm().dropped.add(excess);
+    counters_.add(E::dropped, excess);
   }
   if (pending_.empty()) return true;
 
@@ -96,8 +84,9 @@ bool SpanExporter::push_pending_locked() {
     batch.process = obs::process_name();
     batch.spans.assign(std::make_move_iterator(pending_.begin()),
                        std::make_move_iterator(pending_.begin() + static_cast<ptrdiff_t>(take)));
-    batch.exported_total = exported_.load(kRelaxed) + take;
-    batch.dropped_total = xm().ring_dropped.value() + xm().dropped.value();
+    const ExporterStats sent = counters_.load();
+    batch.exported_total = sent.spans + take;
+    batch.dropped_total = xm().ring_dropped.value() + sent.dropped;
     batch.morphs_total = xm().rx_morphs.value() + xm().fanout_morphs.value();
     auto payload = obs::encode_span_batch(batch);
     ByteBuffer frame;
@@ -110,7 +99,7 @@ bool SpanExporter::push_pending_locked() {
     } catch (const Error&) {
       // Collector down or mid-restart: put the spans back (order
       // preserved) and retry with a fresh connection next cycle.
-      xm().send_failures.inc();
+      counters_.inc(E::send_failures);
       link_.reset();
       for (size_t i = 0; i < take; ++i) {
         pending_[i] = std::move(batch.spans[i]);
@@ -118,9 +107,8 @@ bool SpanExporter::push_pending_locked() {
       return false;
     }
     pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(take));
-    exported_.fetch_add(take, kRelaxed);
-    xm().batches.inc();
-    xm().spans.add(take);
+    counters_.inc(E::batches);
+    counters_.add(E::spans, take);
   }
   return true;
 }
@@ -135,25 +123,15 @@ TelemetryCollector::TelemetryCollector(CollectorOptions options)
                          .max_connections = options.max_connections},
           [this](AsyncTcpLink& link) { serve_conn(link); }) {}
 
-CollectorStats TelemetryCollector::stats() const {
-  CollectorStats s;
-  s.connections = counters_.connections.load(kRelaxed);
-  s.batches = counters_.batches.load(kRelaxed);
-  s.spans = counters_.spans.load(kRelaxed);
-  s.dumps = counters_.dumps.load(kRelaxed);
-  s.bad_frames = counters_.bad_frames.load(kRelaxed);
-  return s;
-}
-
 void TelemetryCollector::serve_conn(AsyncTcpLink& link) {
   // Per-connection state dies with the connection, at close or when the
   // collector stops, so the live gauge stays exact either way.
   struct ConnState {
-    ConnState() { cm().live_conns.add(1); }
-    ~ConnState() { cm().live_conns.add(-1); }
+    ConnState() { live_conns().add(1); }
+    ~ConnState() { live_conns().add(-1); }
     FrameAssembler assembler;
   };
-  counters_.connections.fetch_add(1, kRelaxed);
+  counters_.inc(C::connections);
   auto state = std::make_shared<ConnState>();
   link.set_user(state);
   AsyncTcpLink* l = &link;
@@ -166,14 +144,11 @@ void TelemetryCollector::serve_conn(AsyncTcpLink& link) {
         uint8_t op = obs::telemetry_op(frame.payload.data(), frame.payload.size());
         if (op == static_cast<uint8_t>(obs::TelemetryOp::kSpanBatch)) {
           auto batch = obs::decode_span_batch(frame.payload.data(), frame.payload.size());
-          counters_.batches.fetch_add(1, kRelaxed);
-          counters_.spans.fetch_add(batch.spans.size(), kRelaxed);
-          cm().batches.inc();
-          cm().spans.add(batch.spans.size());
+          counters_.inc(C::batches);
+          counters_.add(C::spans, batch.spans.size());
           stitcher_.ingest(batch);
         } else if (op == static_cast<uint8_t>(obs::TelemetryOp::kDumpRequest)) {
-          counters_.dumps.fetch_add(1, kRelaxed);
-          cm().dumps.inc();
+          counters_.inc(C::dumps);
           auto payload = obs::encode_dump_reply(stitcher_.to_json());
           ByteBuffer out;
           write_frame(out, FrameType::kTelemetry, payload.data(), payload.size());
@@ -185,8 +160,7 @@ void TelemetryCollector::serve_conn(AsyncTcpLink& link) {
     } catch (const Error& e) {
       // Malformed frame: this connection is done, the collector keeps
       // serving everyone else.
-      counters_.bad_frames.fetch_add(1, kRelaxed);
-      cm().bad_frames.inc();
+      counters_.inc(C::bad_frames);
       MORPH_LOG_WARN("telemetry") << "connection dropped: " << e.what();
       l->close();
     }

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/stitch.hpp"
 #include "obs/telemetry.hpp"
 #include "transport/reactor.hpp"
@@ -43,6 +44,17 @@ struct ExporterOptions {
   bool enable_tracing = true;
 };
 
+/// The exporter's counters: ExporterStats field and exported registry name.
+#define MORPH_EXPORTER_COUNTERS(X)                                 \
+  X(batches, "morph_telemetry_export_batches_total")               \
+  X(spans, "morph_telemetry_export_spans_total")                   \
+  X(dropped, "morph_telemetry_export_dropped_total")               \
+  X(send_failures, "morph_telemetry_export_send_failures_total")
+
+struct ExporterStats {
+  MORPH_STATS(ExporterStats, MORPH_EXPORTER_COUNTERS)
+};
+
 /// Background span shipper. Construct after set_process_name() (the name
 /// is stamped on every batch); destruction flushes once more, best effort.
 class SpanExporter {
@@ -58,14 +70,14 @@ class SpanExporter {
   bool flush();
 
   /// Cumulative spans successfully written to the collector.
-  uint64_t exported() const { return exported_.load(std::memory_order_relaxed); }
+  uint64_t exported() const { return counters_.load().spans; }
 
  private:
   void run();
   bool push_pending_locked();  // requires cycle_mutex_
 
   ExporterOptions options_;
-  std::atomic<uint64_t> exported_{0};
+  obs::CounterSet<ExporterStats> counters_;
   std::atomic<bool> stop_{false};
 
   std::mutex cycle_mutex_;  // serializes flush() against the thread's cycles
@@ -82,12 +94,17 @@ struct CollectorOptions {
   size_t max_connections = 64;
 };
 
+/// The collector's counters: CollectorStats field and exported registry
+/// name, or nullptr for the per-instance connection total.
+#define MORPH_COLLECTOR_COUNTERS(X)                        \
+  X(connections, nullptr)                                  \
+  X(batches, "morph_telemetry_batches_total")              \
+  X(spans, "morph_telemetry_spans_total")                  \
+  X(dumps, "morph_telemetry_dumps_total")                  \
+  X(bad_frames, "morph_telemetry_bad_frames_total")
+
 struct CollectorStats {
-  uint64_t connections = 0;
-  uint64_t batches = 0;
-  uint64_t spans = 0;
-  uint64_t dumps = 0;
-  uint64_t bad_frames = 0;
+  MORPH_STATS(CollectorStats, MORPH_COLLECTOR_COUNTERS)
 };
 
 /// Telemetry ingest service. Accepts kTelemetry frames: span batches feed
@@ -101,7 +118,7 @@ class TelemetryCollector {
   TelemetryCollector& operator=(const TelemetryCollector&) = delete;
 
   uint16_t port() const { return listener_.port(); }
-  CollectorStats stats() const;
+  CollectorStats stats() const { return counters_.load(); }
 
   const obs::TraceStitcher& stitcher() const { return stitcher_; }
 
@@ -111,14 +128,7 @@ class TelemetryCollector {
   obs::TraceStitcher stitcher_;
   TcpListener listener_;
 
-  struct Counters {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> spans{0};
-    std::atomic<uint64_t> dumps{0};
-    std::atomic<uint64_t> bad_frames{0};
-  };
-  mutable Counters counters_;
+  obs::CounterSet<CollectorStats> counters_;
 
   // Declared last: serving starts after every other member exists and
   // stops (joining the loop) before any of them is destroyed.

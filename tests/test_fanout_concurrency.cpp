@@ -299,13 +299,13 @@ TEST(FanoutConcurrency, GroupedPublishUnderSubscriberChurn) {
       for (int i = 1; i <= kRevs; ++i) r.set_int("extra" + std::to_string(i), e + i);
 
       auto snap = reg.snapshot(key);
-      PublishCounts counts = publisher.publish(
+      PublisherStats counts = publisher.publish(
           src, rec, *snap, [&](SinkId s) { return ports[static_cast<size_t>(s)].get(); },
           [&](SinkId) { expected_fallbacks.fetch_add(1, std::memory_order_relaxed); });
-      expected_deliveries.fetch_add(counts.deliveries, std::memory_order_relaxed);
+      expected_deliveries.fetch_add(counts.fanout_deliveries, std::memory_order_relaxed);
       // Conservation at the publisher: every snapshot sink was either
       // delivered to or fell back, never both, never neither.
-      EXPECT_EQ(counts.deliveries + counts.fallbacks, snap->total_sinks);
+      EXPECT_EQ(counts.fanout_deliveries + counts.fanout_fallbacks, snap->total_sinks);
     }
   });
 

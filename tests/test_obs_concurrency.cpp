@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,6 +98,80 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
   for (const auto& [name, h] : final_snap.histograms) {
     EXPECT_EQ(h.count, kWriters * kPerThread) << name;
   }
+}
+
+#define TEST_SET_COUNTERS(X)            \
+  X(a, "obs_test_counterset_a_total")   \
+  X(b, "obs_test_counterset_b_total")   \
+  X(local, nullptr)
+
+struct TestSetStats {
+  MORPH_STATS(TestSetStats, TEST_SET_COUNTERS)
+};
+
+TEST(ObsConcurrency, CounterSetScrapeRacesDestroy) {
+  // Writers add to short-lived CounterSets and destroy them while a
+  // scraper reads the same counters through snapshot() and value(): the
+  // fold into the registry must never let a read go backwards, and
+  // nothing added may be lost.
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 50;
+  constexpr int kSetsPerRound = 3;
+  constexpr uint64_t kAddsPerRound = 999;
+  const char* const kName = "obs_test_counterset_a_total";
+  Counter& a = metrics().counter(kName);
+  const uint64_t base_a = a.value();
+  const uint64_t base_b = metrics().counter("obs_test_counterset_b_total").value();
+  std::atomic<bool> stop{false};
+  std::latch scraper_ready(1);
+
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&] {
+      scraper_ready.wait();
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<std::unique_ptr<CounterSet<TestSetStats>>> sets;
+        for (int i = 0; i < kSetsPerRound; ++i) {
+          sets.push_back(std::make_unique<CounterSet<TestSetStats>>());
+        }
+        for (uint64_t i = 0; i < kAddsPerRound; ++i) {
+          auto& set = *sets[i % kSetsPerRound];
+          set.inc(TestSetStats::Id::a);
+          set.add(TestSetStats::Id::b, 2);
+          set.inc(TestSetStats::Id::local);
+        }
+        EXPECT_EQ(sets[0]->load().a, kAddsPerRound / kSetsPerRound);
+      }  // the round's sets fold into the registry here
+    });
+  }
+  uint64_t reads = 0;
+  uint64_t backwards = 0;
+  std::thread scraper([&] {
+    uint64_t last = 0;
+    auto observe = [&](uint64_t v) {
+      if (v < last) ++backwards;
+      last = v;
+      ++reads;
+    };
+    bool first = true;
+    do {
+      for (const auto& [name, v] : metrics().snapshot().counters) {
+        if (name == kName) observe(v);
+      }
+      observe(a.value());
+      if (first) scraper_ready.count_down();
+      first = false;
+    } while (!stop.load(std::memory_order_relaxed));
+  });
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_relaxed);
+  scraper.join();
+
+  EXPECT_GE(reads, 2u);
+  EXPECT_EQ(backwards, 0u);
+  const uint64_t adds = kWriters * kRounds * kAddsPerRound;
+  EXPECT_EQ(a.value() - base_a, adds);
+  EXPECT_EQ(metrics().counter("obs_test_counterset_b_total").value() - base_b, 2 * adds);
 }
 
 TEST(ObsConcurrency, SpanRingUnderConcurrentSpans) {

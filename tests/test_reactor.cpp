@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <latch>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +25,7 @@
 #include "obs/trace.hpp"
 #include "pbio/record.hpp"
 #include "transport/framing.hpp"
+#include "transport/port.hpp"
 #include "transport/reactor.hpp"
 #include "transport/tcp.hpp"
 
@@ -858,6 +860,69 @@ TEST(EchoNode, ReplyBytesMatchGolden) {
     if (!published) published = node.publish("sensors", fmt, rec) == 1;
   });
   EXPECT_TRUE(published);
+}
+
+TEST(EchoNode, ScrapeDuringTrafficIsRaceFree) {
+  // The node's loop thread bumps the counters of its ports, receivers,
+  // process and publisher while this thread's subscriber bumps its own and
+  // a scraper thread snapshots them all. Run under TSan, this referees
+  // every counter the scrape reads from a live instance.
+  EchoTcpNode node("creator");
+  auto fmt = reading_format();
+  node.with_process([&fmt](EchoProcess& p) {
+    p.create_channel("out");
+    p.on_event("in", fmt, [&p, fmt](const Event& ev) {
+      p.publish("out", fmt, ev.delivery->record);
+    });
+  });
+
+  auto link = transport::TcpLink::connect("127.0.0.1", node.port());
+  EchoProcess sub("sub", EchoVersion::kV2);
+  sub.attach_link(*link);
+  int received = 0;
+  sub.on_event("out", fmt, [&](const Event&) { ++received; });
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  for (;;) {
+    ASSERT_TRUE(link->pump(20));
+    try {
+      sub.open_channel("out", "creator", /*source=*/false, /*sink=*/true);
+      break;
+    } catch (const Error&) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "creator HELLO never arrived";
+    }
+  }
+  while (sub.members("out").empty() && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(link->pump(20));
+  }
+  ASSERT_EQ(sub.members("out").size(), 1u);
+
+  // Traffic starts after the scraper's first snapshot; the scraper keeps
+  // reading until the last relayed event has arrived.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scrapes{0};
+  std::latch scraping(1);
+  std::thread scraper([&] {
+    do {
+      EXPECT_FALSE(obs::metrics().snapshot().counters.empty());
+      if (scrapes.fetch_add(1, std::memory_order_relaxed) == 0) scraping.count_down();
+    } while (!stop.load(std::memory_order_relaxed));
+  });
+  scraping.wait();
+
+  // A bare port injects events; the node relays each one to "out".
+  constexpr int kEvents = 200;
+  auto in_link = transport::TcpLink::connect("127.0.0.1", node.port());
+  transport::MessagePort in_port(*in_link, nullptr);
+  RecordArena arena;
+  void* rec = pbio::alloc_record(*fmt, arena);
+  pbio::RecordRef(rec, fmt).set_int("station", 4);
+  for (int i = 0; i < kEvents; ++i) in_port.send_record(fmt, rec);
+  while (received < kEvents && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(link->pump(20));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  scraper.join();
+  EXPECT_EQ(received, kEvents);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "pbio/dynrecord.hpp"
 #include "pbio/encode.hpp"
 #include "pbio/record.hpp"
+#include "scrape_check.hpp"
 
 namespace morph::core {
 namespace {
@@ -21,6 +22,16 @@ FormatPtr fmt_v(int extra_fields) {
   b.add_int("base", 4);
   for (int i = 0; i < extra_fields; ++i) b.add_int("x" + std::to_string(i), 4);
   return b.build();
+}
+
+/// One record of `fmt` with its "v" field set.
+ByteBuffer encode_one_v(const FormatPtr& fmt) {
+  RecordArena arena;
+  void* rec = pbio::alloc_record(*fmt, arena);
+  pbio::RecordRef(rec, fmt).set_int("v", 1);
+  ByteBuffer buf;
+  pbio::Encoder(fmt).encode(rec, buf);
+  return buf;
 }
 
 ByteBuffer encode_one(const FormatPtr& fmt, int base_value) {
@@ -324,6 +335,80 @@ TEST(Receiver, InPlaceDecodeFeedsMorphDirectly) {
   EXPECT_EQ(rx.process(wire2.data(), wire2.size(), rx_arena), Outcome::kMorphed);
   EXPECT_EQ(rx.stats().morph_inplace, 1u);
   EXPECT_EQ(rx.stats().morph_fused, 2u);
+}
+
+TEST(Receiver, StatsMatchScrapePerOutcome) {
+  // One receiver reaches all seven outcomes. Its stats() and the registry
+  // read one store: each field equals the scrape delta of its counter, and
+  // destroying the receiver leaves every scrape value where it was.
+  auto named = [](const std::string& name, std::initializer_list<const char*> fields) {
+    FormatBuilder b(name);
+    for (const char* f : fields) b.add_int(f, 4);
+    return b.build();
+  };
+  auto down = [](FormatPtr src, FormatPtr dst) {
+    TransformSpec s;
+    s.src = std::move(src);
+    s.dst = std::move(dst);
+    s.code = "old.v = new.v;";
+    return s;
+  };
+  const auto before = scrape::counters();
+  scrape::Counters live;
+  ReceiverStats s;
+  {
+    ReceiverOptions opt;
+    opt.thresholds = {4, 0.9};
+    Receiver rx(opt);
+    std::vector<Outcome> seen;
+    auto record = [&seen](const Delivery& d) { seen.push_back(d.outcome); };
+
+    auto exact = named("Exact", {"v"});
+    auto perfect_reader = FormatBuilder("Perf").add_int("b", 8).add_int("v", 4).build();
+    auto perfect_wire = FormatBuilder("Perf").add_int("v", 4).add_int("b", 2).build();
+    auto rec_reader =
+        FormatBuilder("Rec").add_int("v", 4).add_int("fresh", 4).with_default(int64_t{5}).build();
+    auto rec_wire = named("Rec", {"v", "legacy"});
+    auto morph_reader = named("Morph", {"v"});
+    auto morph_wire = named("Morph", {"v", "a", "b"});
+    auto mr_reader =
+        FormatBuilder("MR").add_int("v", 4).add_int("fresh", 4).with_default(int64_t{5}).build();
+    auto mr_target = named("MR", {"v"});
+    auto mr_wire = named("MR", {"v", "a", "b"});
+    for (const auto& f : {exact, perfect_reader, rec_reader, morph_reader, mr_reader}) {
+      rx.register_handler(f, record);
+    }
+    for (const auto& f : {exact, perfect_wire, rec_wire, morph_wire, mr_wire}) {
+      rx.learn_format(f);
+    }
+    rx.learn_transform(down(morph_wire, morph_reader));
+    rx.learn_transform(down(mr_wire, mr_target));
+
+    RecordArena arena;
+    auto send = [&](const FormatPtr& f) {
+      auto buf = encode_one_v(f);
+      return rx.process(buf.data(), buf.size(), arena);
+    };
+    EXPECT_EQ(send(exact), Outcome::kExact);
+    EXPECT_EQ(send(perfect_wire), Outcome::kPerfect);
+    EXPECT_EQ(send(rec_wire), Outcome::kReconciled);
+    EXPECT_EQ(send(morph_wire), Outcome::kMorphed);
+    EXPECT_EQ(send(mr_wire), Outcome::kMorphedReconciled);
+    EXPECT_EQ(send(named("Stranger", {"v"})), Outcome::kRejected);
+    rx.set_default_handler([](const void*, size_t) {});
+    EXPECT_EQ(send(named("Stranger", {"v"})), Outcome::kDefaulted);
+    EXPECT_EQ(seen.size(), 5u);
+
+    s = rx.stats();
+    live = scrape::counters();
+  }
+  for (uint64_t n : {s.exact, s.perfect, s.reconciled, s.morphed, s.morphed_reconciled,
+                     s.rejected, s.defaulted}) {
+    EXPECT_EQ(n, 1u);
+  }
+  EXPECT_EQ(s.morphs, 3u);  // the chain and/or the reconciler ran
+  EXPECT_TRUE(s.consistent());
+  scrape::expect_one_store(before, live, s);
 }
 
 TEST(Receiver, DecisionIsCached) {

@@ -295,7 +295,8 @@ TEST(Soak, ConcurrentReceiverUnderEvolvingFormats) {
   // Every successful process() call is counted exactly once.
   EXPECT_EQ(s.messages, processed_total.load());
   // Accounting balances: each message lands in exactly one outcome bucket.
-  EXPECT_EQ(s.exact + s.perfect + s.morphed + s.reconciled + s.defaulted + s.rejected,
+  EXPECT_EQ(s.exact + s.perfect + s.morphed + s.reconciled + s.morphed_reconciled +
+                s.defaulted + s.rejected,
             s.messages);
   // Deliveries can't exceed messages; morphing really happened.
   EXPECT_LE(delivered.load(), s.messages);

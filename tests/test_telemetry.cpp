@@ -10,6 +10,7 @@
 #include <cstring>
 #include <thread>
 
+#include "core/receiver.hpp"
 #include "golden.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
@@ -17,6 +18,8 @@
 #include "obs/stitch.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "pbio/encode.hpp"
+#include "pbio/record.hpp"
 #include "transport/framing.hpp"
 #include "transport/tcp.hpp"
 #include "transport/telemetry_endpoint.hpp"
@@ -429,6 +432,60 @@ TEST(TelemetryEndpoint, ExportIngestDumpRoundTrip) {
   obs::JsonValue doc = obs::json_parse(dump);
   EXPECT_EQ(doc.at("schema").as_string(), "morph-telemetry-v1");
   EXPECT_EQ(doc.at("processes").as_object().count("itest-proc"), 1u);
+
+  obs::set_tracing(false);
+  obs::clear_spans();
+}
+
+TEST(TelemetryEndpoint, MorphsTotalCountsLiveAndDestroyedReceivers) {
+  // A batch's morphs_total reads morph_rx_morphs_total, whose value lives
+  // in each receiver's counters: it must include the receiver still alive
+  // and keep what a destroyed one counted.
+  obs::clear_spans();
+  obs::set_process_name("morphs-proc");
+  const uint64_t base = obs::metrics().counter("morph_rx_morphs_total").value() +
+                        obs::metrics().counter("echo_fanout_morphs_total").value();
+  const auto v1 = pbio::FormatBuilder("Tick").add_int("seq", 4).build();
+  const auto v2 = pbio::FormatBuilder("Tick").add_int("seq", 4).add_int("extra", 4).build();
+  core::TransformSpec down;
+  down.src = v2;
+  down.dst = v1;
+  down.code = "old.seq = new.seq;";
+  auto morph = [&](core::Receiver& rx, int n) {
+    rx.register_handler(v1, [](const core::Delivery&) {});
+    rx.learn_format(v2);
+    rx.learn_transform(down);
+    RecordArena arena;
+    void* rec = pbio::alloc_record(*v2, arena);
+    ByteBuffer wire;
+    pbio::Encoder(v2).encode(rec, wire);
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(rx.process(wire.data(), wire.size(), arena), core::Outcome::kMorphed);
+    }
+  };
+  {
+    core::Receiver gone;
+    morph(gone, 1);
+  }
+  core::Receiver live;
+  morph(live, 2);
+
+  TelemetryCollector collector(CollectorOptions{});
+  ExporterOptions opts;
+  opts.port = collector.port();
+  opts.interval_ms = 60000;  // flushed by hand
+  SpanExporter exporter(opts);
+  { obs::TraceSpan span("morphs.probe"); }
+  ASSERT_TRUE(exporter.flush());
+  for (int i = 0; i < 100 && collector.stats().batches == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  obs::ProcessRecord rec;
+  for (const auto& [name, r] : collector.stitcher().processes()) {
+    if (name == "morphs-proc") rec = r;
+  }
+  EXPECT_EQ(rec.batches, 1u);
+  EXPECT_EQ(rec.morphs_total, base + 3);
 
   obs::set_tracing(false);
   obs::clear_spans();

@@ -207,7 +207,7 @@ int role_broker(uint16_t collector_port, uint16_t fmtsvc_port, int events) {
     // grouped fan-out path (identity group: one encode, zero extra morphs).
     auto counts = group_pub.publish(d.format, d.record, snapshot,
                                     [&](echo::SinkId) { return &out; }, [](echo::SinkId) {});
-    delivered += static_cast<int>(counts.deliveries);
+    delivered += static_cast<int>(counts.fanout_deliveries);
   });
   transport::MessagePort in(*pub_conn, &rx);
 
