@@ -49,17 +49,13 @@ void print_row(const char* label, const std::vector<double>& ms) {
   for (size_t i = 0; i < ms.size(); ++i) {
     std::string col = i < g_cols.size() ? g_cols[i] : "col" + std::to_string(i);
     // Label values go in raw; obs::to_prometheus escapes at render time.
-    obs::metrics()
-        .gauge("bench_ms{bench=\"" + g_bench_name + "\",row=\"" + std::string(label) +
-               "\",col=\"" + col + "\"}")
-        .set(ms[i]);
+    obs::metrics().gauge(obs::Metric::bench_ms, {g_bench_name, label, col}).set(ms[i]);
   }
 }
 
 void record_wire_bytes(const char* row, const char* col, size_t bytes) {
   obs::metrics()
-      .gauge("bench_wire_bytes{bench=\"" + g_bench_name + "\",row=\"" + std::string(row) +
-             "\",col=\"" + std::string(col) + "\"}")
+      .gauge(obs::Metric::bench_wire_bytes, {g_bench_name, row, col})
       .set(static_cast<double>(bytes));
 }
 

@@ -13,7 +13,8 @@ namespace {
 using C = FanoutPlannerStats::Id;
 
 obs::Histogram& build_ns() {
-  static obs::Histogram& h = obs::metrics().histogram("morph_span_ns{span=\"fanout.plan_build\"}");
+  static obs::Histogram& h =
+      obs::metrics().histogram(obs::Metric::morph_span_ns, {"fanout.plan_build"});
   return h;
 }
 }  // namespace

@@ -96,18 +96,17 @@ class GroupPlan {
   bool reachable_ = false;
 };
 
-/// The planner's counters: FanoutPlannerStats field and exported registry
-/// name, or nullptr for the per-instance request total.
-#define MORPH_FANOUT_PLANNER_COUNTERS(X)                                          \
-  X(plans_requested, nullptr)                                                     \
-  X(cache_hits, "morph_fanout_plans_total{result=\"hit\"}")                       \
-  X(plans_built, "morph_fanout_plans_total{result=\"built\"}")                    \
-  /* builds that produced a non-reachable plan */                                 \
-  X(unreachable, "morph_fanout_plans_total{result=\"unreachable\"}")              \
-  X(chains_fused, "morph_fanout_chain_fusion_total{result=\"fused\"}")            \
-  X(fusion_bailouts, "morph_fanout_chain_fusion_total{result=\"bailout\"}")       \
-  X(verify_rejected, "morph_fanout_verify_rejected_total")                        \
-  X(cache_flushes, "morph_fanout_cache_flushes_total")
+/// The planner's counters: FanoutPlannerStats field and catalog
+/// series, or none for the per-instance request total.
+#define MORPH_FANOUT_PLANNER_COUNTERS(X)                         \
+  X(plans_requested)                                             \
+  X(cache_hits, morph_fanout_plans_total, "hit")                 \
+  X(plans_built, morph_fanout_plans_total, "built")              \
+  X(unreachable, morph_fanout_plans_total, "unreachable")        \
+  X(chains_fused, morph_fanout_chain_fusion_total, "fused")      \
+  X(fusion_bailouts, morph_fanout_chain_fusion_total, "bailout") \
+  X(verify_rejected, morph_fanout_verify_rejected_total)         \
+  X(cache_flushes, morph_fanout_cache_flushes_total)
 
 /// Point-in-time copy of the planner's counters.
 struct FanoutPlannerStats {

@@ -18,12 +18,13 @@ using C = ReceiverStats::Id;
 /// Process-wide receiver histograms. The counters live in each receiver's
 /// CounterSet, which the registry reads directly.
 struct RxMetrics {
-  obs::Histogram& chain_hops = obs::metrics().histogram("morph_rx_chain_hops");
-  obs::Histogram& decide_hit_ns = obs::metrics().histogram("morph_rx_decide_ns{result=\"hit\"}");
+  obs::Histogram& chain_hops = obs::metrics().histogram(obs::Metric::morph_rx_chain_hops);
+  obs::Histogram& decide_hit_ns =
+      obs::metrics().histogram(obs::Metric::morph_rx_decide_ns, {"hit"});
   obs::Histogram& decide_miss_ns =
-      obs::metrics().histogram("morph_rx_decide_ns{result=\"miss\"}");
-  obs::Histogram& build_ns = obs::metrics().histogram("morph_rx_decision_build_ns");
-  obs::Histogram& match_ns = obs::metrics().histogram("morph_rx_match_ns");
+      obs::metrics().histogram(obs::Metric::morph_rx_decide_ns, {"miss"});
+  obs::Histogram& build_ns = obs::metrics().histogram(obs::Metric::morph_rx_decision_build_ns);
+  obs::Histogram& match_ns = obs::metrics().histogram(obs::Metric::morph_rx_match_ns);
 };
 
 RxMetrics& rx() {
@@ -232,9 +233,8 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
   // The name is baked raw; the exporters escape label values at render
   // time (obs/export.hpp), so escaping here would double up.
   d.fmt_name = fm->name();
-  std::string fmt_label = "{fmt=\"" + fm->name() + "\"}";
-  d.decode_ns = &obs::metrics().histogram("morph_rx_decode_ns" + fmt_label);
-  d.morph_ns = &obs::metrics().histogram("morph_rx_morph_ns" + fmt_label);
+  d.decode_ns = &obs::metrics().histogram(obs::Metric::morph_rx_decode_ns, {fm->name()});
+  d.morph_ns = &obs::metrics().histogram(obs::Metric::morph_rx_morph_ns, {fm->name()});
 
   // Lines 11-15: MaxMatch(fm, Fr); a perfect pair needs only a layout
   // conversion (possibly a pure no-op when fingerprints coincide).

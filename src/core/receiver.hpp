@@ -113,35 +113,32 @@ struct ReceiverOptions {
 };
 
 /// The receiver's counters, one line each: the ReceiverStats field and the
-/// registry counter it exports as. Every outcome has its own field, so
+/// catalog series it exports as. Every outcome has its own field, so
 /// `reconciled` counts pure reconciliations only and morph-then-reconcile
 /// deliveries land in `morphed_reconciled`.
-#define MORPH_RECEIVER_COUNTERS(X)                                                   \
-  X(messages, "morph_rx_messages_total")                                             \
-  X(cache_hits, "morph_rx_cache_events_total{event=\"hit\"}")                        \
-  X(cache_misses, "morph_rx_cache_events_total{event=\"miss\"}")                     \
-  X(exact, "morph_rx_outcome_total{outcome=\"exact\"}")                              \
-  X(perfect, "morph_rx_outcome_total{outcome=\"perfect\"}")                          \
-  X(morphed, "morph_rx_outcome_total{outcome=\"morphed\"}")                          \
-  X(reconciled, "morph_rx_outcome_total{outcome=\"reconciled\"}")                    \
-  X(morphed_reconciled, "morph_rx_outcome_total{outcome=\"morphed+reconciled\"}")    \
-  X(defaulted, "morph_rx_outcome_total{outcome=\"defaulted\"}")                      \
-  X(rejected, "morph_rx_outcome_total{outcome=\"rejected\"}")                        \
-  X(transforms_compiled, "morph_rx_transforms_compiled_total")                       \
-  X(verify_rejected, "morph_rx_verify_rejected_total")                               \
-  X(zero_copy, "morph_rx_zero_copy_total")                                           \
-  X(cache_flushes, "morph_rx_cache_events_total{event=\"flush\"}")                   \
-  /* unknown formats fetched out-of-band / resolve attempts that fell back */        \
-  X(resolve_fetched, "morph_rx_resolve_total{result=\"fetched\"}")                   \
-  X(resolve_degraded, "morph_rx_resolve_total{result=\"degraded\"}")                 \
-  /* messages morphed by a fused chain / hop by hop / fed by an in-place decode */   \
-  X(morph_fused, "morph_rx_fused_total")                                             \
-  X(morph_hopwise, "morph_rx_hopwise_total")                                         \
-  X(morph_inplace, "morph_rx_morph_inplace_total")                                   \
-  X(morphs, "morph_rx_morphs_total") /* morph executions: chain and/or reconcile */  \
-  /* decision builds that installed a fused chain / fell back to hop-wise */         \
-  X(chains_fused, "morph_rx_chain_fusion_total{result=\"fused\"}")                   \
-  X(fusion_bailouts, "morph_rx_chain_fusion_total{result=\"bailout\"}")
+#define MORPH_RECEIVER_COUNTERS(X)                                    \
+  X(messages, morph_rx_messages_total)                                \
+  X(cache_hits, morph_rx_cache_events_total, "hit")                   \
+  X(cache_misses, morph_rx_cache_events_total, "miss")                \
+  X(exact, morph_rx_outcome_total, "exact")                           \
+  X(perfect, morph_rx_outcome_total, "perfect")                       \
+  X(morphed, morph_rx_outcome_total, "morphed")                       \
+  X(reconciled, morph_rx_outcome_total, "reconciled")                 \
+  X(morphed_reconciled, morph_rx_outcome_total, "morphed+reconciled") \
+  X(defaulted, morph_rx_outcome_total, "defaulted")                   \
+  X(rejected, morph_rx_outcome_total, "rejected")                     \
+  X(transforms_compiled, morph_rx_transforms_compiled_total)          \
+  X(verify_rejected, morph_rx_verify_rejected_total)                  \
+  X(zero_copy, morph_rx_zero_copy_total)                              \
+  X(cache_flushes, morph_rx_cache_events_total, "flush")              \
+  X(resolve_fetched, morph_rx_resolve_total, "fetched")               \
+  X(resolve_degraded, morph_rx_resolve_total, "degraded")             \
+  X(morph_fused, morph_rx_fused_total)                                \
+  X(morph_hopwise, morph_rx_hopwise_total)                            \
+  X(morph_inplace, morph_rx_morph_inplace_total)                      \
+  X(morphs, morph_rx_morphs_total)                                    \
+  X(chains_fused, morph_rx_chain_fusion_total, "fused")               \
+  X(fusion_bailouts, morph_rx_chain_fusion_total, "bailout")
 
 /// A point-in-time copy of the receiver's counters (the live counters are
 /// relaxed atomics; the snapshot is plain data).
@@ -163,7 +160,8 @@ struct ReceiverStats {
   /// one outcome. Holds whenever no process() call aborted by exception
   /// between the message count and its outcome (hostile frames can throw
   /// mid-decode), and no snapshot raced a message in flight — so quiesce
-  /// first, then assert. Used by tests and `morph-stat --check`.
+  /// first, then assert. Tests use it; a live scrape can only promise the
+  /// `<=` form, the catalog law `rx.outcomes` that morph-stat checks.
   bool consistent() const { return messages == outcome_sum(); }
 };
 

@@ -17,11 +17,11 @@ using R = FanoutRegistryStats::Id;
 /// distinct non-identity formats, the O(formats)-not-O(subscribers)
 /// invariant).
 struct FanoutMetrics {
-  obs::Gauge& event_morphs = obs::metrics().gauge("echo_fanout_event_morphs");
-  obs::Gauge& event_groups = obs::metrics().gauge("echo_fanout_event_groups");
-  obs::Histogram& group_sinks = obs::metrics().histogram("echo_fanout_group_sinks");
-  obs::Gauge& reg_groups = obs::metrics().gauge("echo_fanout_groups");
-  obs::Gauge& reg_subscribers = obs::metrics().gauge("echo_fanout_subscribers");
+  obs::Gauge& event_morphs = obs::metrics().gauge(obs::Metric::echo_fanout_event_morphs);
+  obs::Gauge& event_groups = obs::metrics().gauge(obs::Metric::echo_fanout_event_groups);
+  obs::Histogram& group_sinks = obs::metrics().histogram(obs::Metric::echo_fanout_group_sinks);
+  obs::Gauge& reg_groups = obs::metrics().gauge(obs::Metric::echo_fanout_groups);
+  obs::Gauge& reg_subscribers = obs::metrics().gauge(obs::Metric::echo_fanout_subscribers);
 };
 
 FanoutMetrics& fm() {

@@ -72,10 +72,10 @@ struct GroupSnapshot {
 /// The registry's counters, kept per instance only: snapshot rebuilds
 /// after churn, and snapshots served from the cached copy.
 #define MORPH_FANOUT_REGISTRY_COUNTERS(X) \
-  X(subscribes, nullptr)                  \
-  X(unsubscribes, nullptr)                \
-  X(rebuilds, nullptr)                    \
-  X(snapshot_hits, nullptr)
+  X(subscribes)                           \
+  X(unsubscribes)                         \
+  X(rebuilds)                             \
+  X(snapshot_hits)
 
 struct FanoutRegistryStats {
   MORPH_STATS(FanoutRegistryStats, MORPH_FANOUT_REGISTRY_COUNTERS)
@@ -131,23 +131,18 @@ class FanoutRegistry {
   mutable obs::CounterSet<FanoutRegistryStats> counters_;
 };
 
-/// The publisher's counters: PublisherStats field and exported registry
-/// name. publish() returns one event's tallies in the same struct; stats()
+/// The publisher's counters: PublisherStats field and catalog
+/// series. publish() returns one event's tallies in the same struct; stats()
 /// sums them over publishes.
-#define MORPH_PUBLISHER_COUNTERS(X)                                                \
-  /* publishes that reached at least one grouped sink (0 or 1 per event) */        \
-  X(fanout_events, "echo_fanout_events_total")                                     \
-  X(fanout_groups, "echo_fanout_groups_total") /* reachable groups delivered to */ \
-  /* morph-chain executions (identity groups: none), and groups that reused the */ \
-  /* previous group's morph (same format, different encoding) */                   \
-  X(fanout_morphs, "echo_fanout_morphs_total")                                     \
-  X(fanout_morph_reuses, "echo_fanout_morph_reuses_total")                         \
-  /* shared frames built (one per reachable group); of those, protobuf-encoded */  \
-  X(fanout_encodes, "echo_fanout_encodes_total")                                   \
-  X(fanout_pbuf_encodes, "echo_fanout_pbuf_encodes_total")                         \
-  /* send_shared calls (sum of group sizes); sinks punted to the fallback */       \
-  X(fanout_deliveries, "echo_fanout_deliveries_total")                             \
-  X(fanout_fallbacks, "echo_fanout_fallback_total")
+#define MORPH_PUBLISHER_COUNTERS(X)                      \
+  X(fanout_events, echo_fanout_events_total)             \
+  X(fanout_groups, echo_fanout_groups_total)             \
+  X(fanout_morphs, echo_fanout_morphs_total)             \
+  X(fanout_morph_reuses, echo_fanout_morph_reuses_total) \
+  X(fanout_encodes, echo_fanout_encodes_total)           \
+  X(fanout_pbuf_encodes, echo_fanout_pbuf_encodes_total) \
+  X(fanout_deliveries, echo_fanout_deliveries_total)     \
+  X(fanout_fallbacks, echo_fanout_fallback_total)
 
 struct PublisherStats {
   MORPH_STATS(PublisherStats, MORPH_PUBLISHER_COUNTERS)

@@ -115,16 +115,16 @@ class EchoProcess {
 
   // --- introspection ---------------------------------------------------------
 
-  /// The process's own counters: ProcessStats field and exported registry
-  /// name. Each lives once, in this process's CounterSet, which the
+  /// The process's own counters: ProcessStats field and catalog
+  /// series. Each lives once, in this process's CounterSet, which the
   /// registry reads at scrape time.
-#define MORPH_ECHO_PROCESS_COUNTERS(X)                             \
-  X(open_requests_handled, "morph_echo_open_requests_total")       \
-  X(responses_received, "morph_echo_responses_total")              \
-  X(responses_morphed, "morph_echo_responses_morphed_total")       \
-  X(events_received, "morph_echo_events_total")                    \
-  X(events_morphed, "morph_echo_events_morphed_total")             \
-  X(events_published, "morph_echo_events_published_total")
+#define MORPH_ECHO_PROCESS_COUNTERS(X)                     \
+  X(open_requests_handled, morph_echo_open_requests_total) \
+  X(responses_received, morph_echo_responses_total)        \
+  X(responses_morphed, morph_echo_responses_morphed_total) \
+  X(events_received, morph_echo_events_total)              \
+  X(events_morphed, morph_echo_events_morphed_total)       \
+  X(events_published, morph_echo_events_published_total)
 
   /// Per-process counters, plus the grouped fan-out tallies (fanout_*)
   /// read from this process's GroupPublisher.

@@ -14,20 +14,15 @@
 namespace morph::ecode {
 
 namespace {
+using M = obs::Metric;
+
 struct EcodeMetrics {
-  obs::Histogram& compile_ns;  // parse + analyze + bytecode compile
-  obs::Histogram& verify_ns;   // static verification (incl. fuel repair)
-  obs::Histogram& jit_ns;      // native code emission
-  obs::Counter& jit_dispatch;
-  obs::Counter& vm_dispatch;
-  obs::Gauge& code_bytes;      // native bytes emitted, cumulative
-  EcodeMetrics()
-      : compile_ns(obs::metrics().histogram("morph_ecode_compile_ns")),
-        verify_ns(obs::metrics().histogram("morph_ecode_verify_ns")),
-        jit_ns(obs::metrics().histogram("morph_ecode_jit_ns")),
-        jit_dispatch(obs::metrics().counter("morph_ecode_dispatch_total{backend=\"jit\"}")),
-        vm_dispatch(obs::metrics().counter("morph_ecode_dispatch_total{backend=\"vm\"}")),
-        code_bytes(obs::metrics().gauge("morph_ecode_native_code_bytes")) {}
+  obs::Histogram& compile_ns = obs::metrics().histogram(M::morph_ecode_compile_ns);
+  obs::Histogram& verify_ns = obs::metrics().histogram(M::morph_ecode_verify_ns);
+  obs::Histogram& jit_ns = obs::metrics().histogram(M::morph_ecode_jit_ns);
+  obs::Counter& jit_dispatch = obs::metrics().counter(M::morph_ecode_dispatch_total, {"jit"});
+  obs::Counter& vm_dispatch = obs::metrics().counter(M::morph_ecode_dispatch_total, {"vm"});
+  obs::Gauge& code_bytes = obs::metrics().gauge(M::morph_ecode_native_code_bytes);
 };
 
 EcodeMetrics& em() {

@@ -26,7 +26,7 @@ uint64_t jittered(uint64_t ms) {
 }
 
 obs::Histogram& fetch_ns() {
-  static obs::Histogram& h = obs::metrics().histogram("morph_fmtsvc_client_fetch_ns");
+  static obs::Histogram& h = obs::metrics().histogram(obs::Metric::morph_fmtsvc_client_fetch_ns);
   return h;
 }
 }  // namespace

@@ -66,25 +66,25 @@ struct ResolverOptions {
   core::LintPolicy lint = core::LintPolicy::kWarn;
 };
 
-/// The resolver's counters: ResolverStats field and exported registry name.
+/// The resolver's counters: ResolverStats field and catalog series.
 /// resolves == cache_hits + negative_hits + fetched + failed +
 /// lint_rejected + stampede_joins once the resolver is quiescent — every
 /// resolve() lands in exactly one result bucket (joining another thread's
 /// flight counts as "stampede"), the conservation law `morph-stat --check`
 /// asserts.
-#define MORPH_RESOLVER_COUNTERS(X)                                                         \
-  X(resolves, "morph_fmtsvc_client_resolves_total")                                        \
-  X(cache_hits, "morph_fmtsvc_client_resolve_total{result=\"cached\"}")                    \
-  X(negative_hits, "morph_fmtsvc_client_resolve_total{result=\"negative\"}")               \
-  X(fetched, "morph_fmtsvc_client_resolve_total{result=\"fetched\"}")                      \
-  X(failed, "morph_fmtsvc_client_resolve_total{result=\"failed\"}")                        \
-  X(lint_rejected, "morph_fmtsvc_client_resolve_total{result=\"lint_rejected\"}")          \
-  X(expired, "morph_fmtsvc_client_cache_evictions_total{reason=\"ttl\"}")                  \
-  X(evicted, "morph_fmtsvc_client_cache_evictions_total{reason=\"capacity\"}")             \
-  X(stampede_joins, "morph_fmtsvc_client_resolve_total{result=\"stampede\"}")              \
-  X(rpcs, "morph_fmtsvc_client_rpcs_total") /* attempts, all ops */                        \
-  X(retries, "morph_fmtsvc_client_retries_total") /* attempts after the first */           \
-  X(published, "morph_fmtsvc_client_published_total") /* formats registered by publish() */
+#define MORPH_RESOLVER_COUNTERS(X)                                     \
+  X(resolves, morph_fmtsvc_client_resolves_total)                      \
+  X(cache_hits, morph_fmtsvc_client_resolve_total, "cached")           \
+  X(negative_hits, morph_fmtsvc_client_resolve_total, "negative")      \
+  X(fetched, morph_fmtsvc_client_resolve_total, "fetched")             \
+  X(failed, morph_fmtsvc_client_resolve_total, "failed")               \
+  X(lint_rejected, morph_fmtsvc_client_resolve_total, "lint_rejected") \
+  X(expired, morph_fmtsvc_client_cache_evictions_total, "ttl")         \
+  X(evicted, morph_fmtsvc_client_cache_evictions_total, "capacity")    \
+  X(stampede_joins, morph_fmtsvc_client_resolve_total, "stampede")     \
+  X(rpcs, morph_fmtsvc_client_rpcs_total)                              \
+  X(retries, morph_fmtsvc_client_retries_total)                        \
+  X(published, morph_fmtsvc_client_published_total)
 
 /// Point-in-time counter snapshot.
 struct ResolverStats {

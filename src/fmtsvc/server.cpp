@@ -14,9 +14,10 @@ using C = ServiceStats::Id;
 /// Process-wide service gauges and span histogram (the counters live in
 /// each FormatService's CounterSet).
 struct SvcMetrics {
-  obs::Gauge& store_formats = obs::metrics().gauge("morph_fmtsvc_store_formats");
-  obs::Gauge& live_conns = obs::metrics().gauge("morph_fmtsvc_server_connections");
-  obs::Histogram& handle_ns = obs::metrics().histogram("morph_span_ns{span=\"fmtsvc.handle\"}");
+  obs::Gauge& store_formats = obs::metrics().gauge(obs::Metric::morph_fmtsvc_store_formats);
+  obs::Gauge& live_conns = obs::metrics().gauge(obs::Metric::morph_fmtsvc_server_connections);
+  obs::Histogram& handle_ns =
+      obs::metrics().histogram(obs::Metric::morph_span_ns, {"fmtsvc.handle"});
 };
 
 SvcMetrics& svc() {

@@ -47,23 +47,21 @@ struct ServiceOptions {
   size_t max_connections = 64;
 };
 
-/// The service's counters: ServiceStats field and exported registry name,
-/// or nullptr for the per-instance totals. `requests` is partitioned by op.
-#define MORPH_SERVICE_COUNTERS(X)                                                    \
-  X(connections, nullptr)                                                            \
-  X(requests, nullptr)                                                               \
-  X(register_requests, "morph_fmtsvc_requests_total{op=\"register\"}")               \
-  X(fetch_requests, "morph_fmtsvc_requests_total{op=\"fetch\"}")                     \
-  X(fetch_multi_requests, "morph_fmtsvc_requests_total{op=\"fetch_multi\"}")         \
-  X(list_requests, "morph_fmtsvc_requests_total{op=\"list\"}")                       \
-  X(registered, nullptr) /* formats accepted into the store */                       \
-  /* REGISTER entries refused under kEnforce / by the audit gate */                  \
-  X(lint_rejected, "morph_fmtsvc_server_lint_rejected_total")                        \
-  X(audit_rejected, "morph_fmtsvc_server_audit_rejected_total")                      \
-  /* entries with breaking audits under kWarn */                                     \
-  X(audit_warned, "morph_fmtsvc_server_audit_warned_total")                          \
-  X(not_found, "morph_fmtsvc_server_not_found_total") /* FETCH misses */             \
-  X(bad_frames, "morph_fmtsvc_server_bad_frames_total") /* connections killed */
+/// The service's counters: ServiceStats field and catalog series,
+/// or none for the per-instance totals. `requests` is partitioned by op.
+#define MORPH_SERVICE_COUNTERS(X)                                     \
+  X(connections)                                                      \
+  X(requests)                                                         \
+  X(register_requests, morph_fmtsvc_requests_total, "register")       \
+  X(fetch_requests, morph_fmtsvc_requests_total, "fetch")             \
+  X(fetch_multi_requests, morph_fmtsvc_requests_total, "fetch_multi") \
+  X(list_requests, morph_fmtsvc_requests_total, "list")               \
+  X(registered) /* formats accepted into the store */                 \
+  X(lint_rejected, morph_fmtsvc_server_lint_rejected_total)           \
+  X(audit_rejected, morph_fmtsvc_server_audit_rejected_total)         \
+  X(audit_warned, morph_fmtsvc_server_audit_warned_total)             \
+  X(not_found, morph_fmtsvc_server_not_found_total)                   \
+  X(bad_frames, morph_fmtsvc_server_bad_frames_total)
 
 struct ServiceStats {
   MORPH_STATS(ServiceStats, MORPH_SERVICE_COUNTERS)

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 
 namespace morph::obs {
 
@@ -42,16 +43,23 @@ void append_json_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-/// Emit a `# TYPE` header the first time a base name appears.
-void maybe_type_line(std::string& out, std::string& last_base, const std::string& base,
-                     const char* type) {
-  if (base == last_base) return;
-  last_base = base;
-  out += "# TYPE ";
-  out += base;
-  out += ' ';
-  out += type;
-  out += '\n';
+/// The series of one snapshot section grouped by family name, each
+/// family's series in name order.
+template <class Value>
+std::map<std::string, std::vector<const std::pair<std::string, Value>*>> by_family(
+    const std::vector<std::pair<std::string, Value>>& section) {
+  std::map<std::string, std::vector<const std::pair<std::string, Value>*>> out;
+  for (const auto& s : section) out[split_metric_name(s.first).first].push_back(&s);
+  return out;
+}
+
+/// A family's `# HELP` (catalogued families only) and `# TYPE` lines. The
+/// type is the catalog's; an uncatalogued family (a test's private
+/// registry) takes the kind of the snapshot section it sits in.
+void family_header(std::string& out, const std::string& family, Kind section) {
+  const MetricInfo* entry = find_family(family);
+  if (entry != nullptr) out += "# HELP " + family + ' ' + entry->help + '\n';
+  out += "# TYPE " + family + ' ' + kind_name(entry != nullptr ? entry->kind : section) + '\n';
 }
 
 /// `base_suffix{labels,extra}` or `base_suffix{extra}` or plain. `labels`
@@ -147,51 +155,44 @@ std::string escape_label_values(const std::string& labels) {
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
-  std::string last_base;
-
-  for (const auto& [name, value] : snapshot.counters) {
-    auto [base, raw] = split_metric_name(name);
-    std::string labels = escape_label_values(raw);
-    maybe_type_line(out, last_base, base, "counter");
-    append_series(out, base, "", labels, "");
-    append_u64(out, value);
-    out += '\n';
-  }
-  last_base.clear();
-  for (const auto& [name, value] : snapshot.gauges) {
-    auto [base, raw] = split_metric_name(name);
-    std::string labels = escape_label_values(raw);
-    maybe_type_line(out, last_base, base, "gauge");
-    append_series(out, base, "", labels, "");
-    append_double(out, value);
-    out += '\n';
-  }
-  last_base.clear();
-  for (const auto& [name, h] : snapshot.histograms) {
-    auto [base, raw] = split_metric_name(name);
-    std::string labels = escape_label_values(raw);
-    maybe_type_line(out, last_base, base, "histogram");
-    uint64_t cum = 0;
-    for (const auto& [upper, count] : h.buckets) {
-      cum += count;
-      std::string le = "le=\"";
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%" PRIu64, upper);
-      le += buf;
-      le += '"';
-      append_series(out, base, "_bucket", labels, le);
-      append_u64(out, cum);
+  for (const auto& [family, series] : by_family(snapshot.counters)) {
+    family_header(out, family, Kind::kCounter);
+    for (const auto* s : series) {
+      append_series(out, family, "", escape_label_values(split_metric_name(s->first).second), "");
+      append_u64(out, s->second);
       out += '\n';
     }
-    append_series(out, base, "_bucket", labels, "le=\"+Inf\"");
-    append_u64(out, h.count);
-    out += '\n';
-    append_series(out, base, "_sum", labels, "");
-    append_u64(out, h.sum);
-    out += '\n';
-    append_series(out, base, "_count", labels, "");
-    append_u64(out, h.count);
-    out += '\n';
+  }
+  for (const auto& [family, series] : by_family(snapshot.gauges)) {
+    family_header(out, family, Kind::kGauge);
+    for (const auto* s : series) {
+      append_series(out, family, "", escape_label_values(split_metric_name(s->first).second), "");
+      append_double(out, s->second);
+      out += '\n';
+    }
+  }
+  for (const auto& [family, series] : by_family(snapshot.histograms)) {
+    family_header(out, family, Kind::kHistogram);
+    for (const auto* s : series) {
+      const std::string labels = escape_label_values(split_metric_name(s->first).second);
+      const HistogramSnapshot& h = s->second;
+      uint64_t cum = 0;
+      for (const auto& [upper, count] : h.buckets) {
+        cum += count;
+        append_series(out, family, "_bucket", labels, "le=\"" + std::to_string(upper) + '"');
+        append_u64(out, cum);
+        out += '\n';
+      }
+      append_series(out, family, "_bucket", labels, "le=\"+Inf\"");
+      append_u64(out, h.count);
+      out += '\n';
+      append_series(out, family, "_sum", labels, "");
+      append_u64(out, h.sum);
+      out += '\n';
+      append_series(out, family, "_count", labels, "");
+      append_u64(out, h.count);
+      out += '\n';
+    }
   }
   return out;
 }

@@ -23,10 +23,10 @@ struct FlightRing {
   std::deque<FlightEvent> events;
   // Per-kind totals, resolved once (registry metrics live forever). The
   // ring forgets, the counters do not.
-  Counter& rejects = metrics().counter("morph_flight_events_total{kind=\"reject\"}");
-  Counter& retries = metrics().counter("morph_flight_events_total{kind=\"resolver_retry\"}");
-  Counter& fallbacks = metrics().counter("morph_flight_events_total{kind=\"fanout_fallback\"}");
-  Counter& slow = metrics().counter("morph_flight_events_total{kind=\"slow_morph\"}");
+  Counter& rejects = metrics().counter(Metric::morph_flight_events_total, {"reject"});
+  Counter& retries = metrics().counter(Metric::morph_flight_events_total, {"resolver_retry"});
+  Counter& fallbacks = metrics().counter(Metric::morph_flight_events_total, {"fanout_fallback"});
+  Counter& slow = metrics().counter(Metric::morph_flight_events_total, {"slow_morph"});
 
   Counter& for_kind(FlightKind kind) {
     switch (kind) {

@@ -18,7 +18,8 @@ double JsonValue::as_number() const {
 uint64_t JsonValue::as_u64() const {
   double d = as_number();
   if (d < 0) throw JsonError("negative where unsigned expected");
-  return static_cast<uint64_t>(std::llround(d));
+  if (d >= 0x1p64) throw JsonError("number too large for u64");
+  return static_cast<uint64_t>(std::round(d));
 }
 
 const std::string& JsonValue::as_string() const {
@@ -50,6 +51,11 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 class Parser {
  public:
+  /// Deepest nesting of arrays and objects accepted. Documents come from
+  /// peers (a scrape, a collector reply), and each level is one frame of
+  /// recursion, so an unbounded depth would let a peer overflow the stack.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : s_(text) {}
 
   JsonValue parse_document() {
@@ -90,8 +96,15 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One level of recursion per nesting level; a throw abandons the
+        // parser, so only the normal return needs to unwind the count.
+        if (++depth_ > kMaxDepth) throw JsonError("nesting too deep");
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -238,6 +251,7 @@ class Parser {
 
   const std::string& s_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue json_parse(const std::string& text) { return Parser(text).parse_document(); }

@@ -36,7 +36,7 @@ class JsonValue {
   /// Typed accessors; throw JsonError on kind mismatch.
   bool as_bool() const;
   double as_number() const;
-  uint64_t as_u64() const;  // number, rounded; throws when negative
+  uint64_t as_u64() const;  // number, rounded; throws when negative or >= 2^64
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
   const std::map<std::string, JsonValue>& as_object() const;

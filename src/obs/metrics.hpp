@@ -23,10 +23,14 @@
 // otherwise. The TSan suite runs writers against scrapers to keep this
 // honest.
 //
+// Every name the middleware registers is a family of the metric catalog
+// (obs/catalog.hpp), looked up through the Metric overloads below.
+//
 // A subsystem whose instances keep their own counts (a Receiver, a port, a
-// server) declares them once, as an X-macro list of (field, exported name)
-// pairs, and keeps them in a CounterSet: one relaxed atomic per counter,
-// owned by the instance and attached to the registry Counter of that name.
+// server) declares them once, as an X-macro list of (field, catalog family,
+// label value) entries, and keeps them in a CounterSet: one relaxed atomic
+// per counter, owned by the instance and attached to the registry Counter
+// of that series.
 // The registry reads live slots at scrape time, so each event costs one
 // add, and the instance's stats() and the scrape read the same store.
 #pragma once
@@ -39,10 +43,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/catalog.hpp"
 
 namespace morph::obs {
 
@@ -187,6 +195,14 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
+  /// The series of a catalogued family, label values in its key order.
+  using Labels = std::initializer_list<std::string_view>;
+  Counter& counter(Metric family, Labels values = {}) { return counter(series(family, values)); }
+  Gauge& gauge(Metric family, Labels values = {}) { return gauge(series(family, values)); }
+  Histogram& histogram(Metric family, Labels values = {}) {
+    return histogram(series(family, values));
+  }
+
   MetricsSnapshot snapshot() const;
 
   static MetricsRegistry& global();
@@ -202,22 +218,30 @@ class MetricsRegistry {
 MetricsRegistry& metrics();
 
 /// One entry of a subsystem's counter list: the stats field it fills and
-/// the registry name it exports as (labels baked in), or nullptr for a
-/// counter kept per instance only.
+/// the catalog series it exports as, or no family for a counter kept per
+/// instance only.
 template <class Stats>
 struct StatField {
   uint64_t Stats::*field;
-  const char* name;
+  std::optional<Metric> family = std::nullopt;
+  const char* label = nullptr;  // the series' label value, for a labeled family
+
+  std::string series() const {
+    if (!family) return "";
+    return label != nullptr ? obs::series(*family, {label}) : obs::series(*family);
+  }
 };
 
-#define MORPH_STATS_FIELD_(field, name) uint64_t field = 0;
-#define MORPH_STATS_ID_(field, name) field,
-#define MORPH_STATS_COUNT_(field, name) +1
-#define MORPH_STATS_ENTRY_(field, name) ::morph::obs::StatField<S>{&S::field, name},
+#define MORPH_STATS_FIELD_(field, ...) uint64_t field = 0;
+#define MORPH_STATS_ID_(field, ...) field,
+#define MORPH_STATS_COUNT_(field, ...) +1
+#define MORPH_STATS_ENTRY_(field, ...) \
+  ::morph::obs::StatField<S>{&S::field __VA_OPT__(, ::morph::obs::Metric::__VA_ARGS__)},
 
 /// Inside a stats struct, declares its counters from one X-macro list of
-/// `X(field, "exported_name" or nullptr)` entries: a uint64_t per entry,
-/// the slot ids `Self::Id::field`, their number, and the field table
+/// `X(field, family, "label value")` entries (`X(field, family)` for an
+/// unlabeled family, `X(field)` for a per-instance counter): a uint64_t per
+/// entry, the slot ids `Self::Id::field`, their number, and the field table
 /// `fields()` that CounterSet, stats_delta and stats_add walk.
 #define MORPH_STATS(Self, LIST)                                     \
   LIST(MORPH_STATS_FIELD_)                                          \
@@ -303,9 +327,9 @@ class CounterSet {
   static const std::array<Counter*, kSize>& registry_counters() {
     static const std::array<Counter*, kSize> counters = [] {
       std::array<Counter*, kSize> c{};
+      constexpr auto fields = Stats::fields();
       for (size_t i = 0; i < kSize; ++i) {
-        const char* name = Stats::fields()[i].name;
-        if (name != nullptr) c[i] = &metrics().counter(name);
+        if (fields[i].family) c[i] = &metrics().counter(fields[i].series());
       }
       return c;
     }();

@@ -22,7 +22,7 @@ struct SpanRing {
   // Resolved once; registry metrics are never erased so the reference is
   // valid forever. Counts spans evicted by the bounded ring (satellite of
   // the telemetry plane: saturation used to be silent).
-  Counter& dropped = metrics().counter("morph_obs_spans_dropped_total");
+  Counter& dropped = metrics().counter(Metric::morph_obs_spans_dropped_total);
 };
 
 SpanRing& ring() {

@@ -13,6 +13,12 @@ namespace {
 
 constexpr uint8_t kVersionDecoded = 2;  // in-place-decoded marker
 
+/// Wire bytes consumed, counted by both decode paths.
+obs::Counter& decoded_bytes() {
+  static obs::Counter& c = obs::metrics().counter(obs::Metric::morph_pbio_decoded_bytes_total);
+  return c;
+}
+
 bool order_mismatch(ByteOrder wire) { return wire != host_byte_order(); }
 
 uint64_t load_u64_swapped(const uint8_t* p, bool swap) {
@@ -562,10 +568,10 @@ void* ConversionPlan::execute(const void* buf, size_t size, RecordArena& arena) 
   }
   // Hot-path telemetry: relaxed adds only, no clock reads (latency
   // histograms live one level up, in the receiver pipeline).
-  static obs::Counter& converts = obs::metrics().counter("morph_pbio_convert_decodes_total");
-  static obs::Counter& bytes = obs::metrics().counter("morph_pbio_decoded_bytes_total");
+  static obs::Counter& converts =
+      obs::metrics().counter(obs::Metric::morph_pbio_convert_decodes_total);
   converts.inc();
-  bytes.add(info.total_size);
+  decoded_bytes().add(info.total_size);
   return dst;
 }
 
@@ -682,10 +688,10 @@ void* Decoder::decode_in_place(void* buf, size_t size) const {
   p[2] = kVersionDecoded;  // guard against double decoding
   // Zero-copy fast path: telemetry must stay within noise, so this is two
   // relaxed adds and nothing else.
-  static obs::Counter& zero_copy = obs::metrics().counter("morph_pbio_zero_copy_decodes_total");
-  static obs::Counter& bytes = obs::metrics().counter("morph_pbio_decoded_bytes_total");
+  static obs::Counter& zero_copy =
+      obs::metrics().counter(obs::Metric::morph_pbio_zero_copy_decodes_total);
   zero_copy.inc();
-  bytes.add(info.total_size);
+  decoded_bytes().add(info.total_size);
   return body;
 }
 

@@ -122,8 +122,9 @@ size_t Encoder::encode(const void* record, ByteBuffer& out) const {
 
   out.patch_u32(12, static_cast<uint32_t>(out.size()));
   // Hot-path telemetry: two relaxed adds, no clock reads.
-  static obs::Counter& messages = obs::metrics().counter("morph_pbio_encoded_messages_total");
-  static obs::Counter& bytes = obs::metrics().counter("morph_pbio_encoded_bytes_total");
+  static obs::Counter& messages =
+      obs::metrics().counter(obs::Metric::morph_pbio_encoded_messages_total);
+  static obs::Counter& bytes = obs::metrics().counter(obs::Metric::morph_pbio_encoded_bytes_total);
   messages.inc();
   bytes.add(out.size());
   return out.size();

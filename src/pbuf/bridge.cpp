@@ -19,13 +19,13 @@ using pbio::FormatPtr;
 
 BridgeMetrics& bridge_metrics() {
   static BridgeMetrics m{
-      obs::metrics().counter("morph_pbuf_frames_in_total"),
-      obs::metrics().counter("morph_pbuf_decoded_total"),
-      obs::metrics().counter("morph_pbuf_rejected_total"),
-      obs::metrics().counter("morph_pbuf_unknown_fields_total"),
-      obs::metrics().counter("morph_pbuf_encoded_total"),
-      obs::metrics().histogram("morph_pbuf_decode_bytes"),
-      obs::metrics().histogram("morph_pbuf_encode_bytes"),
+      obs::metrics().counter(obs::Metric::morph_pbuf_frames_in_total),
+      obs::metrics().counter(obs::Metric::morph_pbuf_decoded_total),
+      obs::metrics().counter(obs::Metric::morph_pbuf_rejected_total),
+      obs::metrics().counter(obs::Metric::morph_pbuf_unknown_fields_total),
+      obs::metrics().counter(obs::Metric::morph_pbuf_encoded_total),
+      obs::metrics().histogram(obs::Metric::morph_pbuf_decode_bytes),
+      obs::metrics().histogram(obs::Metric::morph_pbuf_encode_bytes),
   };
   return m;
 }

@@ -18,8 +18,9 @@ using C = MessagePort::PortStats::Id;
 /// Process-wide port span histograms (the counters live in each port's
 /// CounterSet).
 struct PortMetrics {
-  obs::Histogram& send_ns = obs::metrics().histogram("morph_span_ns{span=\"port.send\"}");
-  obs::Histogram& deliver_ns = obs::metrics().histogram("morph_span_ns{span=\"port.deliver\"}");
+  obs::Histogram& send_ns = obs::metrics().histogram(obs::Metric::morph_span_ns, {"port.send"});
+  obs::Histogram& deliver_ns =
+      obs::metrics().histogram(obs::Metric::morph_span_ns, {"port.deliver"});
 };
 
 PortMetrics& port_metrics() {

@@ -81,25 +81,21 @@ class MessagePort {
       std::function<bool(const pbio::FormatPtr&, const std::vector<core::TransformSpec>&)>;
   void set_meta_publisher(MetaPublisher publisher) { meta_publisher_ = std::move(publisher); }
 
-  /// The port's counters: PortStats field and exported registry name, or
-  /// nullptr for the per-port control-frame bytes (bytes_sent counts data
+  /// The port's counters: PortStats field and catalog series, or
+  /// none for the per-port control-frame bytes (bytes_sent counts data
   /// and meta frames only).
-#define MORPH_PORT_COUNTERS(X)                                                     \
-  X(data_sent, "morph_port_frames_sent_total{type=\"data\"}")                      \
-  X(data_received, "morph_port_frames_received_total{type=\"data\"}")              \
-  X(meta_frames_sent, "morph_port_frames_sent_total{type=\"meta\"}")               \
-  X(meta_frames_received, "morph_port_frames_received_total{type=\"meta\"}")       \
-  /* formats handed to the meta publisher */                                       \
-  X(meta_published, "morph_port_meta_published_total")                             \
-  X(bytes_sent, "morph_port_bytes_sent_total")                                     \
-  X(control_bytes_sent, nullptr)                                                   \
-  /* malformed frames; the port is wire-dead after one */                          \
-  X(bad_frames, "morph_port_bad_frames_total")                                     \
-  /* data frames that went out protobuf-encoded / kPbufData frames that arrived */ \
-  X(pbuf_sent, "morph_port_frames_sent_total{type=\"pbuf\"}")                      \
-  X(pbuf_received, "morph_port_frames_received_total{type=\"pbuf\"}")              \
-  /* pbuf frames dropped (bad payload/unknown format) */                           \
-  X(pbuf_rejects, "morph_port_pbuf_rejects_total")
+#define MORPH_PORT_COUNTERS(X)                                      \
+  X(data_sent, morph_port_frames_sent_total, "data")                \
+  X(data_received, morph_port_frames_received_total, "data")        \
+  X(meta_frames_sent, morph_port_frames_sent_total, "meta")         \
+  X(meta_frames_received, morph_port_frames_received_total, "meta") \
+  X(meta_published, morph_port_meta_published_total)                \
+  X(bytes_sent, morph_port_bytes_sent_total)                        \
+  X(control_bytes_sent)                                             \
+  X(bad_frames, morph_port_bad_frames_total)                        \
+  X(pbuf_sent, morph_port_frames_sent_total, "pbuf")                \
+  X(pbuf_received, morph_port_frames_received_total, "pbuf")        \
+  X(pbuf_rejects, morph_port_pbuf_rejects_total)
 
   struct PortStats {
     MORPH_STATS(PortStats, MORPH_PORT_COUNTERS)

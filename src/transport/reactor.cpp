@@ -41,14 +41,14 @@ void set_nonblocking(int fd) {
 /// per-loop twin, looked up once (references stay valid for the registry's
 /// lifetime). Leaked singleton.
 struct ReactorMetrics {
-  obs::Gauge& connections = obs::metrics().gauge("morph_reactor_connections");
-  obs::Gauge& outbox_bytes = obs::metrics().gauge("morph_reactor_outbox_bytes");
-  obs::Histogram& loop_ns = obs::metrics().histogram("morph_reactor_loop_ns");
-  obs::Histogram& dispatch_ns = obs::metrics().histogram("morph_reactor_dispatch_ns");
-  obs::Counter& wakeups = obs::metrics().counter("morph_reactor_wakeups_total");
-  obs::Counter& sendmsg = obs::metrics().counter("morph_reactor_sendmsg_total");
-  obs::Counter& readv = obs::metrics().counter("morph_reactor_readv_total");
-  obs::Counter& epoll_waits = obs::metrics().counter("morph_reactor_epoll_waits_total");
+  obs::Gauge& connections = obs::metrics().gauge(obs::Metric::morph_reactor_connections);
+  obs::Gauge& outbox_bytes = obs::metrics().gauge(obs::Metric::morph_reactor_outbox_bytes);
+  obs::Histogram& loop_ns = obs::metrics().histogram(obs::Metric::morph_reactor_loop_ns);
+  obs::Histogram& dispatch_ns = obs::metrics().histogram(obs::Metric::morph_reactor_dispatch_ns);
+  obs::Counter& wakeups = obs::metrics().counter(obs::Metric::morph_reactor_wakeups_total);
+  obs::Counter& sendmsg = obs::metrics().counter(obs::Metric::morph_reactor_sendmsg_total);
+  obs::Counter& readv = obs::metrics().counter(obs::Metric::morph_reactor_readv_total);
+  obs::Counter& epoll_waits = obs::metrics().counter(obs::Metric::morph_reactor_epoll_waits_total);
 };
 
 ReactorMetrics& gm() {

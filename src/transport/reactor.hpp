@@ -218,18 +218,15 @@ class Reactor {
   /// output waits behind handler work.
   static constexpr size_t kFlushBytes = 16u << 10;
 
-  /// The loop's counters: Stats field and exported registry name.
-#define MORPH_REACTOR_COUNTERS(X)                                            \
-  X(accepted, "morph_reactor_accepted_total")                                \
-  X(closed, "morph_reactor_closed_total")                                    \
-  X(idle_timeouts, "morph_reactor_idle_timeouts_total")                      \
-  X(backpressure_closes, "morph_reactor_backpressure_closes_total")          \
-  /* send() calls dropped (closed link or overflow) */                       \
-  X(send_drops, "morph_reactor_send_drops_total")                            \
-  /* callbacks that threw (connection closed) */                             \
-  X(bad_callbacks, "morph_reactor_bad_callbacks_total")                      \
-  /* accepts a ReactorServer refused at max_connections (its first loop) */  \
-  X(refused, "morph_reactor_refused_total")
+  /// The loop's counters: Stats field and catalog series.
+#define MORPH_REACTOR_COUNTERS(X)                                                  \
+  X(accepted, morph_reactor_accepted_total)                                        \
+  X(closed, morph_reactor_closed_total)                                            \
+  X(idle_timeouts, morph_reactor_idle_timeouts_total)                              \
+  X(backpressure_closes, morph_reactor_backpressure_closes_total)                  \
+  X(send_drops, morph_reactor_send_drops_total)                                    \
+  X(bad_callbacks, morph_reactor_bad_callbacks_total)                              \
+  X(refused, morph_reactor_refused_total) /* counted by the server's first loop */
 
   struct Stats {
     MORPH_STATS(Stats, MORPH_REACTOR_COUNTERS)

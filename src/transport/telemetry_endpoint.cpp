@@ -19,9 +19,9 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// value() sums every receiver and publisher, live or destroyed; looking
 /// them up by name keeps this file free of upward dependencies.
 struct ExportMetrics {
-  obs::Counter& rx_morphs = obs::metrics().counter("morph_rx_morphs_total");
-  obs::Counter& fanout_morphs = obs::metrics().counter("echo_fanout_morphs_total");
-  obs::Counter& ring_dropped = obs::metrics().counter("morph_obs_spans_dropped_total");
+  obs::Counter& rx_morphs = obs::metrics().counter(obs::Metric::morph_rx_morphs_total);
+  obs::Counter& fanout_morphs = obs::metrics().counter(obs::Metric::echo_fanout_morphs_total);
+  obs::Counter& ring_dropped = obs::metrics().counter(obs::Metric::morph_obs_spans_dropped_total);
 };
 
 ExportMetrics& xm() {
@@ -33,7 +33,7 @@ using C = CollectorStats::Id;
 using E = ExporterStats::Id;
 
 obs::Gauge& live_conns() {
-  static obs::Gauge& g = obs::metrics().gauge("morph_telemetry_connections");
+  static obs::Gauge& g = obs::metrics().gauge(obs::Metric::morph_telemetry_connections);
   return g;
 }
 

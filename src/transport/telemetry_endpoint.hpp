@@ -44,12 +44,12 @@ struct ExporterOptions {
   bool enable_tracing = true;
 };
 
-/// The exporter's counters: ExporterStats field and exported registry name.
-#define MORPH_EXPORTER_COUNTERS(X)                                 \
-  X(batches, "morph_telemetry_export_batches_total")               \
-  X(spans, "morph_telemetry_export_spans_total")                   \
-  X(dropped, "morph_telemetry_export_dropped_total")               \
-  X(send_failures, "morph_telemetry_export_send_failures_total")
+/// The exporter's counters: ExporterStats field and catalog series.
+#define MORPH_EXPORTER_COUNTERS(X)                             \
+  X(batches, morph_telemetry_export_batches_total)             \
+  X(spans, morph_telemetry_export_spans_total)                 \
+  X(dropped, morph_telemetry_export_dropped_total)             \
+  X(send_failures, morph_telemetry_export_send_failures_total)
 
 struct ExporterStats {
   MORPH_STATS(ExporterStats, MORPH_EXPORTER_COUNTERS)
@@ -94,14 +94,14 @@ struct CollectorOptions {
   size_t max_connections = 64;
 };
 
-/// The collector's counters: CollectorStats field and exported registry
-/// name, or nullptr for the per-instance connection total.
-#define MORPH_COLLECTOR_COUNTERS(X)                        \
-  X(connections, nullptr)                                  \
-  X(batches, "morph_telemetry_batches_total")              \
-  X(spans, "morph_telemetry_spans_total")                  \
-  X(dumps, "morph_telemetry_dumps_total")                  \
-  X(bad_frames, "morph_telemetry_bad_frames_total")
+/// The collector's counters: CollectorStats field and catalog
+/// series, or none for the per-instance connection total.
+#define MORPH_COLLECTOR_COUNTERS(X)               \
+  X(connections)                                  \
+  X(batches, morph_telemetry_batches_total)       \
+  X(spans, morph_telemetry_spans_total)           \
+  X(dumps, morph_telemetry_dumps_total)           \
+  X(bad_frames, morph_telemetry_bad_frames_total)
 
 struct CollectorStats {
   MORPH_STATS(CollectorStats, MORPH_COLLECTOR_COUNTERS)

@@ -7,17 +7,22 @@
 // after the instances are destroyed. Finally every counter name in
 // tests/golden/counter_names.txt (the names this scenario registered
 // before the counters moved into the instances) must still be scraped,
-// exactly once.
+// exactly once. Every scrape satisfies the catalog's conservation laws,
+// and every family the scenario registers is catalogued.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 
 #include "echo/process.hpp"
 #include "fmtsvc/resolver.hpp"
 #include "fmtsvc/server.hpp"
+#include "obs/export.hpp"
 #include "obs/telemetry.hpp"
 #include "pbio/record.hpp"
 #include "scrape_check.hpp"
@@ -228,6 +233,42 @@ TEST(CounterSurface, StatsAreTheScrapedStore) {
     EXPECT_EQ(seen, 1u) << name;
   }
   EXPECT_GT(names, 0u);
+}
+
+TEST(CounterSurface, EveryFamilyIsCataloguedAndDocumentedOnce) {
+  echo_step();
+  port_step();
+  fmtsvc_step();
+  reactor_step();
+  telemetry_step();
+
+  // Every family the scenario left in the global registry (this test runs
+  // in a process of its own) is declared in the catalog with its kind.
+  const auto snap = obs::metrics().snapshot();
+  std::set<std::string> families;
+  auto expect_catalogued = [&](const std::string& name, obs::Kind kind) {
+    const std::string family = obs::split_metric_name(name).first;
+    families.insert(family);
+    const obs::MetricInfo* entry = obs::find_family(family);
+    ASSERT_NE(entry, nullptr) << family << " is not in the catalog";
+    EXPECT_EQ(entry->kind, kind) << family;
+  };
+  for (const auto& [name, v] : snap.counters) expect_catalogued(name, obs::Kind::kCounter);
+  for (const auto& [name, v] : snap.gauges) expect_catalogued(name, obs::Kind::kGauge);
+  for (const auto& [name, h] : snap.histograms) expect_catalogued(name, obs::Kind::kHistogram);
+  EXPECT_GT(families.size(), 40u);
+
+  // The exposition types and documents each of them exactly once.
+  std::map<std::string, size_t> headers;
+  std::istringstream exposition(obs::to_prometheus(snap));
+  for (std::string line; std::getline(exposition, line);) {
+    if (line.rfind("# ", 0) == 0) ++headers[line.substr(0, line.find(' ', 7))];
+  }
+  for (const std::string& family : families) {
+    EXPECT_EQ(headers["# TYPE " + family], 1u) << family;
+    EXPECT_EQ(headers["# HELP " + family], 1u) << family;
+  }
+  EXPECT_EQ(headers.size(), 2 * families.size());
 }
 
 }  // namespace

@@ -42,7 +42,9 @@ TEST(HistogramBuckets, IndexIsMonotoneAndContainsValue) {
       EXPECT_GE(idx, prev_idx) << "v=" << v;
       prev_idx = idx;
       EXPECT_LE(v, Histogram::bucket_upper(idx)) << "v=" << v;
-      if (idx > 0) EXPECT_GT(v, Histogram::bucket_upper(idx - 1)) << "v=" << v;
+      if (idx > 0) {
+        EXPECT_GT(v, Histogram::bucket_upper(idx - 1)) << "v=" << v;
+      }
     }
   }
 }
@@ -333,6 +335,16 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(json_parse("\"\\ud800\""), JsonError);  // lone surrogate
   EXPECT_THROW(json_parse("nul"), JsonError);
   EXPECT_THROW(json_parse("[999999999999999999999999999999e999999]"), JsonError);
+  // Peer input: nesting past the cap throws instead of overflowing the
+  // stack, and a count past u64 throws instead of an undefined cast.
+  EXPECT_THROW(json_parse(std::string(1000000, '[')), JsonError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(json_parse(objects), JsonError);
+  EXPECT_NO_THROW(json_parse(std::string(200, '[') + std::string(200, ']')));
+  EXPECT_THROW(json_parse("18446744073709551616").as_u64(), JsonError);
+  EXPECT_THROW(json_parse("1e300").as_u64(), JsonError);
+  EXPECT_EQ(json_parse("9007199254740992").as_u64(), 9007199254740992u);
 }
 
 TEST(Json, TypeMismatchesThrow) {

@@ -465,14 +465,18 @@ std::string http_get(uint16_t port, const std::string& path) {
 }  // namespace
 
 TEST(StatsServer, ServesPrometheusText) {
-  obs::metrics().counter("morph_test_probe_total").inc();
+  // A series of its own under a catalogued family, so the global registry
+  // holds only catalogued families (CounterSurface checks that).
+  obs::metrics().counter(obs::Metric::morph_flight_events_total, {"stats_server_probe"}).inc();
   StatsServer server(0);
   ASSERT_GT(server.port(), 0);
   std::string response = http_get(server.port(), "/metrics");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(response.find("# TYPE morph_test_probe_total counter"), std::string::npos);
-  EXPECT_NE(response.find("morph_test_probe_total 1"), std::string::npos);
+  EXPECT_NE(response.find("# HELP morph_flight_events_total "), std::string::npos);
+  EXPECT_NE(response.find("# TYPE morph_flight_events_total counter"), std::string::npos);
+  EXPECT_NE(response.find("morph_flight_events_total{kind=\"stats_server_probe\"} 1"),
+            std::string::npos);
 }
 
 TEST(StatsServer, ServesJsonSnapshot) {

@@ -8,17 +8,20 @@
 //                                         subtract; gauges show old -> new)
 //   morph-stat --check DUMP.json          validate the dump: schema tag,
 //                                         percentile ordering, bucket sums,
-//                                         receiver outcome conservation,
-//                                         fusion conservation (every morphed
-//                                         outcome ran fused or hop-wise),
-//                                         and echo fan-out conservation
-//                                         (morphs <= encodes <= deliveries).
+//                                         and every conservation law of the
+//                                         metric catalog (obs/catalog.hpp).
 //                                         Exit 1 on any violation.
 //   morph-stat --spans DUMP.json          also print the captured trace
 //                                         spans, grouped by trace id
 //   morph-stat --flight DUMP.json         also print the flight-recorder
 //                                         ring (rejects, resolver retries,
 //                                         fan-out fallbacks, slow morphs)
+//
+// Rendering starts with a digest generated from the catalog: one section
+// per subsystem with activity, listing each of its families (counter
+// totals split by label, gauges, histogram volume and percentiles in the
+// family's unit), the catalog's derived ratios, and the reading of each
+// conservation law. The flat series tables follow.
 //
 // Both commands also accept a morph-telemetry-v1 document (a collector
 // dump from `morph-trace dump`): rendering shows the per-process ledger,
@@ -27,8 +30,9 @@
 // morph spans reconcile with the counters).
 //
 // Flags combine: `morph-stat --check --scrape 127.0.0.1:9464` validates a
-// live endpoint. Histogram times are stored in nanoseconds and rendered
-// with auto-scaled units.
+// live endpoint.
+#include <array>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/catalog.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "transport/tcp.hpp"
@@ -46,19 +51,13 @@
 namespace {
 
 using morph::obs::JsonValue;
+namespace obs = morph::obs;
 
-struct HistRow {
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  uint64_t p50 = 0, p90 = 0, p99 = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> buckets;  // (upper, count)
-};
-
-struct Snapshot {
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistRow> histograms;
+struct Dump {
+  obs::MetricsSnapshot m;
+  /// p50, p90, p99 of each histogram as the dump states them (--check
+  /// validates them; rendering recomputes from the buckets).
+  std::map<std::string, std::array<uint64_t, 3>> stated;
   const JsonValue* spans = nullptr;   // borrowed from the parsed document
   const JsonValue* flight = nullptr;  // borrowed from the parsed document
 };
@@ -68,38 +67,36 @@ struct Snapshot {
   std::exit(2);  // NOLINT(concurrency-mt-unsafe) — single-threaded CLI
 }
 
-Snapshot load_snapshot(const JsonValue& doc) {
-  Snapshot s;
+Dump load_dump(const JsonValue& doc) {
+  Dump d;
   const JsonValue* schema = doc.find("schema");
   if (schema == nullptr || schema->as_string() != "morph-metrics-v1") {
     die("not a morph-metrics-v1 document");
   }
   if (const JsonValue* c = doc.find("counters")) {
-    for (const auto& [name, v] : c->as_object()) s.counters[name] = v.as_u64();
+    for (const auto& [name, v] : c->as_object()) d.m.counters.emplace_back(name, v.as_u64());
   }
   if (const JsonValue* g = doc.find("gauges")) {
-    for (const auto& [name, v] : g->as_object()) s.gauges[name] = v.as_number();
+    for (const auto& [name, v] : g->as_object()) d.m.gauges.emplace_back(name, v.as_number());
   }
   if (const JsonValue* h = doc.find("histograms")) {
     for (const auto& [name, v] : h->as_object()) {
-      HistRow row;
+      obs::HistogramSnapshot row;
       row.count = v.at("count").as_u64();
       row.sum = v.at("sum").as_u64();
       row.max = v.at("max").as_u64();
-      row.p50 = v.at("p50").as_u64();
-      row.p90 = v.at("p90").as_u64();
-      row.p99 = v.at("p99").as_u64();
       for (const auto& b : v.at("buckets").as_array()) {
         const auto& pair = b.as_array();
         if (pair.size() != 2) die("histogram bucket is not an [upper, count] pair");
         row.buckets.emplace_back(pair[0].as_u64(), pair[1].as_u64());
       }
-      s.histograms[name] = std::move(row);
+      d.stated[name] = {v.at("p50").as_u64(), v.at("p90").as_u64(), v.at("p99").as_u64()};
+      d.m.histograms.emplace_back(name, std::move(row));
     }
   }
-  s.spans = doc.find("spans");
-  s.flight = doc.find("flight");
-  return s;
+  d.spans = doc.find("spans");
+  d.flight = doc.find("flight");
+  return d;
 }
 
 std::string read_file(const std::string& path) {
@@ -115,10 +112,13 @@ std::string scrape(const std::string& target) {
   size_t colon = target.rfind(':');
   if (colon == std::string::npos) die("--scrape wants HOST:PORT");
   std::string host = target.substr(0, colon);
-  int port = std::atoi(target.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) die("bad port in " + target);
+  const char* first = target.c_str() + colon + 1;
+  const char* last = target.c_str() + target.size();
+  uint16_t port = 0;
+  auto [end, ec] = std::from_chars(first, last, port);
+  if (ec != std::errc() || end != last || port == 0) die("bad port in " + target);
 
-  auto link = morph::transport::TcpLink::connect(host, static_cast<uint16_t>(port));
+  auto link = morph::transport::TcpLink::connect(host, port);
   std::string request = "GET / HTTP/1.0\r\nHost: " + host + "\r\n\r\n";
   link->send(request.data(), request.size());
 
@@ -133,292 +133,164 @@ std::string scrape(const std::string& target) {
   return response.substr(body + 4);
 }
 
-const char* unit_suffix(double& v) {
-  if (v >= 1e9) { v /= 1e9; return "s "; }
-  if (v >= 1e6) { v /= 1e6; return "ms"; }
-  if (v >= 1e3) { v /= 1e3; return "us"; }
-  return "ns";
-}
-
-std::string fmt_ns(uint64_t ns) {
-  double v = static_cast<double>(ns);
-  const char* u = unit_suffix(v);
-  char buf[32];
+/// `v` in `unit`: nanoseconds auto-scale to us/ms/s, other units print as is.
+std::string fmt_in(double v, const std::string& unit) {
+  const char* u = unit.c_str();
+  if (unit == "ns") {
+    if (v >= 1e9) { v /= 1e9; u = "s "; }
+    else if (v >= 1e6) { v /= 1e6; u = "ms"; }
+    else if (v >= 1e3) { v /= 1e3; u = "us"; }
+  }
+  char buf[48];
   std::snprintf(buf, sizeof buf, "%8.2f %s", v, u);
   return buf;
 }
 
-/// Digest of the out-of-band format service, client and server side. Only
-/// printed when fmtsvc metrics are present in the dump.
-void render_fmtsvc(const Snapshot& s) {
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  bool any = false;
-  for (const auto& [name, v] : s.counters) {
-    if (name.rfind("morph_fmtsvc_", 0) == 0 && v > 0) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return;
+std::string fmt_ns(uint64_t ns) { return fmt_in(static_cast<double>(ns), "ns"); }
 
-  std::printf("== format service ==\n");
-  uint64_t resolves = counter("morph_fmtsvc_client_resolves_total");
-  uint64_t cached = counter("morph_fmtsvc_client_resolve_total{result=\"cached\"}");
-  uint64_t negative = counter("morph_fmtsvc_client_resolve_total{result=\"negative\"}");
-  uint64_t fetched = counter("morph_fmtsvc_client_resolve_total{result=\"fetched\"}");
-  uint64_t failed = counter("morph_fmtsvc_client_resolve_total{result=\"failed\"}");
-  uint64_t stampede = counter("morph_fmtsvc_client_resolve_total{result=\"stampede\"}");
-  if (resolves > 0) {
-    double hit_rate = 100.0 * static_cast<double>(cached + negative) /
-                      static_cast<double>(resolves);
-    std::printf("  client: %" PRIu64 " resolves (%.1f%% cache), %" PRIu64 " fetched, %" PRIu64
-                " failed, %" PRIu64 " shared flights\n",
-                resolves, hit_rate, fetched, failed, stampede);
-    std::printf("  client: %" PRIu64 " rpcs, %" PRIu64 " retries, %" PRIu64 " published\n",
-                counter("morph_fmtsvc_client_rpcs_total"),
-                counter("morph_fmtsvc_client_retries_total"),
-                counter("morph_fmtsvc_client_published_total"));
-  }
-  uint64_t requests = 0;
-  for (const auto& [name, v] : s.counters) {
-    if (name.rfind("morph_fmtsvc_requests_total{", 0) == 0) requests += v;
-  }
-  if (requests > 0) {
-    std::printf("  server: %" PRIu64 " requests, %" PRIu64 " not-found, %" PRIu64
-                " lint-rejected, %" PRIu64 " bad frames\n",
-                requests, counter("morph_fmtsvc_server_not_found_total"),
-                counter("morph_fmtsvc_server_lint_rejected_total"),
-                counter("morph_fmtsvc_server_bad_frames_total"));
-    uint64_t audit_rejected = counter("morph_fmtsvc_server_audit_rejected_total");
-    uint64_t audit_warned = counter("morph_fmtsvc_server_audit_warned_total");
-    if (audit_rejected + audit_warned > 0) {
-      std::printf("  server audit: %" PRIu64 " rejected, %" PRIu64 " warned\n", audit_rejected,
-                  audit_warned);
-    }
-  }
-  uint64_t rx_fetched = counter("morph_rx_resolve_total{result=\"fetched\"}");
-  uint64_t rx_degraded = counter("morph_rx_resolve_total{result=\"degraded\"}");
-  if (rx_fetched + rx_degraded > 0) {
-    std::printf("  receiver: %" PRIu64 " formats fetched out-of-band, %" PRIu64
-                " degraded to inline\n",
-                rx_fetched, rx_degraded);
-  }
+/// The catalog unit of a series; "ns" for an uncatalogued histogram.
+std::string unit_of(const std::string& series) {
+  const obs::MetricInfo* f = obs::find_family(obs::split_metric_name(series).first);
+  return f != nullptr ? f->unit : "ns";
 }
 
-/// Digest of chain-fusion activity: how often decision builds produced a
-/// fused chain, and how morphs actually executed. Only printed when the
-/// receiver compiled at least one chain.
-void render_fusion(const Snapshot& s) {
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  uint64_t fused_builds = counter("morph_rx_chain_fusion_total{result=\"fused\"}");
-  uint64_t bailouts = counter("morph_rx_chain_fusion_total{result=\"bailout\"}");
-  if (fused_builds + bailouts == 0) return;
-
-  std::printf("== fusion ==\n");
-  std::printf("  chains: %" PRIu64 " fused, %" PRIu64 " bailed out to hop-wise\n",
-              fused_builds, bailouts);
-  uint64_t fused = counter("morph_rx_fused_total");
-  uint64_t hopwise = counter("morph_rx_hopwise_total");
-  if (fused + hopwise > 0) {
-    double pct = 100.0 * static_cast<double>(fused) / static_cast<double>(fused + hopwise);
-    std::printf("  morphs: %" PRIu64 " fused (%.1f%%), %" PRIu64 " hop-wise, %" PRIu64
-                " fed by in-place decode\n",
-                fused, pct, hopwise, counter("morph_rx_morph_inplace_total"));
+/// One family's digest row: its total over every series in the dump (a
+/// label breakdown when labeled), or the merged histogram. Empty when the
+/// dump holds no series of the family; `active` turns true on any count.
+std::string family_row(const Dump& d, const obs::MetricInfo& f, bool& active) {
+  auto mine = [&](const std::string& name) { return obs::split_metric_name(name).first == f.name; };
+  char buf[160];
+  std::string detail;
+  size_t seen = 0;
+  if (f.kind == obs::Kind::kHistogram) {
+    obs::HistogramSnapshot all;
+    std::map<uint64_t, uint64_t> buckets;
+    for (const auto& [name, h] : d.m.histograms) {
+      if (!mine(name)) continue;
+      ++seen;
+      all.count += h.count;
+      all.sum += h.sum;
+      all.max = std::max(all.max, h.max);
+      for (const auto& [upper, n] : h.buckets) buckets[upper] += n;
+    }
+    if (seen == 0) return "";
+    all.buckets.assign(buckets.begin(), buckets.end());
+    active |= all.count > 0;
+    const double mean = all.count > 0 ? static_cast<double>(all.sum) / all.count : 0.0;
+    std::snprintf(buf, sizeof buf, "%" PRIu64 " samples", all.count);
+    detail = "mean " + fmt_in(mean, f.unit) + ", p50 " +
+             fmt_in(static_cast<double>(all.percentile(0.50)), f.unit) + ", p99 " +
+             fmt_in(static_cast<double>(all.percentile(0.99)), f.unit) + ", max " +
+             fmt_in(static_cast<double>(all.max), f.unit);
+  } else if (f.kind == obs::Kind::kGauge) {
+    double value = 0;
+    for (const auto& [name, v] : d.m.gauges) {
+      if (!mine(name)) continue;
+      value = v;
+      ++seen;
+    }
+    if (seen == 0) return "";
+    if (seen == 1) std::snprintf(buf, sizeof buf, "%.6g %s", value, f.unit);
+    else std::snprintf(buf, sizeof buf, "%zu series", seen);
+  } else {
+    uint64_t sum = 0;
+    for (const auto& [name, v] : d.m.counters) {
+      if (!mine(name)) continue;
+      ++seen;
+      sum += v;
+      const std::string labels = obs::split_metric_name(name).second;
+      if (labels.empty()) continue;
+      const size_t q = labels.find('"');
+      detail += (detail.empty() ? "" : ", ") + labels.substr(q + 1, labels.size() - q - 2) + " " +
+                std::to_string(v);
+    }
+    if (seen == 0) return "";
+    active |= sum > 0;
+    std::snprintf(buf, sizeof buf, "%" PRIu64 " %s", sum, f.unit);
   }
-  auto hist = s.histograms.find("morph_rx_chain_hops");
-  if (hist != s.histograms.end() && hist->second.count > 0) {
-    const HistRow& h = hist->second;
-    std::printf("  chain length: %" PRIu64 " builds, mean %.1f hops, max %" PRIu64 " hops\n",
-                h.count, static_cast<double>(h.sum) / static_cast<double>(h.count), h.max);
-  }
+  std::string row = "  " + std::string(f.name);
+  row.resize(std::max<size_t>(row.size() + 1, 48), ' ');
+  return row + buf + (detail.empty() ? "" : "  (" + detail + ")") + "\n";
 }
 
-/// Digest of echo broker activity: request/response morphing and the
-/// format-grouped event fan-out. Only printed when echo metrics are present.
-void render_echo(const Snapshot& s) {
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
+/// The catalog digest: per subsystem with activity, its families, the
+/// ratios over them and the reading of each law whose first term it owns.
+void render_digest(const Dump& d) {
+  std::vector<std::pair<std::string_view, std::vector<const obs::MetricInfo*>>> owners;
+  for (const obs::MetricInfo& f : obs::kCatalog) {
+    if (owners.empty() || owners.back().first != f.subsystem) owners.push_back({f.subsystem, {}});
+    owners.back().second.push_back(&f);
+  }
+  const auto readings = obs::evaluate_laws(d.m);
+  auto owned = [](const std::vector<obs::Term>& t, std::string_view sub) {
+    return sub == obs::info(t.front().family).subsystem;
   };
-  uint64_t responses = counter("morph_echo_responses_total");
-  uint64_t rx_events = counter("morph_echo_events_total");
-  uint64_t fan_events = counter("echo_fanout_events_total");
-  if (responses + rx_events + fan_events == 0) return;
-
-  std::printf("== echo ==\n");
-  if (responses > 0) {
-    std::printf("  responses: %" PRIu64 " delivered, %" PRIu64 " morphed (%" PRIu64
-                " open requests)\n",
-                responses, counter("morph_echo_responses_morphed_total"),
-                counter("morph_echo_open_requests_total"));
-  }
-  if (rx_events > 0) {
-    std::printf("  events: %" PRIu64 " received at sinks, %" PRIu64 " morphed sink-side\n",
-                rx_events, counter("morph_echo_events_morphed_total"));
-  }
-  if (fan_events > 0) {
-    uint64_t morphs = counter("echo_fanout_morphs_total");
-    uint64_t deliveries = counter("echo_fanout_deliveries_total");
-    std::printf("  fan-out: %" PRIu64 " events -> %" PRIu64 " deliveries (%.1f sinks/event), %"
-                PRIu64 " morphs (%.2f/event), %" PRIu64 " encodes, %" PRIu64 " fallbacks\n",
-                fan_events, deliveries,
-                static_cast<double>(deliveries) / static_cast<double>(fan_events), morphs,
-                static_cast<double>(morphs) / static_cast<double>(fan_events),
-                counter("echo_fanout_encodes_total"), counter("echo_fanout_fallback_total"));
-    uint64_t plans = counter("morph_fanout_plans_total{result=\"built\"}");
-    uint64_t hits = counter("morph_fanout_plans_total{result=\"hit\"}");
-    if (plans + hits > 0) {
-      std::printf("  fan-out plans: %" PRIu64 " built, %" PRIu64 " cache hits, %" PRIu64
-                  " unreachable, %" PRIu64 " flushes\n",
-                  plans, hits, counter("morph_fanout_plans_total{result=\"unreachable\"}"),
-                  counter("morph_fanout_cache_flushes_total"));
+  for (const auto& [sub, families] : owners) {
+    bool active = false;
+    std::string rows;
+    for (const obs::MetricInfo* f : families) rows += family_row(d, *f, active);
+    if (!active) continue;
+    std::printf("== %s ==\n%s", std::string(sub).c_str(), rows.c_str());
+    for (const obs::Ratio& r : obs::ratios()) {
+      auto v = owned(r.den, sub) ? obs::ratio_value(r, d.m) : std::nullopt;
+      if (v) std::printf("  %-45s %.2f\n", r.name, *v);
+    }
+    for (const obs::LawReading& r : readings) {
+      if (!owned(r.law->lhs, sub)) continue;
+      std::printf("  law %-41s %" PRIu64 " %s %" PRIu64 "%s\n", r.law->name, r.lhs,
+                  r.holds() ? "<=" : ">", r.rhs, r.holds() ? "" : "  VIOLATED");
     }
   }
 }
 
-/// Digest of the protobuf interop bridge: frames crossing the ecosystem
-/// boundary, their fate (decoded vs rejected), and the transport/fan-out
-/// paths carrying them. Only printed when pbuf metrics are present.
-void render_pbuf(const Snapshot& s) {
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  uint64_t frames_in = counter("morph_pbuf_frames_in_total");
-  uint64_t encoded = counter("morph_pbuf_encoded_total");
-  if (frames_in + encoded == 0) return;
-
-  std::printf("== pbuf bridge ==\n");
-  uint64_t decoded = counter("morph_pbuf_decoded_total");
-  uint64_t rejected = counter("morph_pbuf_rejected_total");
-  std::printf("  frames: %" PRIu64 " in -> %" PRIu64 " decoded, %" PRIu64 " rejected (%s), %"
-              PRIu64 " unknown fields skipped\n",
-              frames_in, decoded, rejected,
-              frames_in == decoded + rejected ? "conserved" : "NOT CONSERVED",
-              counter("morph_pbuf_unknown_fields_total"));
-  std::printf("  encodes: %" PRIu64 " records to protobuf wire\n", encoded);
-  uint64_t port_sent = counter("morph_port_frames_sent_total{type=\"pbuf\"}");
-  uint64_t port_received = counter("morph_port_frames_received_total{type=\"pbuf\"}");
-  uint64_t port_rejects = counter("morph_port_pbuf_rejects_total");
-  if (port_sent + port_received + port_rejects > 0) {
-    std::printf("  transport: %" PRIu64 " pbuf frames sent, %" PRIu64 " received, %" PRIu64
-                " rejected (contained per-frame)\n",
-                port_sent, port_received, port_rejects);
-  }
-  uint64_t fanout_pbuf = counter("echo_fanout_pbuf_encodes_total");
-  if (fanout_pbuf > 0) {
-    std::printf("  fan-out: %" PRIu64 " group encodes to protobuf (of %" PRIu64
-                " total encodes)\n",
-                fanout_pbuf, counter("echo_fanout_encodes_total"));
-  }
-}
-
-/// Digest of the reactor transport: connection population, event-loop and
-/// dispatch latency, and the failure/defense counters (idle reaps,
-/// backpressure closes, counted drops). Only printed when a reactor ran.
-void render_transport(const Snapshot& s) {
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  uint64_t accepted = counter("morph_reactor_accepted_total");
-  if (accepted == 0) return;
-
-  std::printf("== reactor transport ==\n");
-  auto gauge = [&](const std::string& n) -> double {
-    auto it = s.gauges.find(n);
-    return it == s.gauges.end() ? 0.0 : it->second;
-  };
-  std::printf("  connections: %.0f live (%.0f KB queued), %" PRIu64 " accepted, %" PRIu64
-              " closed, %" PRIu64 " refused\n",
-              gauge("morph_reactor_connections"),
-              gauge("morph_reactor_outbox_bytes") / 1024.0, accepted,
-              counter("morph_reactor_closed_total"), counter("morph_reactor_refused_total"));
-  auto hist = s.histograms.find("morph_reactor_loop_ns");
-  if (hist != s.histograms.end() && hist->second.count > 0) {
-    const HistRow& h = hist->second;
-    std::printf("  loop: %" PRIu64 " wakeups with work, p50 %s, p99 %s\n", h.count,
-                fmt_ns(h.p50).c_str(), fmt_ns(h.p99).c_str());
-    const uint64_t sendmsg = counter("morph_reactor_sendmsg_total");
-    const uint64_t readv = counter("morph_reactor_readv_total");
-    const uint64_t waits = counter("morph_reactor_epoll_waits_total");
-    std::printf("  syscalls: %.2f per loop iteration with work (%" PRIu64 " sendmsg, %" PRIu64
-                " readv, %" PRIu64 " epoll_wait)\n",
-                static_cast<double>(sendmsg + readv + waits) / static_cast<double>(h.count),
-                sendmsg, readv, waits);
-  }
-  hist = s.histograms.find("morph_reactor_dispatch_ns");
-  if (hist != s.histograms.end() && hist->second.count > 0) {
-    const HistRow& h = hist->second;
-    std::printf("  dispatch: %" PRIu64 " batches, p50 %s, p99 %s\n", h.count,
-                fmt_ns(h.p50).c_str(), fmt_ns(h.p99).c_str());
-  }
-  uint64_t idle = counter("morph_reactor_idle_timeouts_total");
-  uint64_t bp = counter("morph_reactor_backpressure_closes_total");
-  uint64_t drops = counter("morph_reactor_send_drops_total");
-  uint64_t bad = counter("morph_reactor_bad_callbacks_total");
-  if (idle + bp + drops + bad > 0) {
-    std::printf("  defenses: %" PRIu64 " idle reaps, %" PRIu64 " backpressure closes, %" PRIu64
-                " counted send drops, %" PRIu64 " callback faults contained\n",
-                idle, bp, drops, bad);
-  }
-}
-
-void render(const Snapshot& s, bool with_spans, bool with_flight) {
-  render_fmtsvc(s);
-  render_fusion(s);
-  render_echo(s);
-  render_pbuf(s);
-  render_transport(s);
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  uint64_t ring_dropped = counter("morph_obs_spans_dropped_total");
-  uint64_t export_dropped = counter("morph_telemetry_export_dropped_total");
+void render(const Dump& d, bool with_spans, bool with_flight) {
+  render_digest(d);
+  const uint64_t ring_dropped = obs::total(d.m, {{obs::Metric::morph_obs_spans_dropped_total}});
+  const uint64_t export_dropped =
+      obs::total(d.m, {{obs::Metric::morph_telemetry_export_dropped_total}});
   if (ring_dropped + export_dropped > 0) {
     std::printf("WARNING: %" PRIu64 " spans evicted from the ring and %" PRIu64
                 " dropped by the exporter — traces are incomplete; raise the ring\n"
                 "         capacity or the export rate before trusting attribution\n",
                 ring_dropped, export_dropped);
   }
-  if (!s.counters.empty()) {
+  if (!d.m.counters.empty()) {
     std::printf("== counters ==\n");
-    for (const auto& [name, v] : s.counters) std::printf("  %-56s %12" PRIu64 "\n", name.c_str(), v);
+    for (const auto& [name, v] : d.m.counters) {
+      std::printf("  %-56s %12" PRIu64 "\n", name.c_str(), v);
+    }
   }
-  if (!s.gauges.empty()) {
+  if (!d.m.gauges.empty()) {
     std::printf("== gauges ==\n");
-    for (const auto& [name, v] : s.gauges) std::printf("  %-56s %12.4f\n", name.c_str(), v);
+    for (const auto& [name, v] : d.m.gauges) std::printf("  %-56s %12.4f\n", name.c_str(), v);
   }
-  if (!s.histograms.empty()) {
+  if (!d.m.histograms.empty()) {
     std::printf("== histograms ==\n");
     std::printf("  %-44s %10s %11s %11s %11s %11s %11s\n", "name", "count", "mean", "p50", "p90",
                 "p99", "max");
-    for (const auto& [name, h] : s.histograms) {
-      uint64_t mean = h.count > 0 ? h.sum / h.count : 0;
-      std::printf("  %-44s %10" PRIu64 " %s %s %s %s %s\n", name.c_str(), h.count,
-                  fmt_ns(mean).c_str(), fmt_ns(h.p50).c_str(), fmt_ns(h.p90).c_str(),
-                  fmt_ns(h.p99).c_str(), fmt_ns(h.max).c_str());
+    for (const auto& [name, h] : d.m.histograms) {
+      const std::string unit = unit_of(name);
+      auto at = [&](double v) { return fmt_in(v, unit); };
+      const double mean = h.count > 0 ? static_cast<double>(h.sum / h.count) : 0.0;
+      std::printf("  %-44s %10" PRIu64 " %s %s %s %s %s\n", name.c_str(), h.count, at(mean).c_str(),
+                  at(static_cast<double>(h.percentile(0.50))).c_str(),
+                  at(static_cast<double>(h.percentile(0.90))).c_str(),
+                  at(static_cast<double>(h.percentile(0.99))).c_str(),
+                  at(static_cast<double>(h.max)).c_str());
     }
   }
-  if (with_spans && s.spans != nullptr) {
+  if (with_spans && d.spans != nullptr) {
     std::printf("== spans ==\n");
-    for (const auto& span : s.spans->as_array()) {
+    for (const auto& span : d.spans->as_array()) {
       std::printf("  %-20s trace=%s start=%12" PRIu64 " dur=%s thread=%" PRIu64 "\n",
                   span.at("name").as_string().c_str(), span.at("trace").as_string().c_str(),
                   span.at("start_ns").as_u64(), fmt_ns(span.at("dur_ns").as_u64()).c_str(),
                   span.at("thread").as_u64());
     }
   }
-  if (with_flight && s.flight != nullptr) {
+  if (with_flight && d.flight != nullptr) {
     std::printf("== flight recorder ==\n");
-    for (const auto& e : s.flight->as_array()) {
+    for (const auto& e : d.flight->as_array()) {
       std::printf("  [%-15s] t=%12" PRIu64 " trace=%s %s\n", e.at("kind").as_string().c_str(),
                   e.at("ts_ns").as_u64(), e.at("trace").as_string().c_str(),
                   e.at("detail").as_string().c_str());
@@ -432,48 +304,54 @@ void render(const Snapshot& s, bool with_spans, bool with_flight) {
   }
 }
 
-void render_delta(const Snapshot& older, const Snapshot& newer) {
+void render_delta(const Dump& older, const Dump& newer) {
+  const std::map<std::string, uint64_t> oc(older.m.counters.begin(), older.m.counters.end());
+  const std::map<std::string, double> og(older.m.gauges.begin(), older.m.gauges.end());
+  const std::map<std::string, obs::HistogramSnapshot> oh(older.m.histograms.begin(),
+                                                         older.m.histograms.end());
   std::printf("== counter deltas (new - old) ==\n");
-  for (const auto& [name, nv] : newer.counters) {
-    auto it = older.counters.find(name);
-    uint64_t ov = it == older.counters.end() ? 0 : it->second;
+  for (const auto& [name, nv] : newer.m.counters) {
+    auto it = oc.find(name);
+    uint64_t ov = it == oc.end() ? 0 : it->second;
     if (nv != ov) std::printf("  %-56s %+12" PRId64 "\n", name.c_str(), static_cast<int64_t>(nv - ov));
   }
   std::printf("== gauge changes (old -> new) ==\n");
-  for (const auto& [name, nv] : newer.gauges) {
-    auto it = older.gauges.find(name);
-    double ov = it == older.gauges.end() ? 0.0 : it->second;
+  for (const auto& [name, nv] : newer.m.gauges) {
+    auto it = og.find(name);
+    double ov = it == og.end() ? 0.0 : it->second;
     if (nv != ov) std::printf("  %-56s %12.4f -> %.4f\n", name.c_str(), ov, nv);
   }
   std::printf("== histogram deltas ==\n");
   std::printf("  %-44s %10s %11s\n", "name", "count", "mean");
-  for (const auto& [name, nh] : newer.histograms) {
-    auto it = older.histograms.find(name);
-    uint64_t oc = it == older.histograms.end() ? 0 : it->second.count;
-    uint64_t os = it == older.histograms.end() ? 0 : it->second.sum;
-    uint64_t dc = nh.count - oc;
+  for (const auto& [name, nh] : newer.m.histograms) {
+    auto it = oh.find(name);
+    uint64_t oc_n = it == oh.end() ? 0 : it->second.count;
+    uint64_t os = it == oh.end() ? 0 : it->second.sum;
+    uint64_t dc = nh.count - oc_n;
     if (dc == 0) continue;
-    std::printf("  %-44s %10" PRIu64 " %s\n", name.c_str(), dc, fmt_ns((nh.sum - os) / dc).c_str());
+    std::printf("  %-44s %10" PRIu64 " %s\n", name.c_str(), dc,
+                fmt_in(static_cast<double>((nh.sum - os) / dc), unit_of(name)).c_str());
   }
 }
 
 /// Validation used by tests and the CI bench-smoke job.
-int check(const Snapshot& s) {
+int check(const Dump& d) {
   int failures = 0;
   auto fail = [&](const std::string& msg) {
     std::fprintf(stderr, "CHECK FAILED: %s\n", msg.c_str());
     ++failures;
   };
 
-  for (const auto& [name, h] : s.histograms) {
-    if (!(h.p50 <= h.p90 && h.p90 <= h.p99)) {
-      fail(name + ": percentiles out of order (p50 " + std::to_string(h.p50) + ", p90 " +
-           std::to_string(h.p90) + ", p99 " + std::to_string(h.p99) + ")");
+  for (const auto& [name, h] : d.m.histograms) {
+    const auto [p50, p90, p99] = d.stated.at(name);
+    if (!(p50 <= p90 && p90 <= p99)) {
+      fail(name + ": percentiles out of order (p50 " + std::to_string(p50) + ", p90 " +
+           std::to_string(p90) + ", p99 " + std::to_string(p99) + ")");
     }
     // Percentiles are bucket midpoints, so they may exceed the exact max by
     // up to one log-linear sub-bucket (1/16 relative).
-    if (h.count > 0 && h.p99 > h.max + h.max / 16 + 1) {
-      fail(name + ": p99 " + std::to_string(h.p99) + " above max " + std::to_string(h.max));
+    if (h.count > 0 && p99 > h.max + h.max / 16 + 1) {
+      fail(name + ": p99 " + std::to_string(p99) + " above max " + std::to_string(h.max));
     }
     uint64_t bucket_sum = 0;
     uint64_t prev_upper = 0;
@@ -492,131 +370,8 @@ int check(const Snapshot& s) {
       fail(name + ": sum " + std::to_string(h.sum) + " below max " + std::to_string(h.max));
     }
   }
-
-  // Receiver conservation: messages >= terminal outcomes (a scrape can race
-  // messages in flight, so >= rather than ==; see ReceiverStats::consistent).
-  auto counter = [&](const std::string& n) -> uint64_t {
-    auto it = s.counters.find(n);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  uint64_t messages = counter("morph_rx_messages_total");
-  uint64_t outcomes = 0;
-  for (const auto& [name, v] : s.counters) {
-    if (name.rfind("morph_rx_outcome_total{", 0) == 0) outcomes += v;
-  }
-  if (outcomes > messages) {
-    fail("receiver outcomes " + std::to_string(outcomes) + " exceed messages " +
-         std::to_string(messages));
-  }
-
-  // Fusion conservation: a chain apply bumps its execution counter (fused
-  // or hop-wise) before the outcome counter, so at any instant morphed
-  // outcomes can never exceed fused + hop-wise executions. Skipped for
-  // dumps from builds without fusion metrics.
-  if (s.counters.count("morph_rx_fused_total") != 0 ||
-      s.counters.count("morph_rx_hopwise_total") != 0) {
-    uint64_t fused = counter("morph_rx_fused_total");
-    uint64_t hopwise = counter("morph_rx_hopwise_total");
-    uint64_t morphed = counter("morph_rx_outcome_total{outcome=\"morphed\"}") +
-                       counter("morph_rx_outcome_total{outcome=\"morphed+reconciled\"}");
-    if (morphed > fused + hopwise) {
-      fail("morphed outcomes " + std::to_string(morphed) + " exceed fused+hopwise executions " +
-           std::to_string(fused + hopwise));
-    }
-    uint64_t inplace = counter("morph_rx_morph_inplace_total");
-    if (inplace > fused + hopwise) {
-      fail("in-place morphs " + std::to_string(inplace) + " exceed chain executions " +
-           std::to_string(fused + hopwise));
-    }
-  }
-
-  // Echo conservation: morphed responses/events are subsets of their totals.
-  if (counter("morph_echo_responses_morphed_total") > counter("morph_echo_responses_total")) {
-    fail("echo morphed responses exceed responses delivered");
-  }
-  if (counter("morph_echo_events_morphed_total") > counter("morph_echo_events_total")) {
-    fail("echo morphed events exceed events received");
-  }
-
-  // Fan-out conservation: the grouped publish path morphs at most once per
-  // encode and encodes at most once per delivery (identity groups skip the
-  // morph; every frame built is handed to at least one sink), and an event
-  // only counts when it delivered somewhere — so at any instant
-  // morphs <= encodes <= deliveries and events <= deliveries.
-  if (s.counters.count("echo_fanout_events_total") != 0) {
-    uint64_t fan_events = counter("echo_fanout_events_total");
-    uint64_t fan_morphs = counter("echo_fanout_morphs_total");
-    uint64_t fan_encodes = counter("echo_fanout_encodes_total");
-    uint64_t fan_deliveries = counter("echo_fanout_deliveries_total");
-    if (fan_morphs > fan_encodes) {
-      fail("fan-out morphs " + std::to_string(fan_morphs) + " exceed encodes " +
-           std::to_string(fan_encodes));
-    }
-    if (fan_encodes > fan_deliveries) {
-      fail("fan-out encodes " + std::to_string(fan_encodes) + " exceed deliveries " +
-           std::to_string(fan_deliveries));
-    }
-    if (fan_events > fan_deliveries) {
-      fail("fan-out events " + std::to_string(fan_events) + " exceed deliveries " +
-           std::to_string(fan_deliveries));
-    }
-  }
-
-  // Pbuf bridge conservation: every frame entering the bridge either
-  // decodes or rejects — exactly one of the two, no third bucket and no
-  // silent drops (frames_in is bumped before the attempt, the outcome
-  // after, so a scrape can catch a frame in flight: >=, not ==). Every
-  // port-level pbuf reject is a received pbuf frame (per-frame containment
-  // never invents rejects), so that pair is a subset relation too.
-  if (s.counters.count("morph_pbuf_frames_in_total") != 0) {
-    uint64_t pb_in = counter("morph_pbuf_frames_in_total");
-    uint64_t pb_decoded = counter("morph_pbuf_decoded_total");
-    uint64_t pb_rejected = counter("morph_pbuf_rejected_total");
-    if (pb_decoded + pb_rejected > pb_in) {
-      fail("pbuf decoded+rejected " + std::to_string(pb_decoded + pb_rejected) +
-           " exceed frames_in " + std::to_string(pb_in));
-    }
-    uint64_t port_pb_rejects = counter("morph_port_pbuf_rejects_total");
-    uint64_t port_pb_received = counter("morph_port_frames_received_total{type=\"pbuf\"}");
-    if (port_pb_rejects > port_pb_received) {
-      fail("port pbuf rejects " + std::to_string(port_pb_rejects) +
-           " exceed received pbuf frames " + std::to_string(port_pb_received));
-    }
-    uint64_t fanout_pbuf = counter("echo_fanout_pbuf_encodes_total");
-    if (fanout_pbuf > counter("echo_fanout_encodes_total")) {
-      fail("fan-out pbuf encodes " + std::to_string(fanout_pbuf) + " exceed total encodes");
-    }
-  }
-
-  // Fan-out planner conservation: "unreachable" builds are a subset of
-  // "built" (every build bumps built; the failed ones also bump
-  // unreachable), and verifier rejections are one of the ways a build
-  // becomes unreachable.
-  {
-    uint64_t plan_built = counter("morph_fanout_plans_total{result=\"built\"}");
-    uint64_t plan_unreachable = counter("morph_fanout_plans_total{result=\"unreachable\"}");
-    if (plan_unreachable > plan_built) {
-      fail("fan-out unreachable plans " + std::to_string(plan_unreachable) +
-           " exceed plans built " + std::to_string(plan_built));
-    }
-    uint64_t verify_rejected = counter("morph_fanout_verify_rejected_total");
-    if (verify_rejected > plan_unreachable) {
-      fail("fan-out verify rejections " + std::to_string(verify_rejected) +
-           " exceed unreachable plans " + std::to_string(plan_unreachable));
-    }
-  }
-
-  // Resolver conservation: every resolve() lands in exactly one result
-  // bucket (cached/negative/fetched/failed/lint_rejected/stampede), so the
-  // bucket sum can never exceed the resolve count (>= for scrape races).
-  uint64_t resolves = counter("morph_fmtsvc_client_resolves_total");
-  uint64_t results = 0;
-  for (const auto& [name, v] : s.counters) {
-    if (name.rfind("morph_fmtsvc_client_resolve_total{", 0) == 0) results += v;
-  }
-  if (results > resolves) {
-    fail("fmtsvc resolve results " + std::to_string(results) + " exceed resolves " +
-         std::to_string(resolves));
+  for (const obs::LawReading& r : obs::evaluate_laws(d.m)) {
+    if (!r.holds()) fail(r.describe());
   }
 
   if (failures == 0) std::printf("check OK\n");
@@ -781,16 +536,15 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    Snapshot snap = load_snapshot(doc);
+    Dump dump = load_dump(doc);
 
     if (delta_old) {
       JsonValue old_doc = morph::obs::json_parse(read_file(*delta_old));
-      Snapshot old_snap = load_snapshot(old_doc);
-      render_delta(old_snap, snap);
+      render_delta(load_dump(old_doc), dump);
     } else {
-      render(snap, with_spans, with_flight);
+      render(dump, with_spans, with_flight);
     }
-    if (do_check) return check(snap);
+    if (do_check) return check(dump);
     return 0;
   } catch (const std::exception& e) {
     die(e.what());
