@@ -247,7 +247,7 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
     d.native_fmt = m->f2;
     d.handler = handler_for(m->f2->fingerprint());
     d.decode_plan = std::make_unique<pbio::ConversionPlan>(fm, m->f2);
-    if (d.outcome == Outcome::kExact) {
+    if (d.outcome == Outcome::kExact && fm->identical_to(*m->f2)) {
       d.exact_decoder = std::make_unique<pbio::Decoder>(m->f2);
     }
     return;
@@ -319,7 +319,7 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
     // layout directly, and when the wire layout already *is* that layout
     // the in-place decoder lets process_in_place skip conversion entirely.
     d.decode_plan = std::make_unique<pbio::ConversionPlan>(fm, d.chain->src_format());
-    if (fm->fingerprint() == d.chain->src_format()->fingerprint()) {
+    if (fm->identical_to(*d.chain->src_format())) {
       d.morph_decoder = std::make_unique<pbio::Decoder>(d.chain->src_format());
     }
     native_fmt = d.chain->dst_format();
@@ -373,12 +373,30 @@ Outcome Receiver::finish_delivery(const Decision& d, void* record) {
   return d.outcome;
 }
 
-Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
-  stats_.inc(C::messages);
-  pbio::WireInfo info = pbio::peek_header(buf, size);
-  EntryPtr entry = decide(info.fingerprint);
-  const Decision& d = entry->decision;
+void* Receiver::apply_morph(const Decision& d, void* record, RecordArena& arena, uint64_t t0) {
+  if (d.chain) {
+    record = d.chain->apply(record, arena);
+    if (d.chain->fused()) {
+      stats_.inc(C::morph_fused);
+    } else {
+      stats_.inc(C::morph_hopwise);
+    }
+  }
+  if (d.reconciler) record = d.reconciler->apply(record, arena);
+  const uint64_t morph_dur = obs::monotonic_ns() - t0;
+  if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
+  stats_.inc(C::morphs);
+  obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
+  if (morph_dur >= obs::flight_slow_ns()) {
+    obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
+                       "rx: morph of '" + d.fmt_name + "' took " + std::to_string(morph_dur) +
+                           " ns");
+  }
+  return record;
+}
 
+Outcome Receiver::deliver_converted(const Decision& d, const void* buf, size_t size,
+                                    RecordArena& arena) {
   switch (d.outcome) {
     case Outcome::kRejected:
     case Outcome::kDefaulted: {
@@ -398,74 +416,46 @@ Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
   void* record = d.decode_plan->execute(buf, size, arena);
   uint64_t t1 = obs::monotonic_ns();
   if (d.decode_ns != nullptr) d.decode_ns->record(t1 - t0);
-  if (d.chain || d.reconciler) {
-    if (d.chain) {
-      record = d.chain->apply(record, arena);
-      if (d.chain->fused()) {
-        stats_.inc(C::morph_fused);
-      } else {
-        stats_.inc(C::morph_hopwise);
-      }
-    }
-    if (d.reconciler) record = d.reconciler->apply(record, arena);
-    const uint64_t morph_dur = obs::monotonic_ns() - t1;
-    if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-    stats_.inc(C::morphs);
-    obs::record_span("rx.morph", d.fmt_name, t1, morph_dur);
-    if (morph_dur >= obs::flight_slow_ns()) {
-      obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
-                         "rx: morph of '" + d.fmt_name + "' took " +
-                             std::to_string(morph_dur) + " ns");
-    }
-  }
+  if (d.chain || d.reconciler) record = apply_morph(d, record, arena, t1);
   return finish_delivery(d, record);
 }
 
+Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
+  stats_.inc(C::messages);
+  pbio::WireInfo info = pbio::peek_header(buf, size);
+  EntryPtr entry = decide(info.fingerprint);
+  return deliver_converted(entry->decision, buf, size, arena);
+}
+
 Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
+  stats_.inc(C::messages);
   pbio::WireInfo info = pbio::peek_header(buf, size);
   EntryPtr entry = decide(info.fingerprint);
   const Decision& d = entry->decision;
-  if (d.outcome == Outcome::kExact && d.exact_decoder != nullptr) {
+  if (d.exact_decoder != nullptr) {
     void* record = d.exact_decoder->decode_in_place(buf, size);
     if (record != nullptr) {
       // Zero-copy fast path: counters only, no clock reads (the in-place
       // decode is tens of ns — a timestamp pair would dominate it).
-      stats_.inc(C::messages);
       stats_.inc(C::zero_copy);
       return finish_delivery(d, record);
     }
-    // Foreign byte order: fall through to the copying path.
-  }
-  if (d.chain != nullptr && d.morph_decoder != nullptr) {
-    // Decode-into-morph zero-copy path: the wire layout equals the chain's
-    // source layout, so rewrite pointers in the caller's buffer and feed
-    // the record straight into the (ideally fused) chain — the conversion
-    // plan never runs and no source-side record is materialized.
+  } else if (d.morph_decoder != nullptr) {
+    // Decode-into-morph: the wire layout equals the chain's source layout,
+    // so rewrite pointers in the caller's buffer and feed the record
+    // straight into the (ideally fused) chain — the conversion plan never
+    // runs and no source-side record is materialized.
+    uint64_t t0 = obs::monotonic_ns();
     void* record = d.morph_decoder->decode_in_place(buf, size);
     if (record != nullptr) {
-      stats_.inc(C::messages);
+      uint64_t t1 = obs::monotonic_ns();
+      if (d.decode_ns != nullptr) d.decode_ns->record(t1 - t0);
       stats_.inc(C::morph_inplace);
-      uint64_t t0 = obs::monotonic_ns();
-      record = d.chain->apply(record, arena);
-      if (d.chain->fused()) {
-        stats_.inc(C::morph_fused);
-      } else {
-        stats_.inc(C::morph_hopwise);
-      }
-      if (d.reconciler) record = d.reconciler->apply(record, arena);
-      const uint64_t morph_dur = obs::monotonic_ns() - t0;
-      if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-      stats_.inc(C::morphs);
-      obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
-      if (morph_dur >= obs::flight_slow_ns()) {
-        obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
-                           "rx: morph of '" + d.fmt_name + "' took " +
-                               std::to_string(morph_dur) + " ns");
-      }
-      return finish_delivery(d, record);
+      return finish_delivery(d, apply_morph(d, record, arena, t1));
     }
   }
-  return process(buf, size, arena);
+  // Foreign byte order, or a decision that needs a conversion.
+  return deliver_converted(d, buf, size, arena);
 }
 
 Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
@@ -504,37 +494,14 @@ Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
     // The record is already in the chain's source layout: feed it straight
     // into the morph pipeline, exactly as a decode-into-morph frame would.
     stats_.inc(C::messages);
-    uint64_t t0 = obs::monotonic_ns();
-    record = d.chain->apply(record, arena);
-    if (d.chain->fused()) {
-      stats_.inc(C::morph_fused);
-    } else {
-      stats_.inc(C::morph_hopwise);
-    }
-    if (d.reconciler) record = d.reconciler->apply(record, arena);
-    const uint64_t morph_dur = obs::monotonic_ns() - t0;
-    if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-    stats_.inc(C::morphs);
-    obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
-    if (morph_dur >= obs::flight_slow_ns()) {
-      obs::flight_record(obs::FlightKind::kSlowMorph, obs::current_trace().trace_id,
-                         "rx: morph of '" + d.fmt_name + "' took " +
-                             std::to_string(morph_dur) + " ns");
-    }
-    return finish_delivery(d, record);
+    return finish_delivery(d, apply_morph(d, record, arena, obs::monotonic_ns()));
   }
 
   if (d.chain == nullptr && d.reconciler != nullptr && same_layout(d.native_fmt)) {
     // Already in the reconciler's input layout: fill defaults, drop extras,
     // deliver.
     stats_.inc(C::messages);
-    uint64_t t0 = obs::monotonic_ns();
-    record = d.reconciler->apply(record, arena);
-    const uint64_t morph_dur = obs::monotonic_ns() - t0;
-    if (d.morph_ns != nullptr) d.morph_ns->record(morph_dur);
-    stats_.inc(C::morphs);
-    obs::record_span("rx.morph", d.fmt_name, t0, morph_dur);
-    return finish_delivery(d, record);
+    return finish_delivery(d, apply_morph(d, record, arena, obs::monotonic_ns()));
   }
 
   // The decision's pipeline starts from wire bytes (its conversion plan

@@ -11,7 +11,8 @@
 //     that format replays the compiled pipeline.
 //
 // Pipeline shapes, by decision:
-//   exact     wire == reader format: single conversion plan (layout no-op)
+//   exact     wire == reader format: in-place pointer fix-up (or, for
+//             const buffers and foreign byte order, one conversion plan)
 //   perfect   same shape, different layout/order: one conversion plan
 //   morphed   decode to native -> compiled Ecode chain -> [reconcile]
 //   rejected  no admissible MaxMatch pair: default handler or drop
@@ -182,17 +183,25 @@ class Receiver {
   pbio::FormatPtr learn_format(pbio::FormatPtr fmt);
   void learn_transform(TransformSpec spec);
 
-  /// Process one encoded message. Converted records are allocated from
-  /// `arena` and are valid until the caller resets it. Thread-safe: may be
-  /// called concurrently as long as every thread passes its own arena.
+  /// Process one encoded message without touching `buf`: the copying
+  /// path, for callers holding const bytes. Converted records are allocated
+  /// from `arena` and are valid until the caller resets it. Thread-safe: may
+  /// be called concurrently as long as every thread passes its own arena.
   Outcome process(const void* buf, size_t size, RecordArena& arena);
 
-  /// Zero-copy variant: when the incoming format is byte-identical to a
-  /// registered reader format and byte orders agree, the record is decoded
-  /// *in place* — the delivered record aliases (and mutates) `buf`, and the
-  /// arena is untouched (PBIO's same-machine fast path). Any other decision
-  /// falls back to process(). The buffer must stay alive through delivery
-  /// and cannot be processed twice after an in-place decode.
+  /// In-place variant, the data-plane default (MessagePort uses it for
+  /// every PBIO data frame). Two decisions decode in `buf` itself, which
+  /// they mutate:
+  ///   * exact match in host byte order: the delivered record aliases
+  ///     `buf` and the arena is untouched (PBIO's same-machine fast path,
+  ///     counted in stats().zero_copy and never timed);
+  ///   * morph whose wire layout is the chain's source layout: the chain
+  ///     reads the record straight from `buf` (stats().morph_inplace; the
+  ///     fix-up is timed into morph_rx_decode_ns).
+  /// Foreign byte order and every other decision (perfect, reconcile,
+  /// reject) fall back to the copying path of process(). The buffer must
+  /// be 8-byte aligned, stay alive through delivery, and cannot be
+  /// processed twice after an in-place decode.
   Outcome process_in_place(void* buf, size_t size, RecordArena& arena);
 
   /// Native-record entry point for foreign-encoding bridges (pbuf): the
@@ -282,6 +291,11 @@ class Receiver {
   void add_resolved(ResolvedFormat resolved);
   void flush_cache();
   Outcome finish_delivery(const Decision& d, void* record);
+  /// The copying pipeline: conversion plan, then chain and reconciler.
+  Outcome deliver_converted(const Decision& d, const void* buf, size_t size,
+                            RecordArena& arena);
+  /// Chain and reconciler over a decoded record, timed from `t0`.
+  void* apply_morph(const Decision& d, void* record, RecordArena& arena, uint64_t t0);
 
   ReceiverOptions options_;
 

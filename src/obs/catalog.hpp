@@ -60,7 +60,8 @@ struct MetricInfo {
     "outcome per message: exact/perfect/morphed/reconciled/morphed+reconciled/defaulted/rejected") \
   X(morph_rx_cache_events_total, Counter, events, "event", receiver,                               \
     "decision cache `hit`/`miss`/`flush`")                                                         \
-  X(morph_rx_zero_copy_total, Counter, messages, "", receiver, "deliveries via the in-place path") \
+  X(morph_rx_zero_copy_total, Counter, messages, "", receiver,                                    \
+    "exact deliveries decoded in place (no copy, no clock read)")                                  \
   X(morph_rx_verify_rejected_total, Counter, formats, "", receiver,                                \
     "formats rejected by the static verifier")                                                     \
   X(morph_rx_transforms_compiled_total, Counter, transforms, "", receiver, "Ecode hops compiled")  \
@@ -81,7 +82,8 @@ struct MetricInfo {
     "decision lookup latency, `hit` vs `miss`")                                                    \
   X(morph_rx_decision_build_ns, Histogram, ns, "", receiver, "full cold-format pipeline build")    \
   X(morph_rx_match_ns, Histogram, ns, "", receiver, "each MaxMatch invocation inside a build")     \
-  X(morph_rx_decode_ns, Histogram, ns, "fmt", receiver, "conversion-plan execute per wire format") \
+  X(morph_rx_decode_ns, Histogram, ns, "fmt", receiver,                                            \
+    "conversion-plan execute, or in-place fix-up before a morph, per wire format")                 \
   X(morph_rx_morph_ns, Histogram, ns, "fmt", receiver, "Ecode chain + reconcile per wire format")  \
   X(morph_ecode_compile_ns, Histogram, ns, "", ecode, "parse + analyze + bytecode compile")        \
   X(morph_ecode_verify_ns, Histogram, ns, "", ecode, "static verification (incl. fuel repair)")    \

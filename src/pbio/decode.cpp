@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "pbio/record.hpp"
@@ -581,83 +582,138 @@ void* ConversionPlan::execute(const void* buf, size_t size, RecordArena& arena) 
 
 namespace {
 
-void inplace_struct(const VarWalk& walk, uint8_t* rec, uint8_t* body, size_t body_size);
+/// A body range an in-place decode points into: a string up to its NUL, or
+/// a dynamic array's element block. `slots` marks blocks whose elements
+/// hold pointer slots the walk rewrites (arrays of strings, arrays of
+/// pointer-bearing structs).
+struct Target {
+  size_t lo;
+  size_t hi;
+  bool slots;
+};
 
-uint8_t* inplace_pointer(uint8_t* slot, uint8_t* body, size_t body_size, size_t need,
-                         const char* what) {
+/// State of one in-place decode. The copying plan reads wire bytes, so a
+/// string or element block that overlaps a pointer slot would read the
+/// slot's wire offset there; in place it would read the host pointer the
+/// walk wrote over it. Every target must therefore miss every rewritten
+/// slot: the fixed part's slots are all below `fixed_end`, and the
+/// variable part's slot blocks are checked after the walk.
+struct InPlace {
+  uint8_t* body;
+  size_t body_size;
+  size_t fixed_end;
+  std::vector<Target>& targets;
+  bool any_slots = false;
+
+  void add(size_t lo, size_t hi, bool slots) {
+    if (lo < fixed_end) throw DecodeError("string or array overlaps the record's fixed part");
+    targets.push_back({lo, hi, slots});
+    any_slots = any_slots || slots;
+  }
+};
+
+void inplace_struct(InPlace& c, const VarWalk& walk, uint8_t* rec);
+
+void write_slot(uint8_t* slot, const void* p) { std::memcpy(slot, &p, sizeof(void*)); }
+
+void inplace_string(InPlace& c, uint8_t* slot) {
   uint64_t rel;
   std::memcpy(&rel, slot, 8);
   if (rel == 0) {
-    void* null = nullptr;
-    std::memcpy(slot, &null, sizeof(void*));
-    return nullptr;
-  }
-  if (rel >= body_size || need > body_size - rel) {
-    throw DecodeError(std::string(what) + " offset out of range");
-  }
-  uint8_t* p = body + rel;
-  std::memcpy(slot, &p, sizeof(void*));
-  return p;
-}
-
-void inplace_string(uint8_t* slot, uint8_t* body, size_t body_size) {
-  uint64_t rel;
-  std::memcpy(&rel, slot, 8);
-  if (rel == 0) {
-    void* null = nullptr;
-    std::memcpy(slot, &null, sizeof(void*));
+    write_slot(slot, nullptr);
     return;
   }
-  if (rel >= body_size) throw DecodeError("string offset out of range");
-  if (std::memchr(body + rel, 0, body_size - rel) == nullptr) {
-    throw DecodeError("unterminated string in message");
-  }
-  uint8_t* p = body + rel;
-  std::memcpy(slot, &p, sizeof(void*));
+  if (rel >= c.body_size) throw DecodeError("string offset out of range");
+  const void* nul = std::memchr(c.body + rel, 0, c.body_size - rel);
+  if (nul == nullptr) throw DecodeError("unterminated string in message");
+  c.add(rel, static_cast<const uint8_t*>(nul) - c.body + 1, false);
+  write_slot(slot, c.body + rel);
 }
 
-void inplace_struct(const VarWalk& walk, uint8_t* rec, uint8_t* body, size_t body_size) {
+void inplace_struct(InPlace& c, const VarWalk& walk, uint8_t* rec) {
   for (const auto& v : walk.vars) {
     const FieldDescriptor& fd = *v.fd;
     switch (v.action) {
       case VarWalk::Action::kString:
-        inplace_string(rec + fd.offset, body, body_size);
+        inplace_string(c, rec + fd.offset);
         break;
       case VarWalk::Action::kStaticStrings:
         for (uint32_t i = 0; i < fd.static_count; ++i) {
-          inplace_string(rec + fd.offset + i * sizeof(char*), body, body_size);
+          inplace_string(c, rec + fd.offset + i * sizeof(char*));
         }
         break;
       case VarWalk::Action::kInlineSub:
         if (fd.kind == FieldKind::kStruct) {
-          inplace_struct(*v.elem, rec + fd.offset, body, body_size);
+          inplace_struct(c, *v.elem, rec + fd.offset);
         } else {
           uint32_t stride = fd.element_stride();
           for (uint32_t i = 0; i < fd.static_count; ++i) {
-            inplace_struct(*v.elem, rec + fd.offset + i * stride, body, body_size);
+            inplace_struct(c, *v.elem, rec + fd.offset + i * stride);
           }
         }
         break;
       case VarWalk::Action::kDynArray: {
         int64_t count = v.len_fd ? read_scalar_i64(rec, *v.len_fd) : 0;
-        if (count < 0) throw DecodeError("negative array count");
-        uint32_t stride = fd.element_stride();
-        uint8_t* elems =
-            inplace_pointer(rec + fd.offset, body, body_size,
-                            static_cast<size_t>(count) * stride, fd.name.c_str());
-        if (elems == nullptr) break;
+        uint8_t* slot = rec + fd.offset;
+        uint64_t rel;
+        std::memcpy(&rel, slot, 8);
+        if (rel == 0 || count <= 0) {
+          // No elements: the conversion plan delivers a null array with a
+          // zero count. Zeroing a count another array still reads would
+          // change that array, so such a frame is refused instead.
+          write_slot(slot, nullptr);
+          if (count != 0) {
+            if (v.len_shared) throw DecodeError("array '" + fd.name + "' has no elements");
+            write_scalar_i64(rec, *v.len_fd, 0);
+          }
+          break;
+        }
+        // Bound the count by division, as the conversion plan does: the
+        // product count * stride can wrap.
+        const uint32_t stride = fd.element_stride();
+        if (rel >= c.body_size ||
+            static_cast<uint64_t>(count) > (c.body_size - rel) / std::max(stride, 1u)) {
+          throw DecodeError("array '" + fd.name + "' out of range");
+        }
+        uint8_t* elems = c.body + rel;
+        const size_t bytes = static_cast<size_t>(count) * stride;
+        if (bytes > 0) c.add(rel, rel + bytes, v.elem != nullptr || v.elem_is_string);
+        write_slot(slot, elems);
         if (v.elem) {
           for (int64_t i = 0; i < count; ++i) {
-            inplace_struct(*v.elem, elems + static_cast<size_t>(i) * stride, body, body_size);
+            inplace_struct(c, *v.elem, elems + static_cast<size_t>(i) * stride);
           }
         } else if (v.elem_is_string) {
           for (int64_t i = 0; i < count; ++i) {
-            inplace_string(elems + static_cast<size_t>(i) * sizeof(char*), body, body_size);
+            inplace_string(c, elems + static_cast<size_t>(i) * sizeof(char*));
           }
         }
         break;
       }
     }
+  }
+}
+
+/// Reject any target that overlaps a slot block other than itself. Slot
+/// blocks must be pairwise disjoint; sorted, each target then needs one
+/// binary search.
+void check_slot_overlaps(const std::vector<Target>& targets) {
+  thread_local std::vector<Target> blocks;
+  blocks.clear();
+  for (const Target& t : targets) {
+    if (t.slots) blocks.push_back(t);
+  }
+  std::sort(blocks.begin(), blocks.end(),
+            [](const Target& a, const Target& b) { return a.lo < b.lo; });
+  for (size_t i = 1; i < blocks.size(); ++i) {
+    if (blocks[i].lo < blocks[i - 1].hi) throw DecodeError("array blocks overlap");
+  }
+  for (const Target& t : targets) {
+    auto it = std::partition_point(blocks.begin(), blocks.end(),
+                                   [&t](const Target& b) { return b.hi <= t.lo; });
+    if (it == blocks.end() || it->lo >= t.hi) continue;
+    if (t.slots && it->lo == t.lo && it->hi == t.hi) continue;  // the block itself
+    throw DecodeError("string or array overlaps a pointer slot");
   }
 }
 
@@ -684,7 +740,13 @@ void* Decoder::decode_in_place(void* buf, size_t size) const {
   uint8_t* body = p + kWireHeaderSize;
   size_t body_size = info.total_size - kWireHeaderSize;
   if (body_size < host_->struct_size()) throw DecodeError("body shorter than record");
-  if (host_->has_pointers()) inplace_struct(*walk_, body, body, body_size);
+  if (host_->has_pointers()) {
+    thread_local std::vector<Target> targets;
+    targets.clear();
+    InPlace c{body, body_size, host_->struct_size(), targets};
+    inplace_struct(c, *walk_, body);
+    if (c.any_slots) check_slot_overlaps(targets);
+  }
   p[2] = kVersionDecoded;  // guard against double decoding
   // Zero-copy fast path: telemetry must stay within noise, so this is two
   // relaxed adds and nothing else.

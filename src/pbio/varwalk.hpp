@@ -25,6 +25,7 @@ struct VarWalk {
     Action action;
     const FieldDescriptor* fd = nullptr;
     const FieldDescriptor* len_fd = nullptr;  // kDynArray only
+    bool len_shared = false;                  // len_fd counts another dyn array too
     std::unique_ptr<VarWalk> elem;            // element fix-ups (structs)
     bool elem_is_string = false;              // dyn array of strings
   };
@@ -50,6 +51,12 @@ struct VarWalk {
           v.action = Action::kDynArray;
           v.fd = &fd;
           v.len_fd = fmt.find_field(fd.length_field);
+          for (const auto& other : fmt.fields()) {
+            if (&other != &fd && other.kind == FieldKind::kDynArray &&
+                other.length_field == fd.length_field) {
+              v.len_shared = true;
+            }
+          }
           if (fd.element_format && fd.element_format->has_pointers()) {
             v.elem = build(*fd.element_format);
           }

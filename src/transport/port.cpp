@@ -226,10 +226,14 @@ void MessagePort::feed_frames(const uint8_t* data, size_t size) {
         // the sender's through the wire-propagated id.
         obs::TraceScope trace_scope(obs::TraceContext{frame.trace_id});
         obs::TraceSpan span("port.deliver", &port_metrics().deliver_ns);
-        // Records are valid for the duration of the handler; the arena is
+        // Decode in the frame's own payload: an exact match becomes a
+        // pointer fix-up and a morph from the wire layout feeds its chain
+        // straight from the frame; other decisions fall back to the copying
+        // path. Records are valid for the duration of the handler: the
+        // payload is overwritten by the next frame and the arena is
         // recycled per message.
         rx_arena_.reset();
-        receiver_->process(frame.payload.data(), frame.payload.size(), rx_arena_);
+        receiver_->process_in_place(frame.payload.data(), frame.payload.size(), rx_arena_);
         break;
       }
       case FrameType::kControl: {

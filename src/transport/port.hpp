@@ -5,7 +5,9 @@
 //     transform spec reachable from it — travels as meta-data frames;
 //   * subsequent messages of that format cost only the 16-byte PBIO header;
 //   * the receiving port feeds learned formats/transforms into its
-//     core::Receiver and pushes every data frame through Algorithm 2.
+//     core::Receiver and pushes every data frame through Algorithm 2,
+//     decoding in the frame's own payload where the decision allows
+//     (core::Receiver::process_in_place).
 //
 // Control frames bypass morphing and deliver raw bytes (ECho uses them for
 // its own bootstrap before formats are established).

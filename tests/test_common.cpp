@@ -55,8 +55,11 @@ TEST(ByteBuffer, PatchOutOfRangeThrows) {
 }
 
 TEST(ByteReader, TruncationThrows) {
-  uint8_t data[3] = {1, 2, 3};
-  ByteReader r(data, sizeof data);
+  // The reader sees 3 bytes of a larger buffer: a u32 read must throw on
+  // the reader's bound, and the compiler sees no out-of-bounds load on the
+  // (unreachable) path past the check.
+  uint8_t data[8] = {1, 2, 3};
+  ByteReader r(data, 3);
   EXPECT_THROW(r.read_u32(), DecodeError);
   EXPECT_EQ(r.read_u8(), 1);  // position unchanged by the failed read
 }

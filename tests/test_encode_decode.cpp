@@ -305,6 +305,136 @@ TEST(EncodeDecode, RejectsOverlongArrayCount) {
   EXPECT_THROW(dec2.decode(wire2.data(), wire2.size(), fmt, arena), DecodeError);
 }
 
+struct Samples {
+  int64_t n;
+  int64_t* xs;
+  const char* label;
+};
+
+FormatPtr samples_format() {
+  return FormatBuilder("Samples", sizeof(Samples))
+      .add_int("n", 8, offsetof(Samples, n))
+      .add_dyn_array("xs", FieldKind::kInt, 8, "n", offsetof(Samples, xs))
+      .add_string("label", offsetof(Samples, label))
+      .build();
+}
+
+TEST(EncodeDecode, InPlaceRejectsWrappingArrayCount) {
+  // 2^61 eight-byte elements in a 2-element body: count * stride wraps to
+  // 0, so the bound must divide, as the conversion plan's does.
+  int64_t xs[2] = {1, 2};
+  Samples rec{2, xs, "s"};
+  auto fmt = samples_format();
+  ByteBuffer wire;
+  Encoder(fmt).encode(&rec, wire);
+  const int64_t huge = int64_t{1} << 61;
+  wire.patch(kWireHeaderSize + offsetof(Samples, n), &huge, 8);
+  ByteBuffer copy;
+  copy.append(wire.data(), wire.size());
+
+  Decoder dec(fmt);
+  EXPECT_THROW(dec.decode_in_place(wire.data(), wire.size()), DecodeError);
+  RecordArena arena;
+  EXPECT_THROW(dec.decode(copy.data(), copy.size(), fmt, arena), DecodeError);
+}
+
+TEST(EncodeDecode, InPlaceRejectsStringOverAFixedPartSlot) {
+  // The label's offset aims one byte into the xs pointer slot. The copying
+  // plan reads the slot's wire bytes; in place, the walk writes a host
+  // pointer there, so the label would carry bytes of a heap address.
+  int64_t xs[2] = {1, 2};
+  Samples rec{2, xs, "hello"};
+  auto fmt = samples_format();
+  ByteBuffer wire;
+  Encoder(fmt).encode(&rec, wire);
+  wire.patch_u64(kWireHeaderSize + offsetof(Samples, label), offsetof(Samples, xs) + 1);
+  ByteBuffer copy;
+  copy.append(wire.data(), wire.size());
+
+  Decoder dec(fmt);
+  RecordArena arena;
+  auto* conv = static_cast<Samples*>(dec.decode(copy.data(), copy.size(), fmt, arena));
+  EXPECT_STREQ(conv->label,
+               reinterpret_cast<const char*>(wire.data() + kWireHeaderSize +
+                                             offsetof(Samples, xs) + 1));
+  EXPECT_THROW(dec.decode_in_place(wire.data(), wire.size()), DecodeError);
+}
+
+TEST(EncodeDecode, InPlaceRejectsStringOverAnArrayOfStrings) {
+  // Slots in the variable part: the title points into the element block
+  // of a dynamic array of strings, whose slots the walk rewrites.
+  struct Tags {
+    int32_t n;
+    const char** tags;
+    const char* title;
+  };
+  auto fmt = FormatBuilder("Tags", sizeof(Tags))
+                 .add_int("n", 4, offsetof(Tags, n))
+                 .add_dyn_array("tags", FieldKind::kString, 0, "n", offsetof(Tags, tags))
+                 .add_string("title", offsetof(Tags, title))
+                 .build();
+  const char* tags[2] = {"alpha", "beta"};
+  Tags rec{2, tags, "title"};
+  ByteBuffer wire;
+  Encoder(fmt).encode(&rec, wire);
+  uint64_t block;
+  std::memcpy(&block, wire.data() + kWireHeaderSize + offsetof(Tags, tags), 8);
+  wire.patch_u64(kWireHeaderSize + offsetof(Tags, title), block + 1);
+  ByteBuffer copy;
+  copy.append(wire.data(), wire.size());
+
+  Decoder dec(fmt);
+  RecordArena arena;
+  EXPECT_NO_THROW(dec.decode(copy.data(), copy.size(), fmt, arena));
+  EXPECT_THROW(dec.decode_in_place(wire.data(), wire.size()), DecodeError);
+}
+
+TEST(EncodeDecode, InPlaceAcceptsStringsSharingBytes) {
+  // Overlapping strings rewrite no slot: the copying plan and the in-place
+  // walk read the same bytes, so the frame still decodes in place.
+  struct Pair {
+    const char* a;
+    const char* b;
+  };
+  auto fmt = FormatBuilder("Pair", sizeof(Pair))
+                 .add_string("a", offsetof(Pair, a))
+                 .add_string("b", offsetof(Pair, b))
+                 .build();
+  Pair rec{"shared", "other"};
+  ByteBuffer wire;
+  Encoder(fmt).encode(&rec, wire);
+  uint64_t a_rel;
+  std::memcpy(&a_rel, wire.data() + kWireHeaderSize + offsetof(Pair, a), 8);
+  wire.patch_u64(kWireHeaderSize + offsetof(Pair, b), a_rel + 2);
+
+  Decoder dec(fmt);
+  auto* back = static_cast<Pair*>(dec.decode_in_place(wire.data(), wire.size()));
+  ASSERT_NE(back, nullptr);
+  EXPECT_STREQ(back->a, "shared");
+  EXPECT_STREQ(back->b, "ared");
+}
+
+TEST(EncodeDecode, InPlaceNullArrayDeliversZeroCount) {
+  // A count without elements (the sender's pointer was null): both paths
+  // deliver a null array with a zero count, so no handler walks past it.
+  Samples rec{5, nullptr, "x"};
+  auto fmt = samples_format();
+  ByteBuffer wire;
+  Encoder(fmt).encode(&rec, wire);
+  ByteBuffer copy;
+  copy.append(wire.data(), wire.size());
+
+  Decoder dec(fmt);
+  auto* back = static_cast<Samples*>(dec.decode_in_place(wire.data(), wire.size()));
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->xs, nullptr);
+  EXPECT_EQ(back->n, 0);
+  RecordArena arena;
+  auto* conv = static_cast<Samples*>(dec.decode(copy.data(), copy.size(), fmt, arena));
+  EXPECT_EQ(conv->xs, nullptr);
+  EXPECT_EQ(conv->n, 0);
+}
+
 // --- Byte-order simulation ---------------------------------------------------
 
 TEST(EncodeDecode, ForeignByteOrderConverts) {

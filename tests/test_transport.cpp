@@ -2,16 +2,23 @@
 // MessagePort out-of-band meta-data protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "core/receiver.hpp"
 #include "echo/messages.hpp"
 #include "obs/trace.hpp"
+#include "pbio/dynrecord.hpp"
+#include "pbio/randgen.hpp"
 #include "pbio/record.hpp"
 #include "transport/framing.hpp"
 #include "transport/link.hpp"
 #include "transport/port.hpp"
+#include "transport/reactor.hpp"
 #include "transport/stats_endpoint.hpp"
 #include "transport/tcp.hpp"
 
@@ -579,6 +586,266 @@ TEST(Tcp, AcceptTimesOutCleanly) {
 TEST(Tcp, ConnectFailureThrows) {
   EXPECT_THROW(TcpLink::connect("127.0.0.1", 1), TransportError);
   EXPECT_THROW(TcpLink::connect("not an ip", 80), TransportError);
+}
+
+// --- In-place delivery on every port ------------------------------------------
+
+/// Strings, and a dynamic array of string-bearing structs: the in-place
+/// walk rewrites slots in both the fixed and the variable part.
+pbio::FormatPtr inplace_scan_format() {
+  auto reading = pbio::FormatBuilder("PortReading")
+                     .add_int("ts", 8)
+                     .add_string("unit")
+                     .add_float("v", 8)
+                     .build();
+  return pbio::FormatBuilder("PortScan")
+      .add_int("seq", 8)
+      .add_string("name")
+      .add_int("n", 4)
+      .add_dyn_array("readings", reading, "n")
+      .build();
+}
+
+bool aligned8(const void* p) { return reinterpret_cast<uintptr_t>(p) % 8 == 0; }
+
+/// A receiving port plus what its handler saw: every delivered record as
+/// data, whether each record was 8-byte aligned, and the outcomes.
+struct InPlaceSink {
+  core::Receiver rx;
+  std::unique_ptr<MessagePort> port;
+  std::vector<pbio::DynValue> records;
+  std::vector<core::Outcome> outcomes;
+  bool all_aligned = true;
+
+  InPlaceSink(Link& link, const pbio::FormatPtr& reader) {
+    rx.register_handler(reader, [this](const core::Delivery& d) {
+      all_aligned = all_aligned && aligned8(d.record);
+      records.push_back(pbio::to_dyn(*d.format, d.record));
+      outcomes.push_back(d.outcome);
+    });
+    port = std::make_unique<MessagePort>(link, &rx);
+  }
+};
+
+/// Records of `fmt` and the data each reader revision should see, taken
+/// from the copying path of a reference receiver.
+struct Expected {
+  std::vector<void*> records;
+  std::vector<pbio::DynValue> seen;
+};
+
+Expected expected_records(const pbio::FormatPtr& fmt, const pbio::FormatPtr& reader,
+                          const std::vector<core::TransformSpec>& specs, int n,
+                          RecordArena& arena) {
+  Expected out;
+  core::Receiver ref;
+  ref.register_handler(reader, [&](const core::Delivery& d) {
+    out.seen.push_back(pbio::to_dyn(*d.format, d.record));
+  });
+  ref.learn_format(fmt);
+  for (const auto& spec : specs) ref.learn_transform(spec);
+  Rng rng(31);
+  pbio::Encoder enc(fmt);
+  for (int i = 0; i < n; ++i) {
+    out.records.push_back(pbio::random_record(rng, fmt, arena));
+    ByteBuffer wire;
+    enc.encode(out.records.back(), wire);
+    ref.process(wire.data(), wire.size(), arena);
+  }
+  return out;
+}
+
+TEST(MessagePortInPlace, ExactFramesDecodeInPlace) {
+  auto fmt = inplace_scan_format();
+  RecordArena arena;
+  Expected want = expected_records(fmt, fmt, {}, 20, arena);
+  InprocPair pair;
+  MessagePort tx(pair.a(), nullptr);
+  InPlaceSink sink(pair.b(), fmt);
+  for (void* rec : want.records) tx.send_record(fmt, rec);
+  pair.pump();
+
+  ASSERT_EQ(sink.records.size(), want.seen.size());
+  EXPECT_EQ(sink.records, want.seen);
+  EXPECT_TRUE(sink.all_aligned);
+  const core::ReceiverStats s = sink.rx.stats();
+  EXPECT_EQ(s.exact, 20u);
+  EXPECT_EQ(s.zero_copy, 20u);  // every exact delivery skipped the copy
+}
+
+TEST(MessagePortInPlace, MorphFromTheWireLayoutSkipsTheConversionCopy) {
+  auto v2 = echo::channel_open_response_v2_format();
+  auto v1 = echo::channel_open_response_v1_format();
+  const std::vector<core::TransformSpec> specs = {echo::response_v2_to_v1_spec()};
+  RecordArena arena;
+  Expected want = expected_records(v2, v1, specs, 10, arena);
+  InprocPair pair;
+  MessagePort tx(pair.a(), nullptr);
+  tx.declare_transform(specs[0]);
+  InPlaceSink sink(pair.b(), v1);
+  for (void* rec : want.records) tx.send_record(v2, rec);
+  pair.pump();
+
+  ASSERT_EQ(sink.records.size(), want.seen.size());
+  EXPECT_EQ(sink.records, want.seen);
+  EXPECT_TRUE(sink.all_aligned);
+  const core::ReceiverStats s = sink.rx.stats();
+  EXPECT_EQ(s.morphed, 10u);
+  EXPECT_EQ(s.morph_inplace, 10u);
+  EXPECT_EQ(s.zero_copy, 0u);
+}
+
+TEST(MessagePortInPlace, ForeignByteOrderFallsBackToTheCopyingPath) {
+  auto fmt = inplace_scan_format();
+  RecordArena arena;
+  Expected want = expected_records(fmt, fmt, {}, 1, arena);
+  ByteBuffer meta;
+  fmt->serialize(meta);
+  ByteBuffer wire;
+  pbio::Encoder(fmt).encode(want.records[0], wire);
+  pbio::reorder_encoded(wire, *fmt);
+  ByteBuffer stream;
+  write_frame(stream, FrameType::kFormatDef, meta.data(), meta.size());
+  write_frame(stream, FrameType::kData, wire.data(), wire.size());
+
+  InprocPair pair;
+  InPlaceSink sink(pair.b(), fmt);
+  pair.a().send(stream);
+  pair.pump();
+
+  ASSERT_EQ(sink.records.size(), 1u);
+  EXPECT_EQ(sink.records[0], want.seen[0]);
+  EXPECT_EQ(sink.outcomes[0], core::Outcome::kExact);
+  EXPECT_EQ(sink.rx.stats().zero_copy, 0u);
+  EXPECT_TRUE(sink.all_aligned);
+}
+
+/// A Link that only records what is sent through it.
+class RecordingLink : public Link {
+ public:
+  void send(const void* data, size_t size) override { bytes.append(data, size); }
+  bool connected() const override { return true; }
+  ByteBuffer bytes;
+};
+
+TEST(MessagePortInPlace, BytewiseFeedDeliversIdentically) {
+  // Every frame straddles feed() calls: headers and payloads assemble one
+  // byte at a time, and the payload must still come out aligned.
+  auto fmt = inplace_scan_format();
+  RecordArena arena;
+  Expected want = expected_records(fmt, fmt, {}, 5, arena);
+  RecordingLink recorder;
+  MessagePort tx(recorder, nullptr);
+  for (void* rec : want.records) tx.send_record(fmt, rec);
+
+  InprocPair pair;
+  InPlaceSink sink(pair.b(), fmt);
+  for (size_t i = 0; i < recorder.bytes.size(); ++i) pair.a().send(recorder.bytes.data() + i, 1);
+  pair.pump();
+
+  EXPECT_EQ(sink.records, want.seen);
+  EXPECT_TRUE(sink.all_aligned);
+  EXPECT_EQ(sink.rx.stats().zero_copy, 5u);
+}
+
+TEST(MessagePortInPlace, HostileFramesAreRefusedNotDelivered) {
+  // The two in-place regressions, end to end: a count whose byte size
+  // wraps, and a string aimed one byte into a pointer slot. Each poisons
+  // its stream instead of reaching the handler.
+  struct Samples {
+    int64_t n;
+    int64_t* xs;
+    const char* label;
+  };
+  auto fmt = pbio::FormatBuilder("PortSamples", sizeof(Samples))
+                 .add_int("n", 8, offsetof(Samples, n))
+                 .add_dyn_array("xs", pbio::FieldKind::kInt, 8, "n", offsetof(Samples, xs))
+                 .add_string("label", offsetof(Samples, label))
+                 .build();
+  int64_t xs[2] = {1, 2};
+  Samples rec{2, xs, "hello"};
+  ByteBuffer meta;
+  fmt->serialize(meta);
+  for (int which = 0; which < 2; ++which) {
+    ByteBuffer wire;
+    pbio::Encoder(fmt).encode(&rec, wire);
+    if (which == 0) {
+      wire.patch_u64(pbio::kWireHeaderSize + offsetof(Samples, n), uint64_t{1} << 61);
+    } else {
+      wire.patch_u64(pbio::kWireHeaderSize + offsetof(Samples, label), offsetof(Samples, xs) + 1);
+    }
+    ByteBuffer stream;
+    write_frame(stream, FrameType::kFormatDef, meta.data(), meta.size());
+    write_frame(stream, FrameType::kData, wire.data(), wire.size());
+
+    InprocPair pair;
+    InPlaceSink sink(pair.b(), fmt);
+    pair.a().send(stream);
+    pair.pump();
+    EXPECT_TRUE(sink.records.empty()) << "frame " << which;
+    EXPECT_TRUE(sink.port->wire_dead()) << "frame " << which;
+  }
+}
+
+TEST(MessagePortInPlace, ReactorTcpLinkDecodesInPlace) {
+  // The same paths over a real socket, assembled from the reactor's read
+  // batches on its loop thread.
+  auto scan = inplace_scan_format();
+  auto v2 = echo::channel_open_response_v2_format();
+  auto v1 = echo::channel_open_response_v1_format();
+  const std::vector<core::TransformSpec> specs = {echo::response_v2_to_v1_spec()};
+  RecordArena arena;
+  Expected scans = expected_records(scan, scan, {}, 30, arena);
+  Expected responses = expected_records(v2, v1, specs, 30, arena);
+
+  struct Server {
+    core::Receiver rx;
+    std::unique_ptr<MessagePort> port;
+  };
+  std::mutex mu;
+  std::vector<pbio::DynValue> got_scans, got_responses;
+  std::atomic<bool> all_aligned{true};
+  std::atomic<size_t> delivered{0};
+  std::shared_ptr<Server> served;
+  TcpListener listener(0);
+  ReactorServer server(listener, ReactorOptions{}, [&](AsyncTcpLink& link) {
+    auto srv = std::make_shared<Server>();
+    auto on = [&](std::vector<pbio::DynValue>& into) {
+      return [&](const core::Delivery& d) {
+        if (!aligned8(d.record)) all_aligned.store(false);
+        std::lock_guard<std::mutex> lock(mu);
+        into.push_back(pbio::to_dyn(*d.format, d.record));
+        delivered.fetch_add(1);
+      };
+    };
+    srv->rx.register_handler(scan, on(got_scans));
+    srv->rx.register_handler(v1, on(got_responses));
+    srv->port = std::make_unique<MessagePort>(link, &srv->rx);
+    link.set_user(srv);
+    std::lock_guard<std::mutex> lock(mu);
+    served = srv;
+  });
+
+  auto client = TcpLink::connect("127.0.0.1", server.port());
+  MessagePort tx(*client, nullptr);
+  tx.declare_transform(specs[0]);
+  for (size_t i = 0; i < scans.records.size(); ++i) {
+    tx.send_record(scan, scans.records[i]);
+    tx.send_record(v2, responses.records[i]);
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (delivered.load() < 60 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(got_scans, scans.seen);
+  EXPECT_EQ(got_responses, responses.seen);
+  EXPECT_TRUE(all_aligned.load());
+  const core::ReceiverStats s = served->rx.stats();
+  EXPECT_EQ(s.zero_copy, 30u);
+  EXPECT_EQ(s.morph_inplace, 30u);
 }
 
 }  // namespace

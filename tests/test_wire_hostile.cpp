@@ -1,11 +1,17 @@
-// Hostile meta-data and JIT stress tests.
+// Hostile meta-data, data frames and JIT stress tests.
 //
 // Format descriptors arrive from the network; a corrupted or malicious
 // descriptor must never crash the receiver, drive huge allocations, or
 // produce a descriptor that later makes the decoder read out of bounds.
+// Data frames arrive from the network too: the in-place receive path must
+// never accept a mutated frame the copying path rejects, and must deliver
+// the same record whenever both accept one.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hpp"
+#include "core/receiver.hpp"
 #include "ecode/ecode.hpp"
 #include "pbio/decode.hpp"
 #include "pbio/dynrecord.hpp"
@@ -80,6 +86,188 @@ TEST(DescriptorFuzz, ReorderTwiceIsIdentity) {
 }  // namespace
 }  // namespace morph::pbio
 
+namespace morph::core {
+namespace {
+
+using pbio::DynValue;
+using pbio::FormatBuilder;
+using pbio::FormatPtr;
+
+/// Mutate a data frame's body the way a hostile peer could: aim 8-byte
+/// words (offset slots among them) at arbitrary body positions, rewrite
+/// 4-byte words as small or huge counts, flip bytes. The header stays
+/// intact so both receive paths reach the body.
+void mutate_body(Rng& rng, std::vector<uint8_t>& frame) {
+  uint8_t* body = frame.data() + pbio::kWireHeaderSize;
+  const size_t size = frame.size() - pbio::kWireHeaderSize;
+  const int edits = 1 + static_cast<int>(rng.next_below(3));
+  for (int e = 0; e < edits; ++e) {
+    const uint64_t kind = rng.next_below(3);
+    if (kind == 0 && size >= 8) {
+      const uint64_t to = rng.next_below(size + 8);
+      std::memcpy(body + rng.next_below(size / 8) * 8, &to, 8);
+    } else if (kind == 1 && size >= 4) {
+      const uint32_t count = rng.next_bool() ? static_cast<uint32_t>(rng.next_below(12))
+                                             : 0xFFFFFFFFu - static_cast<uint32_t>(rng.next_below(4));
+      std::memcpy(body + rng.next_below(size / 4) * 4, &count, 4);
+    } else {
+      body[rng.next_below(size)] ^= static_cast<uint8_t>(1 + rng.next_below(255));
+    }
+  }
+}
+
+/// Data equality with floats compared bit for bit, so a mutation that
+/// produced a NaN still compares equal to itself.
+bool same_data(const DynValue& a, const DynValue& b) {
+  if (a.is_float() && b.is_float()) {
+    const double x = a.as_float();
+    const double y = b.as_float();
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  if (a.is_list() && b.is_list()) {
+    if (a.as_list().size() != b.as_list().size()) return false;
+    for (size_t i = 0; i < a.as_list().size(); ++i) {
+      if (!same_data(a.as_list()[i], b.as_list()[i])) return false;
+    }
+    return true;
+  }
+  if (a.is_struct() && b.is_struct()) {
+    const auto& fa = a.as_struct().fields;
+    const auto& fb = b.as_struct().fields;
+    if (fa.size() != fb.size()) return false;
+    for (size_t i = 0; i < fa.size(); ++i) {
+      if (!same_data(fa[i], fb[i])) return false;
+    }
+    return true;
+  }
+  return a == b;
+}
+
+ReceiverOptions perfect_only() {
+  ReceiverOptions opt;
+  opt.thresholds = {0, 0.0};
+  return opt;
+}
+
+/// Feeds one frame through process() and a separate copy through
+/// process_in_place(), recording what each delivered.
+struct Differential {
+  Receiver rx{perfect_only()};
+  size_t both = 0;       // frames both paths delivered
+  size_t copy_only = 0;  // frames only the copying path delivered
+
+  explicit Differential(const FormatPtr& reader) {
+    rx.register_handler(reader, [this](const Delivery& d) {
+      delivered_ = true;
+      value_ = pbio::to_dyn(*d.format, d.record);
+    });
+  }
+
+  void check(const std::vector<uint8_t>& frame, const std::string& what) {
+    std::vector<uint8_t> a = frame;
+    std::vector<uint8_t> b = frame;
+    const auto [copied, copy_value] = run([&](RecordArena& arena) {
+      rx.process(a.data(), a.size(), arena);
+    });
+    const auto [placed, place_value] = run([&](RecordArena& arena) {
+      rx.process_in_place(b.data(), b.size(), arena);
+    });
+    if (placed) {
+      ASSERT_TRUE(copied) << what << ": in place accepted a frame copying rejects";
+      EXPECT_TRUE(same_data(copy_value, place_value)) << what << ": the two paths disagree";
+      ++both;
+    } else if (copied) {
+      ++copy_only;
+    }
+  }
+
+ private:
+  template <typename Fn>
+  std::pair<bool, DynValue> run(Fn&& fn) {
+    delivered_ = false;
+    value_ = DynValue();
+    RecordArena arena;
+    try {
+      fn(arena);
+    } catch (const Error&) {
+      return {false, DynValue()};
+    }
+    return {delivered_, value_};
+  }
+
+  bool delivered_ = false;
+  DynValue value_;
+};
+
+TEST(WireFuzz, InPlaceExactNeverAcceptsWhatCopyingRejects) {
+  Rng rng(4242);
+  size_t both = 0, copy_only = 0, zero_copy = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    auto fmt = pbio::random_format(rng, "Wire" + std::to_string(iter));
+    RecordArena arena;
+    void* rec = pbio::random_record(rng, fmt, arena);
+    ByteBuffer wire;
+    pbio::Encoder(fmt).encode(rec, wire);
+    std::vector<uint8_t> frame(wire.data(), wire.data() + wire.size());
+    mutate_body(rng, frame);
+
+    Differential diff(fmt);
+    diff.rx.learn_format(fmt);
+    diff.check(frame, "iter " + std::to_string(iter) + "\n" + fmt->to_string());
+    both += diff.both;
+    copy_only += diff.copy_only;
+    zero_copy += diff.rx.stats().zero_copy;
+  }
+  // Both outcomes occur, and deliveries really took the zero-copy path.
+  EXPECT_GT(both, 0u);
+  EXPECT_GT(copy_only, 0u);
+  EXPECT_EQ(zero_copy, both);
+}
+
+TEST(WireFuzz, InPlaceMorphNeverAcceptsWhatCopyingRejects) {
+  // Decode-into-morph: the wire layout is the chain's source layout, so
+  // the in-place path feeds the chain straight from the frame.
+  auto v2 = FormatBuilder("Wire")
+                .add_int("n", 4)
+                .add_dyn_array("xs", pbio::FieldKind::kFloat, 8, "n")
+                .add_string("name")
+                .add_dyn_array("tags", pbio::FieldKind::kString, 0, "n")
+                .add_string("note")
+                .build();
+  auto v1 = FormatBuilder("Wire")
+                .add_int("n", 4)
+                .add_dyn_array("xs", pbio::FieldKind::kFloat, 8, "n")
+                .add_string("name")
+                .build();
+  TransformSpec spec;
+  spec.src = v2;
+  spec.dst = v1;
+  spec.code =
+      "old.n = new.n;\n"
+      "for (int i = 0; i < new.n; i++) { old.xs[i] = new.xs[i]; }\n"
+      "old.name = new.name;\n";
+
+  Differential diff(v1);
+  diff.rx.learn_format(v2);
+  diff.rx.learn_transform(spec);
+  Rng rng(77);
+  for (int iter = 0; iter < 300; ++iter) {
+    RecordArena arena;
+    void* rec = pbio::random_record(rng, v2, arena);
+    ByteBuffer wire;
+    pbio::Encoder(v2).encode(rec, wire);
+    std::vector<uint8_t> frame(wire.data(), wire.data() + wire.size());
+    mutate_body(rng, frame);
+    diff.check(frame, "iter " + std::to_string(iter));
+  }
+  EXPECT_GT(diff.both, 0u);
+  EXPECT_GT(diff.copy_only, 0u);
+  EXPECT_EQ(diff.rx.stats().morph_inplace, diff.both);
+}
+
+}  // namespace
+}  // namespace morph::core
+
 namespace morph::ecode {
 namespace {
 
@@ -118,7 +306,9 @@ TEST_P(JitStress, LongStraightLineProgram) {
   int64_t expect = 0;
   for (int i = 0; i < 2000; ++i) expect += i % 17;
   EXPECT_EQ(pbio::RecordRef(rec, fmt).get_int("out"), expect);
-  if (GetParam() == ExecBackend::kJit) EXPECT_GT(t.native_code_size(), 10000u);
+  if (GetParam() == ExecBackend::kJit) {
+    EXPECT_GT(t.native_code_size(), 10000u);
+  }
 }
 
 TEST_P(JitStress, ManyIterationsLoop) {
