@@ -1,34 +1,24 @@
-// Connection-scale A/B: one receiver process driven by thousands of
-// concurrent peers, thread-per-connection vs the epoll reactor.
+// Connection scale: one receiver process driven by thousands of concurrent
+// peers, every socket on one ReactorServer loop that also accepts them.
 //
-// The parent forks, per row and mode, one receiver child (clean RSS
-// high-water mark per mode) and a handful of driver children (own fd
-// tables — RLIMIT_NOFILE caps a single process well below 2x10k sockets).
-// Drivers connect every peer first, handshake over pipes, then blast
-// `events` length-prefixed kData frames per connection; each frame embeds
-// the sender's CLOCK_MONOTONIC timestamp, so the receiver measures true
-// cross-process dispatch latency (same clock domain, same machine). The
-// timed window is first-frame to last-frame at the receiver; the us/event
-// and p99 columns are receiver-side truth, not sender-side throughput.
-// Drivers hold every connection open until the receiver has counted all
-// expected frames, so the concurrency level is sustained across the whole
-// window — the receiver verifies it (live connections == row conns) and
-// the bench exits non-zero on any conservation failure.
-//
-// The threaded receiver is the pre-reactor architecture: accept loop plus
-// one pump thread per connection (256 KB stacks — the glibc 8 MB default
-// would be 80 GB of VM at 10k threads). The reactor receiver is one
-// ReactorServer loop owning every socket. Ratio column `thr/rx` > 1 means
-// the reactor wins.
+// The parent forks, per row, one receiver child (its own RSS high-water
+// mark) and up to 4 driver children (own fd tables — RLIMIT_NOFILE caps a
+// single process well below 2x10k sockets). Drivers connect every peer
+// first (a connect storm the loop accepts), handshake over pipes, then
+// blast `events` length-prefixed kData frames per connection. us/event is
+// first-to-last frame at the receiver. The sends are unpaced, so a
+// send-to-dispatch time would be queue depth, not latency. Drivers hold
+// every connection open until the receiver has counted all expected
+// frames, so the concurrency level is sustained across the whole window —
+// the receiver verifies it (live connections == row conns) and the bench
+// exits non-zero on any conservation failure.
 //
 // MORPH_BENCH_MAX_CONNS caps the sweep (e.g. 1000 keeps only the 1k row)
 // for CI smoke runs; the smallest row always survives.
-// MORPH_CONNSCALE_RX_DUMP=PATH makes the reactor receiver dump its obs
-// registry (morph_reactor_* gauges/histograms) as JSON for morph-stat.
+// MORPH_CONNSCALE_RX_DUMP=PATH makes the receiver dump its obs registry
+// (morph_reactor_* gauges/histograms) as JSON for morph-stat.
 #include "bench_support.hpp"
 
-#include <poll.h>
-#include <pthread.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -56,7 +46,7 @@ using namespace morph;
 using namespace morph::bench;
 using namespace std::chrono_literals;
 
-constexpr size_t kEventBytes = 64;    // 8-byte t_send + pad
+constexpr size_t kEventBytes = 64;
 constexpr size_t kDriverChunk = 2500; // conns per driver child (fd headroom)
 constexpr double kDeadlineSec = 180.0;
 
@@ -97,7 +87,6 @@ bool read_full(int fd, void* buf, size_t n) {
 /// Shipped back from the receiver child over its pipe.
 struct RxResult {
   double us_per_event = 0;
-  double p99_us = 0;
   double rss_mb = 0;
   uint64_t received = 0;
   uint64_t expected = 0;
@@ -105,33 +94,18 @@ struct RxResult {
   int32_t ok = 0;
 };
 
-/// Lock-free frame counter + latency reservoir shared by every connection
-/// (reactor: one loop thread; threaded: one pump thread per connection,
-/// each claiming a distinct slot via fetch_add).
-struct LatencySink {
-  explicit LatencySink(uint64_t expected) : samples(expected, 0) {}
-
-  std::vector<uint64_t> samples;  // ns, slot i claimed by frame i
+/// Frame counter and first/last arrival times, written by the loop thread
+/// and read by the waiting one.
+struct FrameSink {
   std::atomic<uint64_t> count{0};
   std::atomic<uint64_t> t_first{0};
   std::atomic<uint64_t> t_last{0};
 
-  void on_frame(const transport::Frame& f) {
+  void on_frame() {
     const uint64_t now = mono_ns();
-    uint64_t zero = 0;
-    t_first.compare_exchange_strong(zero, now, std::memory_order_relaxed);
+    if (count.load(std::memory_order_relaxed) == 0) t_first.store(now, std::memory_order_relaxed);
     t_last.store(now, std::memory_order_relaxed);
-    uint64_t t_send = 0;
-    if (f.payload.size() >= sizeof t_send) std::memcpy(&t_send, f.payload.data(), sizeof t_send);
-    const uint64_t i = count.fetch_add(1, std::memory_order_acq_rel);
-    if (i < samples.size() && now > t_send) samples[i] = now - t_send;
-  }
-
-  double p99_us() {
-    const uint64_t n = std::min<uint64_t>(count.load(), samples.size());
-    if (n == 0) return 0;
-    std::sort(samples.begin(), samples.begin() + static_cast<ptrdiff_t>(n));
-    return static_cast<double>(samples[(n - 1) * 99 / 100]) / 1e3;
+    count.fetch_add(1, std::memory_order_release);
   }
 
   double us_per_event() const {
@@ -142,43 +116,32 @@ struct LatencySink {
   }
 };
 
-void wait_for_frames(const LatencySink& sink, uint64_t expected) {
+RxResult receiver(transport::TcpListener& listener, uint64_t conns, int events) {
+  const uint64_t expected = conns * static_cast<uint64_t>(events);
+  FrameSink sink;
+  transport::ReactorServer server(listener, transport::ReactorOptions{},
+                                  [&sink](transport::AsyncTcpLink& link) {
+    auto assembler = std::make_shared<transport::FrameAssembler>();
+    link.set_user(assembler);
+    link.set_on_data([&sink, a = assembler.get()](const uint8_t* d, size_t n) {
+      a->feed(d, n, [&sink](transport::Frame&) { sink.on_frame(); });
+    });
+  });
   Stopwatch guard;
   while (sink.count.load(std::memory_order_acquire) < expected &&
          guard.elapsed_seconds() < kDeadlineSec) {
     std::this_thread::sleep_for(2ms);
   }
-}
-
-RxResult finish_result(LatencySink& sink, uint64_t expected, uint64_t live_conns) {
   RxResult res;
   res.received = sink.count.load();
   res.expected = expected;
-  res.live_conns = live_conns;
+  res.live_conns = server.connections();
   res.us_per_event = sink.us_per_event();
-  res.p99_us = sink.p99_us();
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   res.rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   res.ok = res.received == expected ? 1 : 0;
-  return res;
-}
-
-RxResult receiver_reactor(transport::TcpListener& listener, uint64_t conns, int events) {
-  const uint64_t expected = conns * static_cast<uint64_t>(events);
-  LatencySink sink(expected);
-  transport::ReactorOptions opts;
-  opts.loops = 1;  // the whole point: one loop, every socket
-  transport::ReactorServer server(listener, opts, [&sink](transport::AsyncTcpLink& link) {
-    auto assembler = std::make_shared<transport::FrameAssembler>();
-    link.set_user(assembler);
-    link.set_on_data([&sink, a = assembler.get()](const uint8_t* d, size_t n) {
-      a->feed(d, n, [&sink](transport::Frame& f) { sink.on_frame(f); });
-    });
-  });
-  wait_for_frames(sink, expected);
-  RxResult res = finish_result(sink, expected, server.connections());
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once, loops quiescent
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once, loop quiescent
   const char* dump = std::getenv("MORPH_CONNSCALE_RX_DUMP");
   if (dump != nullptr && dump[0] != '\0') {
     std::ofstream out(dump);
@@ -187,84 +150,8 @@ RxResult receiver_reactor(transport::TcpListener& listener, uint64_t conns, int 
   return res;
 }
 
-/// One pump thread per connection, pthread_create'd directly so the stacks
-/// can be 256 KB (std::thread offers no stack-size control and the glibc
-/// default would cost 8 MB of VM per connection).
-struct ThreadedConn {
-  transport::TcpLink* link = nullptr;
-  LatencySink* sink = nullptr;
-  std::atomic<bool>* stop = nullptr;
-  std::atomic<uint64_t>* exited = nullptr;
-};
-
-void* threaded_conn_main(void* arg) {
-  auto* ctx = static_cast<ThreadedConn*>(arg);
-  transport::FrameAssembler assembler;
-  ctx->link->set_on_data([ctx, &assembler](const uint8_t* d, size_t n) {
-    assembler.feed(d, n, [ctx](transport::Frame& f) { ctx->sink->on_frame(f); });
-  });
-  try {
-    // Block a full second per poll: a production thread-per-connection
-    // server blocks in read() indefinitely, and at 10k threads on few
-    // cores a short poll turns the idle fleet into a context-switch storm
-    // that starves everything else (including pthread_create itself).
-    while (!ctx->stop->load(std::memory_order_relaxed)) {
-      if (!ctx->link->pump(1000)) break;
-    }
-  } catch (...) {
-    // peer vanished mid-frame; the conservation check will catch real loss
-  }
-  ctx->exited->fetch_add(1);
-  return nullptr;
-}
-
-RxResult receiver_threaded(transport::TcpListener& listener, uint64_t conns, int events) {
-  const uint64_t expected = conns * static_cast<uint64_t>(events);
-  LatencySink sink(expected);
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> exited{0};
-  std::vector<std::unique_ptr<transport::TcpLink>> links;
-  std::vector<ThreadedConn> ctxs;
-  std::vector<pthread_t> tids;
-  links.reserve(conns);
-  ctxs.reserve(conns);  // reserved up front: ctx addresses must stay stable
-  tids.reserve(conns);
-
-  pthread_attr_t attr;
-  pthread_attr_init(&attr);
-  pthread_attr_setstacksize(&attr, 256 * 1024);
-
-  // Accept everything before spawning a single pump thread: with thousands
-  // of pollers already runnable, the accept loop gets starved off the CPU,
-  // the listen backlog overflows, and driver connects time out. (The
-  // reactor has no such phase — its acceptor keeps up while serving.)
-  Stopwatch accept_guard;
-  while (links.size() < conns && accept_guard.elapsed_seconds() < kDeadlineSec) {
-    auto link = listener.accept(100);
-    if (!link) continue;
-    links.push_back(std::move(link));
-  }
-  for (auto& link : links) {
-    ctxs.push_back(ThreadedConn{link.get(), &sink, &stop, &exited});
-    pthread_t tid{};
-    if (pthread_create(&tid, &attr, threaded_conn_main, &ctxs.back()) != 0) {
-      ctxs.pop_back();
-      break;  // thread exhaustion: conservation check reports the shortfall
-    }
-    tids.push_back(tid);
-  }
-  pthread_attr_destroy(&attr);
-
-  wait_for_frames(sink, expected);
-  const uint64_t live = links.size() - exited.load();
-  RxResult res = finish_result(sink, expected, live);
-  stop.store(true);
-  for (pthread_t tid : tids) pthread_join(tid, nullptr);
-  return res;
-}
-
 /// Driver child: connect `conns` peers, signal ready, wait for go, send
-/// `events` timestamped frames per connection, signal done, then hold every
+/// `events` frames per connection, signal done, then hold every
 /// connection open until the parent's exit byte (so receiver-side
 /// concurrency is sustained through the whole measured window).
 void run_driver(uint16_t port, size_t conns, int events, int ready_fd, int go_fd) {
@@ -279,14 +166,9 @@ void run_driver(uint16_t port, size_t conns, int events, int ready_fd, int go_fd
   ByteBuffer frame;
   uint8_t payload[kEventBytes];
   std::memset(payload, 0x42, sizeof payload);
+  transport::write_frame(frame, transport::FrameType::kData, payload, sizeof payload);
   for (int e = 0; e < events; ++e) {
-    for (auto& link : links) {
-      const uint64_t t = mono_ns();
-      std::memcpy(payload, &t, sizeof t);
-      frame.clear();
-      transport::write_frame(frame, transport::FrameType::kData, payload, sizeof payload);
-      link->send(frame.data(), frame.size());
-    }
+    for (auto& link : links) link->send(frame.data(), frame.size());
   }
   byte = 2;
   if (!write_full(ready_fd, &byte, 1)) return;
@@ -299,7 +181,7 @@ struct DriverPipes {
   int go = -1;     // parent -> driver: go byte, then exit byte
 };
 
-RxResult run_mode(bool reactor, size_t conns, int events) {
+RxResult run_row(size_t conns, int events) {
   RxResult fail;  // ok == 0
   int rx_pipe[2];
   if (::pipe(rx_pipe) != 0) return fail;
@@ -312,8 +194,7 @@ RxResult run_mode(bool reactor, size_t conns, int events) {
       transport::TcpListener listener(0);
       const uint16_t port = listener.port();
       write_full(rx_pipe[1], &port, sizeof port);
-      res = reactor ? receiver_reactor(listener, conns, events)
-                    : receiver_threaded(listener, conns, events);
+      res = receiver(listener, conns, events);
     } catch (...) {
       res.ok = 0;
     }
@@ -398,11 +279,11 @@ std::vector<Row> sweep_rows() {
   return rows;
 }
 
-bool check_mode(const char* label, const char* mode, const RxResult& res, size_t conns) {
+bool check_row(const char* label, const RxResult& res, size_t conns) {
   if (res.ok != 0 && res.live_conns == conns) return true;
   std::fprintf(stderr,
-               "FAIL %s/%s: received %llu/%llu frames, %llu/%zu connections live\n",
-               label, mode, static_cast<unsigned long long>(res.received),
+               "FAIL %s: received %llu/%llu frames, %llu/%zu connections live\n",
+               label, static_cast<unsigned long long>(res.received),
                static_cast<unsigned long long>(res.expected),
                static_cast<unsigned long long>(res.live_conns), conns);
   return false;
@@ -420,20 +301,15 @@ void paper_table() {
   std::signal(SIGPIPE, SIG_IGN);  // dead children must not kill the table
 
   std::printf("Connection scale: N concurrent peers into one receiver process\n"
-              "(thread-per-connection vs epoll reactor; us/event measured at the\n"
-              "receiver from sender-embedded monotonic timestamps)\n\n");
-  print_header("conns", {"thr_us_evt", "rx_us_evt", "thr/rx", "rx_p99_us", "thr_rss_mb",
-                         "rx_rss_mb"});
+              "(one reactor loop accepts and serves every socket; us/event is\n"
+              "first-to-last frame at the receiver over frames counted)\n\n");
+  print_header("conns", {"rx_us_evt", "rx_rss_mb"});
 
   bool violated = false;
   for (const Row& row : sweep_rows()) {
-    const RxResult thr = run_mode(/*reactor=*/false, row.conns, row.events);
-    const RxResult rx = run_mode(/*reactor=*/true, row.conns, row.events);
-    if (!check_mode(row.label, "threaded", thr, row.conns)) violated = true;
-    if (!check_mode(row.label, "reactor", rx, row.conns)) violated = true;
-    print_row(row.label, {thr.us_per_event, rx.us_per_event,
-                          rx.us_per_event > 0 ? thr.us_per_event / rx.us_per_event : 0,
-                          rx.p99_us, thr.rss_mb, rx.rss_mb});
+    const RxResult rx = run_row(row.conns, row.events);
+    if (!check_row(row.label, rx, row.conns)) violated = true;
+    print_row(row.label, {rx.us_per_event, rx.rss_mb});
   }
   std::printf("\nevery frame is counted at the receiver and every connection must\n"
               "still be live when the row completes (drivers hold them open until\n"
@@ -443,22 +319,19 @@ void paper_table() {
   if (violated) std::exit(1);
 }
 
-/// Receiver-side CPU floor per event: frame encode + reassembly + latency
-/// bookkeeping, no sockets. What the reactor's dispatch path pays after
-/// epoll hands it the bytes.
+/// Receiver-side CPU floor per event: frame encode + reassembly + the
+/// sink's bookkeeping, no sockets. What the reactor's dispatch path pays
+/// after epoll hands it the bytes.
 void bm_event_dispatch_cpu(benchmark::State& state) {
   transport::FrameAssembler assembler;
-  LatencySink sink(1 << 16);
+  FrameSink sink;
   ByteBuffer wire;
   uint8_t payload[kEventBytes];
   std::memset(payload, 0x42, sizeof payload);
   for (auto _ : state) {
-    const uint64_t t = mono_ns();
-    std::memcpy(payload, &t, sizeof t);
     wire.clear();
     transport::write_frame(wire, transport::FrameType::kData, payload, sizeof payload);
-    assembler.feed(wire.data(), wire.size(),
-                   [&sink](transport::Frame& f) { sink.on_frame(f); });
+    assembler.feed(wire.data(), wire.size(), [&sink](transport::Frame&) { sink.on_frame(); });
   }
   benchmark::DoNotOptimize(sink.count.load());
 }

@@ -66,15 +66,15 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   done
   echo "bench JSON dumps OK"
 
-  echo "== connection-scale A/B (thread-per-conn vs reactor) =="
-  # One receiver process, 1000 sustained concurrent peers per mode (the full
-  # 10k rows run uncapped locally / nightly). The receiver child dumps its
-  # obs registry so the reactor gauges/histograms are schema-checked too.
+  echo "== connection scale (one reactor loop accepts and serves 1k peers) =="
+  # One receiver process, 1000 sustained concurrent peers (the full 10k rows
+  # run uncapped locally / nightly). The receiver child dumps its obs
+  # registry so the reactor gauges/histograms are schema-checked too.
   MORPH_BENCH_MAX_CONNS=1000 MORPH_CONNSCALE_RX_DUMP=BENCH_connscale_rx.json \
     ./build/bench/bench_connscale --json BENCH_connscale.json
   ./build/tools/morph-stat --check BENCH_connscale.json >/dev/null
   ./build/tools/morph-stat --check BENCH_connscale_rx.json >/dev/null
-  echo "connection-scale A/B OK"
+  echo "connection scale OK"
 
   echo "== pbuf round-trip differential (proto corpus) =="
   # Replays the committed examples/proto corpus through the bridge: encode

@@ -9,7 +9,7 @@ EchoTcpNode::EchoTcpNode(std::string contact, NodeOptions options)
     : listener_(options.port),
       process_(std::make_unique<EchoProcess>(std::move(contact), options.version,
                                              options.receiver)),
-      // One loop: EchoProcess is single-threaded and that loop owns it.
+      // EchoProcess is single-threaded: the server's one loop owns it.
       server_(listener_, transport::ReactorOptions{.max_connections = options.max_connections},
               [this](transport::AsyncTcpLink& link) {
                 // Loop thread. Pin the link for the process's lifetime (its
@@ -20,7 +20,7 @@ EchoTcpNode::EchoTcpNode(std::string contact, NodeOptions options)
               }) {}
 
 void EchoTcpNode::with_process(const std::function<void(EchoProcess&)>& fn) {
-  transport::Reactor& loop = server_.loop(0);
+  transport::Reactor& loop = server_.loop();
   if (loop.on_loop_thread()) {
     fn(*process_);
     return;

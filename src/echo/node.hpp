@@ -2,11 +2,12 @@
 //
 // EchoProcess itself is deliberately single-threaded (deterministic pump
 // semantics, per-connection receivers with no internal locks). This node
-// supplies the serving shell around it: one ReactorServer event loop owns
-// every connection AND the process, so all protocol handling, membership
-// bookkeeping and fan-out run on the loop thread and the process needs no
-// locking at all. Publishes from other threads hop onto the loop through
-// with_process(). Peers cost a socket and a receiver, not an OS thread.
+// supplies the serving shell around it: one ReactorServer event loop accepts
+// and owns every connection AND the process, so all protocol handling,
+// membership bookkeeping and fan-out run on the node's only thread and the
+// process needs no locking at all. Publishes from other threads hop onto the
+// loop through with_process(). Peers cost a socket and a receiver, not an OS
+// thread.
 //
 // Lifecycle caveat (inherited from EchoProcess, whose peer table only
 // grows): a disconnected peer stays in channel membership; sends to it

@@ -3,9 +3,9 @@
 // Accepts TCP connections on loopback (TcpListener binds 127.0.0.1) and
 // answers fmtsvc protocol requests against a FormatStore. Connections are
 // long-lived (a resolver keeps one open and pipelines fetches over it) and
-// served by one ReactorServer event loop: each connection's FrameAssembler
-// lives in its link's user slot, and requests are handled on the loop
-// thread.
+// accepted and served by one ReactorServer event loop, the service's only
+// thread: each connection's FrameAssembler lives in its link's user slot,
+// and requests are handled on the loop thread.
 //
 // Failure containment: a malformed frame or request kills only its own
 // connection (counted in bad_frames); every other connection keeps

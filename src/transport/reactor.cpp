@@ -149,21 +149,33 @@ size_t AsyncTcpLink::outbox_bytes() const {
 // ---------------------------------------------------------------------------
 // Reactor
 
-Reactor::Reactor(const ReactorOptions& options) : options_(options) {
+Reactor::Reactor(const ReactorOptions& options, int listen_fd, ConnCallback on_accept,
+                 ConnCallback on_close)
+    : options_(options),
+      listen_fd_(listen_fd),
+      on_accept_(std::move(on_accept)),
+      on_close_(std::move(on_close)) {
+  // A throwing constructor runs no destructor: close what is already open.
+  const auto fail = [this](const char* what) {
+    const std::string reason = std::string(what) + ": " + strerror(errno);
+    if (event_fd_ >= 0) ::close(event_fd_);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    throw TransportError(reason);
+  };
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) throw TransportError("epoll_create1: " + std::string(strerror(errno)));
+  if (epoll_fd_ < 0) fail("epoll_create1");
   event_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (event_fd_ < 0) {
-    ::close(epoll_fd_);
-    throw TransportError("eventfd: " + std::string(strerror(errno)));
-  }
+  if (event_fd_ < 0) fail("eventfd");
   epoll_event ev{};
   ev.events = EPOLLIN;  // level-triggered is fine: we drain the counter
   ev.data.ptr = nullptr;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) < 0) {
-    ::close(event_fd_);
-    ::close(epoll_fd_);
-    throw TransportError("epoll_ctl eventfd: " + std::string(strerror(errno)));
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) < 0) fail("epoll_ctl eventfd");
+  // The (non-blocking) listener is drained to EAGAIN on every edge. Clients
+  // already queued count as one: epoll reports a ready fd when it is added.
+  ev.events = EPOLLIN | EPOLLET;
+  ev.data.ptr = this;  // the loop itself stands for its listener
+  if (listen_fd_ >= 0 && epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
+    fail("epoll_ctl listener");
   }
   wheel_.resize(kWheelSlots);
   if (options_.idle_timeout_ms > 0) {
@@ -215,37 +227,54 @@ void Reactor::post(std::function<void()> fn) {
 
 void Reactor::adopt(int fd) {
   set_nonblocking(fd);
-  // Counted here, on the caller's (acceptor's) thread, not in the posted
-  // task: the acceptor gates admission on connections(), and counting only
-  // when the loop runs the task would let an accept storm overshoot
-  // max_connections before any increment becomes visible.
+  post([this, fd] { add_conn(fd); });
+}
+
+void Reactor::accept_ready() {
+  accept_paused_ = false;
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      accept_paused_ = errno != EAGAIN && errno != EWOULDBLOCK;
+      return;
+    }
+    // Admission is decided here, on the thread that owns the count, so a
+    // connect storm cannot overshoot the cap.
+    if (connections() >= options_.max_connections) {
+      counters_.inc(C::refused);
+      ::close(fd);  // the client sees EOF
+      continue;
+    }
+    const int one = 1;  // Nagle would hold back small frames
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    add_conn(fd);
+  }
+}
+
+void Reactor::add_conn(int fd) {
+  auto conn = std::shared_ptr<AsyncTcpLink>(
+      new AsyncTcpLink(fd, this, g_next_link_id.fetch_add(1, std::memory_order_relaxed)));
+  epoll_event ev{};
+  // Permanently armed for both directions: with edge triggering EPOLLOUT
+  // only fires on not-writable -> writable transitions (plus one initial
+  // edge), so there is no epoll_ctl churn to arm/disarm write interest.
+  ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
+  ev.data.ptr = conn.get();
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) return;  // fd closed by the link destructor
+  conns_[fd] = conn;
   conn_count_.fetch_add(1, std::memory_order_relaxed);
-  post([this, fd] {
-    auto conn = std::shared_ptr<AsyncTcpLink>(
-        new AsyncTcpLink(fd, this, g_next_link_id.fetch_add(1, std::memory_order_relaxed)));
-    epoll_event ev{};
-    // Permanently armed for both directions: with edge triggering EPOLLOUT
-    // only fires on not-writable -> writable transitions (plus one initial
-    // edge), so there is no epoll_ctl churn to arm/disarm write interest.
-    ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-    ev.data.ptr = conn.get();
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      conn_count_.fetch_sub(1, std::memory_order_relaxed);
-      return;  // fd closed by the link destructor
+  counters_.inc(C::accepted);
+  gm().connections.add(1);
+  if (tick_ms_ > 0) wheel_touch(*conn, monotonic_ms());
+  if (on_accept_) {
+    try {
+      on_accept_(*conn);
+    } catch (...) {
+      counters_.inc(C::bad_callbacks);
+      close_conn(*conn, "accept callback error");
     }
-    conns_[fd] = conn;
-    counters_.inc(C::accepted);
-    gm().connections.add(1);
-    if (tick_ms_ > 0) wheel_touch(*conn, monotonic_ms());
-    if (on_accept_) {
-      try {
-        on_accept_(*conn);
-      } catch (...) {
-        counters_.inc(C::bad_callbacks);
-        close_conn(*conn, "accept callback error");
-      }
-    }
-  });
+  }
 }
 
 void Reactor::mark_dirty(AsyncTcpLink& conn) {
@@ -521,6 +550,7 @@ void Reactor::run() {
       timeout = next_tick > now ? static_cast<int>(std::min<uint64_t>(next_tick - now, 60'000))
                                 : 0;
     }
+    if (accept_paused_) timeout = timeout < 0 ? kAcceptRetryMs : std::min(timeout, kAcceptRetryMs);
     const int n = epoll_wait(epoll_fd_, events, kMaxEvents, timeout);
     gm().epoll_waits.inc();
     if (n < 0) {
@@ -534,6 +564,10 @@ void Reactor::run() {
         while (::read(event_fd_, &drain, sizeof drain) > 0) {
         }
         gm().wakeups.inc();
+        continue;
+      }
+      if (events[i].data.ptr == this) {
+        accept_ready();
         continue;
       }
       auto* conn = static_cast<AsyncTcpLink*>(events[i].data.ptr);
@@ -556,63 +590,14 @@ void Reactor::run() {
     }
     for (auto& task : tasks) task();
     if (tick_ms_ > 0) wheel_advance(monotonic_ms());
-    // Sends from tasks and close callbacks leave in this iteration too, not
-    // after the next wakeup.
+    // At the fd limit, a close in this pass (or the retry timeout) may have
+    // made room for a queued client.
+    if (accept_paused_) accept_ready();
+    // Sends from tasks, close and accept callbacks leave in this iteration
+    // too, not after the next wakeup.
     flush_dirty();
     graveyard_.clear();
     if (n > 0 || !tasks.empty()) gm().loop_ns.record(monotonic_ns() - t0);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ReactorServer
-
-ReactorServer::ReactorServer(TcpListener& listener, ReactorOptions options,
-                             ConnCallback on_accept, ConnCallback on_close)
-    : listener_(listener), options_(options) {
-  const int n = std::max(1, options_.loops);
-  loops_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    loops_.push_back(std::make_unique<Reactor>(options_));
-    loops_.back()->set_on_accept(on_accept);
-    loops_.back()->set_on_close(on_close);
-  }
-  acceptor_ = std::thread(&ReactorServer::accept_loop, this);
-}
-
-ReactorServer::~ReactorServer() {
-  stop_.store(true, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();
-  loops_.clear();  // each Reactor stops and joins in its destructor
-}
-
-size_t ReactorServer::connections() const {
-  size_t total = 0;
-  for (const auto& loop : loops_) total += loop->connections();
-  return total;
-}
-
-Reactor::Stats ReactorServer::stats() const {
-  Reactor::Stats total;
-  for (const auto& loop : loops_) obs::stats_add(total, loop->stats());
-  return total;
-}
-
-void ReactorServer::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::unique_ptr<TcpLink> link;
-    try {
-      link = listener_.accept(50);
-    } catch (const Error&) {
-      continue;  // transient accept failure; the listener itself is fine
-    }
-    if (!link) continue;
-    if (connections() >= options_.max_connections) {
-      loops_.front()->counters_.inc(C::refused);
-      continue;  // link destructor closes: the client sees EOF
-    }
-    const size_t idx = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-    loops_[idx]->adopt(link->release_fd());
   }
 }
 

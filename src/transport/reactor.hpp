@@ -22,8 +22,9 @@
 //                  posted tasks (or early, once it holds kFlushBytes).
 //                  Overflow means a slow consumer and closes the
 //                  connection, counted, instead of buffering unboundedly.
-//   ReactorServer  a shared acceptor thread feeding accepted sockets
-//                  round-robin to N per-core loops.
+//   ReactorServer  one Reactor that also owns the listening socket: the
+//                  loop drains it with accept4 and admits each socket
+//                  inline, so a server is one loop on one thread.
 //
 // Thread-safety contract: send()/send_shared()/close() may be called from
 // any thread (they enqueue and wake the owning loop; lifetime is the
@@ -57,9 +58,6 @@ namespace morph::transport {
 enum class TransportMode { kReactor };
 
 struct ReactorOptions {
-  /// Event loops the server spreads connections over (per-core loops; the
-  /// shared acceptor assigns round-robin).
-  int loops = 1;
   /// Close connections with no inbound bytes for this long (0 = never).
   /// Timeouts are detected by a coarse timer wheel, so reaping happens
   /// within ~1/8 of the timeout after it elapses, not at the exact instant.
@@ -80,8 +78,9 @@ struct ReactorOptions {
 
 class Reactor;
 
-/// One reactor-owned connection. Created by the acceptor; handed to the
-/// application in the on_accept callback, on the owning loop's thread.
+/// One reactor-owned connection. Created by the loop (accepted or adopted);
+/// handed to the application in the on_accept callback, on that loop's
+/// thread.
 class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLink> {
  public:
   ~AsyncTcpLink() override;
@@ -108,9 +107,6 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
 
   /// Stable id, unique per process (survives fd reuse).
   uint64_t id() const { return id_; }
-
-  /// The loop that owns this connection.
-  Reactor& loop() const { return *loop_; }
 
   /// Attach per-connection application state; destroyed on the owning
   /// loop's thread when the connection closes. This is where servers hang
@@ -179,7 +175,7 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
 /// One epoll event loop on one owned thread.
 class Reactor {
  public:
-  explicit Reactor(const ReactorOptions& options);
+  explicit Reactor(const ReactorOptions& options) : Reactor(options, -1, {}, {}) {}
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -192,8 +188,8 @@ class Reactor {
   void set_on_accept(ConnCallback cb) { on_accept_ = std::move(cb); }
   void set_on_close(ConnCallback cb) { on_close_ = std::move(cb); }
 
-  /// Take ownership of a connected socket (thread-safe; registration and
-  /// the on_accept callback run on the loop).
+  /// Take ownership of a connected socket (thread-safe; registration,
+  /// counting and the on_accept callback run on the loop).
   void adopt(int fd);
 
   /// Run `fn` on the loop thread (thread-safe). Tasks run in post order,
@@ -226,7 +222,7 @@ class Reactor {
   X(backpressure_closes, morph_reactor_backpressure_closes_total)                  \
   X(send_drops, morph_reactor_send_drops_total)                                    \
   X(bad_callbacks, morph_reactor_bad_callbacks_total)                              \
-  X(refused, morph_reactor_refused_total) /* counted by the server's first loop */
+  X(refused, morph_reactor_refused_total) /* accepts past max_connections */
 
   struct Stats {
     MORPH_STATS(Stats, MORPH_REACTOR_COUNTERS)
@@ -237,8 +233,15 @@ class Reactor {
   friend class AsyncTcpLink;
   friend class ReactorServer;
 
+  /// A server's loop: it also accepts on `listen_fd` (non-blocking), with
+  /// the callbacks in place before the loop starts.
+  Reactor(const ReactorOptions& options, int listen_fd, ConnCallback on_accept,
+          ConnCallback on_close);
+
   void run();
   void wake();
+  void accept_ready();  // loop thread: accept4 until EAGAIN
+  void add_conn(int fd);  // loop thread: register, count, on_accept
   void handle_readable(AsyncTcpLink& conn);
   void dispatch_ring(AsyncTcpLink& conn);
   bool flush(AsyncTcpLink& conn);  // loop thread; false if conn was killed
@@ -255,6 +258,13 @@ class Reactor {
   int event_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::atomic<size_t> conn_count_{0};
+  // Listening socket, -1 unless serving. accept4 failing with anything but
+  // EAGAIN (EMFILE at the fd limit) pauses accepting: the client stays
+  // queued and the loop retries once per pass, at least every
+  // kAcceptRetryMs, instead of spinning on a listener that stays readable.
+  const int listen_fd_;
+  bool accept_paused_ = false;  // loop-thread-only
+  static constexpr int kAcceptRetryMs = 100;
 
   std::mutex tasks_mutex_;
   std::vector<std::function<void()>> tasks_;
@@ -284,43 +294,33 @@ class Reactor {
   std::thread thread_;  // initialized last: run() starts after members
 };
 
-/// A listening socket served by a shared acceptor thread feeding N event
-/// loops round-robin. The listener is borrowed and must outlive the server
-/// (servers own their TcpListener and pass it in, so port() is known before
-/// serving starts).
+/// A listening socket served by one event loop, which accepts, admits and
+/// serves every connection on its own thread. The listener is borrowed and
+/// must outlive the server (servers own their TcpListener and pass it in,
+/// so port() is known before serving starts).
 class ReactorServer {
  public:
   using ConnCallback = Reactor::ConnCallback;
 
   /// Serving starts immediately. `on_accept` is required; `on_close` may
   /// be empty.
-  ReactorServer(TcpListener& listener, ReactorOptions options, ConnCallback on_accept,
-                ConnCallback on_close = {});
-  ~ReactorServer();
-
-  ReactorServer(const ReactorServer&) = delete;
-  ReactorServer& operator=(const ReactorServer&) = delete;
+  ReactorServer(TcpListener& listener, const ReactorOptions& options, ConnCallback on_accept,
+                ConnCallback on_close = {})
+      : listener_(listener),
+        loop_(options, listener.fd(), std::move(on_accept), std::move(on_close)) {}
 
   uint16_t port() const { return listener_.port(); }
-  size_t connections() const;
-  size_t loop_count() const { return loops_.size(); }
-  Reactor& loop(size_t i) { return *loops_[i]; }
+  size_t connections() const { return loop_.connections(); }
+  Reactor& loop() { return loop_; }
 
   /// Accepts refused because max_connections was reached.
   uint64_t refused() const { return stats().refused; }
 
-  /// Aggregated over all loops.
-  Reactor::Stats stats() const;
+  Reactor::Stats stats() const { return loop_.stats(); }
 
  private:
-  void accept_loop();
-
   TcpListener& listener_;
-  ReactorOptions options_;
-  std::vector<std::unique_ptr<Reactor>> loops_;
-  std::atomic<bool> stop_{false};
-  std::atomic<size_t> next_loop_{0};
-  std::thread acceptor_;  // initialized last
+  Reactor loop_;
 };
 
 }  // namespace morph::transport

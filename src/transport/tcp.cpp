@@ -125,7 +125,10 @@ bool TcpLink::pump(int timeout_ms) {
 }
 
 TcpListener::TcpListener(uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking: a ReactorServer's loop accepts until EAGAIN, and accept()
+  // below polls first, so a client that leaves the queue in between reads
+  // as a timeout instead of blocking.
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd_ < 0) fail("socket");
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -159,7 +162,7 @@ std::unique_ptr<TcpLink> TcpListener::accept(int timeout_ms) {
     fd = ::accept(fd_, nullptr, nullptr);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) {
-    if (errno == ECONNABORTED) return nullptr;  // peer gave up while queued
+    if (errno == ECONNABORTED || errno == EAGAIN) return nullptr;  // peer gave up while queued
     fail("accept");
   }
   int one = 1;

@@ -50,6 +50,8 @@ class TcpListener {
   ~TcpListener();
 
   uint16_t port() const { return port_; }
+  /// The listening socket, for a ReactorServer to serve on its loop.
+  int fd() const { return fd_; }
 
   /// Accept one connection, waiting up to `timeout_ms`. nullptr on timeout.
   std::unique_ptr<TcpLink> accept(int timeout_ms);

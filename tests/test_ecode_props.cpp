@@ -226,7 +226,7 @@ class ProgramGen {
         return;
       }
       case 5: {  // bounded for loop
-        std::string v = "L" + std::to_string(loop_counter_++);
+        std::string v = "L" + std::to_string(var_counter_++);
         code_ += "for (int " + v + " = 0; " + v + " < " +
                  std::to_string(1 + rng_.next_below(6)) + "; " + v + "++) {\n";
         statement(depth + 1);
@@ -238,7 +238,7 @@ class ProgramGen {
           statement(depth + 1);
           return;
         }
-        std::string v = "A" + std::to_string(loop_counter_++);
+        std::string v = "A" + std::to_string(var_counter_++);
         cur_idx_ = v;
         code_ += "for (int " + v + " = 0; " + v + " < src.acount; " + v + "++) {\n";
         code_ += "  dst.arr[" + v + "].v = " + int_expr(1) + ";\n";
@@ -260,7 +260,7 @@ class ProgramGen {
   std::string cur_idx_;  // loop variable when inside an array loop
   int int_locals_ = 0;
   int float_locals_ = 0;
-  int loop_counter_ = 0;
+  int var_counter_ = 0;
 };
 
 class EcodeDifferential : public ::testing::TestWithParam<int> {};

@@ -1,16 +1,25 @@
 // Reactor transport tests: the epoll event loop, AsyncTcpLink semantics
-// (batched reads, write backpressure, idle timeouts, admission caps), the
-// byte-identity differential against a blocking TcpLink server, and the
-// EchoTcpNode serving shell (checked against its golden reply stream).
+// (batched reads, write backpressure, idle timeouts, admission caps,
+// accepting at the fd limit), the byte-identity differential against a
+// blocking TcpLink server, the EchoTcpNode serving shell (checked against
+// its golden reply stream), and one thread per reactor-served server.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <ctime>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <latch>
 #include <map>
 #include <memory>
@@ -20,6 +29,7 @@
 #include <vector>
 
 #include "echo/node.hpp"
+#include "fmtsvc/server.hpp"
 #include "golden.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +38,7 @@
 #include "transport/port.hpp"
 #include "transport/reactor.hpp"
 #include "transport/tcp.hpp"
+#include "transport/telemetry_endpoint.hpp"
 
 namespace morph::transport {
 namespace {
@@ -45,14 +56,28 @@ bool pump_until(TcpLink& link, Pred done) {
   return true;
 }
 
+/// Byte echo: whatever arrives goes straight back.
+void serve_echo(AsyncTcpLink& link) {
+  AsyncTcpLink* l = &link;
+  link.set_on_data([l](const uint8_t* d, size_t n) { l->send(d, n); });
+}
+
+/// Send `msg` over `link` and wait for the byte-echo server to return it.
+bool echoes(TcpLink& link, const std::string& msg) {
+  std::string got;
+  link.set_on_data([&](const uint8_t* d, size_t n) {
+    got.append(reinterpret_cast<const char*>(d), n);
+  });
+  link.send(msg.data(), msg.size());
+  const bool ok = pump_until(link, [&] { return got.size() >= msg.size(); }) && got == msg;
+  link.set_on_data({});
+  return ok;
+}
+
 TEST(Reactor, EchoRoundTripAndBatchedDelivery) {
   TcpListener listener(0);
   ReactorOptions opts;
-  ReactorServer server(listener, opts, [](AsyncTcpLink& link) {
-    // Byte echo: whatever arrives goes straight back.
-    AsyncTcpLink* l = &link;
-    link.set_on_data([l](const uint8_t* d, size_t n) { l->send(d, n); });
-  });
+  ReactorServer server(listener, opts, serve_echo);
 
   auto client = TcpLink::connect("127.0.0.1", server.port());
   std::vector<uint8_t> got;
@@ -300,34 +325,18 @@ TEST(Reactor, ThrowingCallbackCostsOnlyItsConnection) {
   }
   EXPECT_TRUE(bad_closed);
   // ...while its neighbor keeps round-tripping.
-  std::string got;
-  good->set_on_data([&](const uint8_t* d, size_t n) {
-    got.append(reinterpret_cast<const char*>(d), n);
-  });
-  good->send("ok", 2);
-  ASSERT_TRUE(pump_until(*good, [&] { return got.size() >= 2; }));
-  EXPECT_EQ(got, "ok");
+  EXPECT_TRUE(echoes(*good, "ok"));
   EXPECT_EQ(server.stats().bad_callbacks, 1u);
 }
 
 TEST(Reactor, ConnectionChurnSettlesToZero) {
   TcpListener listener(0);
-  ReactorOptions opts;
-  opts.loops = 2;
-  ReactorServer server(listener, opts, [](AsyncTcpLink& link) {
-    AsyncTcpLink* l = &link;
-    link.set_on_data([l](const uint8_t* d, size_t n) { l->send(d, n); });
-  });
+  ReactorServer server(listener, ReactorOptions{}, serve_echo);
 
   constexpr int kConns = 64;
   for (int i = 0; i < kConns; ++i) {
     auto client = TcpLink::connect("127.0.0.1", server.port());
-    std::string got;
-    client->set_on_data([&](const uint8_t* d, size_t n) {
-      got.append(reinterpret_cast<const char*>(d), n);
-    });
-    client->send("hi", 2);
-    ASSERT_TRUE(pump_until(*client, [&] { return got.size() >= 2; }));
+    ASSERT_TRUE(echoes(*client, "hi"));
   }  // client closes here
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (server.connections() > 0 && std::chrono::steady_clock::now() < deadline) {
@@ -365,6 +374,85 @@ TEST(Reactor, MaxConnectionsRefusesExtraClient) {
   EXPECT_EQ(obs::metrics().counter("morph_reactor_refused_total").value() - refused_before, 1u);
   EXPECT_EQ(server.stats().accepted, kCap);
   for (auto& link : admitted) EXPECT_TRUE(link->connected());
+}
+
+TEST(Reactor, ConnectStormAdmitsExactlyTheCap) {
+  // Clients arrive back to back, faster than the loop accepts them, so one
+  // accept pass sees many queued at once: admission must still stop at the
+  // cap, not at the cap plus whatever was queued.
+  constexpr size_t kCap = 8;
+  constexpr size_t kClients = 32;
+  TcpListener listener(0);
+  ReactorOptions opts;
+  opts.max_connections = kCap;
+  ReactorServer server(listener, opts, [](AsyncTcpLink&) {});
+
+  std::vector<std::unique_ptr<TcpLink>> clients;
+  for (size_t i = 0; i < kClients; ++i) {
+    clients.push_back(TcpLink::connect("127.0.0.1", server.port()));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (server.stats().accepted + server.refused() < kClients &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(server.stats().accepted, kCap);
+  EXPECT_EQ(server.refused(), kClients - kCap);
+  EXPECT_EQ(server.connections(), kCap);
+}
+
+/// Runs in a forked child (the descriptor limit is per process). Returns 0
+/// on success, else the number of the step that failed.
+int accept_at_fd_limit() {
+  TcpListener listener(0);
+  ReactorServer server(listener, ReactorOptions{}, serve_echo);
+  auto kept = TcpLink::connect("127.0.0.1", server.port());
+  auto freed = TcpLink::connect("127.0.0.1", server.port());
+  if (!echoes(*kept, "a") || !echoes(*freed, "b")) return 1;
+
+  // Lower the limit to two past the highest open descriptor, fill every
+  // free slot below it, and give the last one to the queued client: the
+  // server's accept4 for that client then fails with EMFILE.
+  int top = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    top = std::max(top, std::stoi(entry.path().filename().string()));
+  }
+  rlimit rl{};
+  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return 2;
+  rl.rlim_cur = static_cast<rlim_t>(top) + 2;
+  if (::setrlimit(RLIMIT_NOFILE, &rl) != 0) return 2;
+  int last = -1;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;) last = fd;
+  if (errno != EMFILE || last < 0) return 2;
+  ::close(last);
+  auto queued = TcpLink::connect("127.0.0.1", server.port());
+
+  // At the limit the server sleeps between retries rather than spinning on
+  // the readable listener, and the client stays queued.
+  const std::clock_t cpu_before = std::clock();
+  std::this_thread::sleep_for(300ms);
+  const double cpu_s = static_cast<double>(std::clock() - cpu_before) / CLOCKS_PER_SEC;
+  if (server.stats().accepted != 2 || cpu_s > 0.1) return 3;
+
+  // The accepted connection keeps echoing.
+  if (!echoes(*kept, "still here")) return 4;
+
+  // Half-closing a client makes the server close its end, which frees one
+  // server-side descriptor (the client's own stays open); the queued client
+  // gets it.
+  ::shutdown(freed->fd(), SHUT_WR);
+  if (!echoes(*queued, "q") || server.stats().accepted != 3) return 5;
+  return 0;
+}
+
+TEST(Reactor, AcceptAtFdLimitWaitsForAFreedDescriptor) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(accept_at_fd_limit());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "failed step in accept_at_fd_limit()";
 }
 
 // ---------------------------------------------------------------------------
@@ -923,6 +1011,35 @@ TEST(EchoNode, ScrapeDuringTrafficIsRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   scraper.join();
   EXPECT_EQ(received, kEvents);
+}
+
+// Every reactor-served server is one loop on one thread: constructing it
+// adds exactly one thread to the process.
+TEST(ServerThreads, EachServerRunsOneThread) {
+  const auto thread_count = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  const auto expect_one_thread = [&](auto make) {
+    const auto before = thread_count();
+    auto server = make();
+    EXPECT_EQ(thread_count(), before + 1);
+    server.reset();
+    // A joined thread can stay listed for a moment after join returns.
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (thread_count() > before && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
+  transport::TcpListener listener(0);
+  expect_one_thread([&] {
+    return std::make_unique<transport::ReactorServer>(listener, transport::ReactorOptions{},
+                                                      [](transport::AsyncTcpLink&) {});
+  });
+  expect_one_thread([] { return std::make_unique<EchoTcpNode>("node"); });
+  fmtsvc::FormatStore store;
+  expect_one_thread([&] { return std::make_unique<fmtsvc::FormatService>(store); });
+  expect_one_thread([] { return std::make_unique<transport::TelemetryCollector>(); });
 }
 
 }  // namespace

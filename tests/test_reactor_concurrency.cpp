@@ -1,4 +1,4 @@
-// Reactor concurrency suite (run under TSan in CI): cross-loop publishing,
+// Reactor concurrency suite (run under TSan in CI): cross-thread publishing,
 // connection churn under load, and a backpressure stampede. These tests
 // care about data races and lifetime bugs, not throughput — keep the
 // counts modest so TSan finishes quickly.
@@ -29,17 +29,14 @@ SharedPayload make_payload(size_t n, uint8_t fill) {
   return std::make_shared<const ByteBuffer>(std::move(buf));
 }
 
-TEST(ReactorConcurrency, CrossLoopPublishSharedPayloads) {
-  // Connections spread across two loops; an external publisher thread
-  // broadcasts the same refcounted payload to every link while the loops
-  // are simultaneously echoing inbound traffic. Exercises cross-thread
-  // send_shared against loop-side flushes and closes.
+TEST(ReactorConcurrency, CrossThreadPublishSharedPayloads) {
+  // An external publisher thread broadcasts the same refcounted payload to
+  // every link while the loop is simultaneously echoing inbound traffic.
+  // Exercises cross-thread send_shared against loop-side flushes and closes.
   TcpListener listener(0);
   std::mutex links_mutex;
   std::vector<std::shared_ptr<AsyncTcpLink>> links;
-  ReactorOptions opts;
-  opts.loops = 2;
-  ReactorServer server(listener, opts, [&](AsyncTcpLink& link) {
+  ReactorServer server(listener, ReactorOptions{}, [&](AsyncTcpLink& link) {
     AsyncTcpLink* l = &link;
     link.set_on_data([l](const uint8_t* d, size_t n) { l->send(d, n); });
     std::lock_guard<std::mutex> lock(links_mutex);
@@ -93,10 +90,9 @@ TEST(ReactorConcurrency, CrossLoopPublishSharedPayloads) {
 
 TEST(ReactorConcurrency, ConnectionChurnUnderLoad) {
   // Threads connect, exchange a little traffic, and disconnect, racing the
-  // loops' accept/close paths and the idle timer wheel.
+  // loop's accept/close paths and the idle timer wheel.
   TcpListener listener(0);
   ReactorOptions opts;
-  opts.loops = 2;
   opts.idle_timeout_ms = 50;  // wheel churns while connections churn
   ReactorServer server(listener, opts, [](AsyncTcpLink& link) {
     AsyncTcpLink* l = &link;
@@ -146,7 +142,6 @@ TEST(ReactorConcurrency, BackpressureStampede) {
   std::mutex links_mutex;
   std::vector<std::shared_ptr<AsyncTcpLink>> links;
   ReactorOptions opts;
-  opts.loops = 2;
   opts.max_outbox_bytes = 16 * 1024;
   ReactorServer server(listener, opts, [&](AsyncTcpLink& link) {
     std::lock_guard<std::mutex> lock(links_mutex);
