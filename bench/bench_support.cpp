@@ -5,6 +5,7 @@
 #include <fstream>
 #include <memory>
 
+#include "common/error.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -83,13 +84,13 @@ int bench_main(int argc, char** argv, const std::function<void()>& paper_table) 
   // MORPH_STATS_PORT: serve live metrics while the benchmark runs, so
   // morph-stat --scrape (or curl) can watch percentiles move.
   std::unique_ptr<transport::StatsServer> stats;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read before worker threads start
-  if (const char* port_env = std::getenv("MORPH_STATS_PORT");
-      port_env != nullptr && port_env[0] != '\0') {
-    stats = std::make_unique<transport::StatsServer>(
-        static_cast<uint16_t>(std::strtoul(port_env, nullptr, 10)));
-    std::fprintf(stderr, "stats endpoint on 127.0.0.1:%u\n", stats->port());
+  try {
+    stats = transport::StatsServer::from_env();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
+  if (stats) std::fprintf(stderr, "stats endpoint on 127.0.0.1:%u\n", stats->port());
 
   if (!gbench) {
     paper_table();

@@ -98,7 +98,7 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
   bool overflow = false;
   {
     std::lock_guard<std::mutex> lock(out_mutex_);
-    if (kill_ || closed_.load(std::memory_order_relaxed)) {
+    if (closed_.load(std::memory_order_relaxed)) {
       // Closed or closing: the bytes have nowhere to go. Counted, not thrown
       // — async senders (fan-out loops, reply paths) cannot usefully unwind.
       loop_->counters_.inc(C::send_drops);
@@ -106,8 +106,8 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
     }
     if (out_bytes_ + size > loop_->options_.max_outbox_bytes) {
       // The peer reads slower than we write. Bounded memory wins: drop this
-      // chunk, latch kill_ so later sends drop cheaply, close the connection.
-      kill_ = true;
+      // chunk and tear the link down now; later sends drop cheaply.
+      closed_.store(true, std::memory_order_release);
       overflow = true;
     } else {
       outbox_.push_back(std::move(chunk));
@@ -122,7 +122,7 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
   if (overflow) {
     loop_->counters_.inc(C::send_drops);
     loop_->counters_.inc(C::backpressure_closes);
-    loop_->request_close(shared(), "outbox overflow");
+    loop_->run_on_loop(*this, &Reactor::teardown);
     return false;
   }
   gm().outbox_bytes.add(static_cast<double>(size));
@@ -132,14 +132,18 @@ bool AsyncTcpLink::enqueue(OutChunk chunk, size_t size) {
     loop_->mark_dirty(*this);
     if (over_bound) loop_->flush(*this);
   } else if (need_post) {
-    loop_->post([conn = shared()] {
-      if (!conn->dead_) conn->loop_->flush(*conn);
-    });
+    loop_->run_on_loop(*this, &Reactor::flush);
   }
   return true;
 }
 
-void AsyncTcpLink::close() { loop_->request_close(shared(), "closed by application"); }
+void AsyncTcpLink::close() {
+  {
+    std::lock_guard<std::mutex> lock(out_mutex_);
+    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  }
+  loop_->run_on_loop(*this, &Reactor::flush);  // tears down once the outbox is empty
+}
 
 size_t AsyncTcpLink::outbox_bytes() const {
   std::lock_guard<std::mutex> lock(out_mutex_);
@@ -188,9 +192,10 @@ Reactor::Reactor(const ReactorOptions& options, int listen_fd, ConnCallback on_a
 Reactor::~Reactor() {
   stop();
   if (thread_.joinable()) thread_.join();
-  // Loop is gone: tear down whatever it still owned. Link destructors close
-  // the sockets; no callbacks fire (the contract exempts mid-flight
-  // destruction).
+  // Loop is gone: tear down whatever it still owned, without a drain. Link
+  // destructors close the sockets; no callbacks fire (the contract exempts
+  // mid-flight destruction).
+  for (auto& entry : conns_) drop_outbox(*entry.second);
   dirty_.clear();
   conns_.clear();
   graveyard_.clear();
@@ -223,6 +228,11 @@ void Reactor::post(std::function<void()> fn) {
     }
   }
   if (need_wake) wake();
+}
+
+void Reactor::run_on_loop(AsyncTcpLink& conn, void (Reactor::*step)(AsyncTcpLink&)) {
+  if (on_loop_thread()) return (this->*step)(conn);
+  post([this, step, conn = conn.shared()] { if (!conn->dead_) (this->*step)(*conn); });
 }
 
 void Reactor::adopt(int fd) {
@@ -272,7 +282,7 @@ void Reactor::add_conn(int fd) {
       on_accept_(*conn);
     } catch (...) {
       counters_.inc(C::bad_callbacks);
-      close_conn(*conn, "accept callback error");
+      conn->close();
     }
   }
 }
@@ -294,16 +304,7 @@ void Reactor::flush_dirty() {
   dirty_.clear();
 }
 
-void Reactor::request_close(std::shared_ptr<AsyncTcpLink> conn, const char* reason) {
-  if (on_loop_thread()) {
-    close_conn(*conn, reason);
-    return;
-  }
-  post([this, conn = std::move(conn), reason] { close_conn(*conn, reason); });
-}
-
-bool Reactor::flush(AsyncTcpLink& conn) {
-  bool fatal = false;
+void Reactor::flush(AsyncTcpLink& conn) {
   {
     std::lock_guard<std::mutex> lock(conn.out_mutex_);
     conn.flush_queued_ = false;
@@ -327,14 +328,9 @@ bool Reactor::flush(AsyncTcpLink& conn) {
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return true;  // kernel buffer full: the EPOLLOUT edge resumes us
+          return;  // kernel buffer full: the EPOLLOUT edge resumes us
         }
-        conn.kill_ = true;
-        gm().outbox_bytes.add(-static_cast<double>(conn.out_bytes_));
-        conn.outbox_.clear();
-        conn.out_bytes_ = 0;
-        fatal = true;
-        break;
+        break;  // send error (EPIPE, ECONNRESET): no drain is possible
       }
       size_t left = static_cast<size_t>(n);
       conn.out_bytes_ -= left;
@@ -351,28 +347,29 @@ bool Reactor::flush(AsyncTcpLink& conn) {
         }
       }
     }
+    // Empty: a closed link's drain is done. Not empty: the send failed.
+    if (conn.outbox_.empty() && !conn.closed_.load(std::memory_order_relaxed)) return;
   }
-  if (fatal) {
-    // flush() only ever runs on the loop thread, so close synchronously —
-    // but only after out_mutex_ is released above, because close_conn
-    // re-locks it and std::mutex is non-recursive.
-    close_conn(conn, "send error");
-    return false;
-  }
-  return true;
+  // flush() only ever runs on the loop thread, so tear down synchronously —
+  // but only after out_mutex_ is released above, because teardown re-locks
+  // it and std::mutex is non-recursive.
+  teardown(conn);
 }
 
-void Reactor::close_conn(AsyncTcpLink& conn, const char* reason) {
-  (void)reason;
-  if (conn.dead_) return;
-  // Sends made before the close still leave ahead of the FIN (best effort:
-  // one pass until EAGAIN). A reply enqueued by the batch that also read
-  // the peer's EOF is only on the dirty list yet. A send error here closes
-  // the link inside flush().
-  if (!flush(conn)) return;
-  conn.dead_ = true;
+void Reactor::drop_outbox(AsyncTcpLink& conn) {
+  std::lock_guard<std::mutex> lock(conn.out_mutex_);
   conn.closed_.store(true, std::memory_order_release);
+  counters_.add(C::send_drops, conn.outbox_.size());
+  gm().outbox_bytes.add(-static_cast<double>(conn.out_bytes_));
+  conn.outbox_.clear();
+  conn.out_bytes_ = 0;
+}
+
+void Reactor::teardown(AsyncTcpLink& conn) {
+  if (conn.dead_) return;
+  conn.dead_ = true;
   wheel_remove(conn);
+  drop_outbox(conn);  // empty after a drain
 
   // Keep the object alive through the rest of this loop iteration: events
   // harvested by the same epoll_wait may still reference it (dead_ makes
@@ -391,16 +388,14 @@ void Reactor::close_conn(AsyncTcpLink& conn, const char* reason) {
   gm().connections.add(-1);
 
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd_, nullptr);
+  // ::close on unread bytes sends a reset instead of a FIN, and the reset
+  // can discard what the peer has not read yet: drop what arrived since the
+  // last read first.
+  uint8_t sink[4096];
+  while (::recv(conn.fd_, sink, sizeof sink, 0) > 0) {
+  }
   ::close(conn.fd_);
   conn.fd_ = -1;
-
-  {
-    std::lock_guard<std::mutex> lock(conn.out_mutex_);
-    gm().outbox_bytes.add(-static_cast<double>(conn.out_bytes_));
-    conn.outbox_.clear();
-    conn.out_bytes_ = 0;
-    conn.kill_ = true;
-  }
 
   if (on_close_) {
     try {
@@ -453,12 +448,12 @@ void Reactor::handle_readable(AsyncTcpLink& conn) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       dispatch_ring(conn);
-      if (!conn.dead_) close_conn(conn, "recv error");
+      teardown(conn);  // a reset: nothing can be drained
       return;
     }
     if (n == 0) {
       dispatch_ring(conn);
-      if (!conn.dead_) close_conn(conn, "peer closed");
+      conn.close();  // the peer's EOF: drain, then close our side
       return;
     }
     conn.ring_size_ += static_cast<size_t>(n);
@@ -469,7 +464,7 @@ void Reactor::handle_readable(AsyncTcpLink& conn) {
 }
 
 void Reactor::dispatch_ring(AsyncTcpLink& conn) {
-  while (conn.ring_size_ > 0 && !conn.dead_) {
+  while (conn.ring_size_ > 0 && !conn.closed_.load(std::memory_order_acquire)) {
     const size_t cap = conn.ring_.size();
     const size_t seg = std::min(conn.ring_size_, cap - conn.ring_head_);
     const uint64_t t0 = monotonic_ns();
@@ -479,13 +474,16 @@ void Reactor::dispatch_ring(AsyncTcpLink& conn) {
       // Exceptions never unwind through the loop: a throwing protocol
       // handler costs its connection, not the process.
       counters_.inc(C::bad_callbacks);
-      close_conn(conn, "data callback error");
-      return;
+      conn.close();
+      break;
     }
     gm().dispatch_ns.record(monotonic_ns() - t0);
     conn.ring_head_ = (conn.ring_head_ + seg) % cap;
     conn.ring_size_ -= seg;
   }
+  // After a close nothing more reaches the callback. Later bytes are still
+  // read, so that teardown's ::close meets none, and dropped here.
+  if (conn.closed_.load(std::memory_order_relaxed)) conn.ring_size_ = 0;
 }
 
 void Reactor::wheel_touch(AsyncTcpLink& conn, uint64_t now_ms) {
@@ -526,7 +524,7 @@ void Reactor::wheel_advance(uint64_t now_ms) {
       const uint64_t deadline = c->last_active_ms_ + options_.idle_timeout_ms;
       if (deadline <= now_ms) {
         counters_.inc(C::idle_timeouts);
-        close_conn(*c, "idle timeout");
+        teardown(*c);
         continue;
       }
       size_t next = (deadline / tick_ms_) & (kWheelSlots - 1);
@@ -544,7 +542,7 @@ void Reactor::run() {
   epoll_event events[kMaxEvents];
   while (!stop_.load(std::memory_order_acquire)) {
     int timeout = -1;
-    if (tick_ms_ > 0) {
+    if (tick_ms_ > 0 && !conns_.empty()) {  // no connection, no timer to run
       const uint64_t now = monotonic_ms();
       const uint64_t next_tick = (last_tick_ + 1) * tick_ms_;
       timeout = next_tick > now ? static_cast<int>(std::min<uint64_t>(next_tick - now, 60'000))

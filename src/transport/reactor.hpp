@@ -22,6 +22,7 @@
 //                  posted tasks (or early, once it holds kFlushBytes).
 //                  Overflow means a slow consumer and closes the
 //                  connection, counted, instead of buffering unboundedly.
+//                  close() drains: the outbox still leaves ahead of the FIN.
 //   ReactorServer  one Reactor that also owns the listening socket: the
 //                  loop drains it with accept4 and admits each socket
 //                  inline, so a server is one loop on one thread.
@@ -32,10 +33,9 @@
 // accept callback, and the close callback run on the owning loop's thread.
 // A connection's callbacks never run concurrently with each other.
 //
-// The library's connection servers (fmtsvc::FormatService,
-// echo::EchoTcpNode, TelemetryCollector) all serve through ReactorServer;
-// only StatsServer, a one-scrape-at-a-time endpoint, keeps its own thread.
-// TcpLink stays as the blocking client.
+// Every server in the library (fmtsvc::FormatService, echo::EchoTcpNode,
+// TelemetryCollector, StatsServer) serves through ReactorServer. TcpLink
+// and TcpListener::accept stay as the blocking client and test helpers.
 #pragma once
 
 #include <atomic>
@@ -91,7 +91,9 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
   /// are copied into the outbox and flushed by the loop. After close(), or
   /// on outbox overflow, the bytes are dropped and counted
   /// (morph_reactor_send_drops_total) — an async sender cannot usefully
-  /// unwind into, so drops are observable instead of thrown.
+  /// unwind into, so drops are observable instead of thrown. So are chunks
+  /// left queued by a teardown without a drain (send error, reset, overflow,
+  /// idle timeout, Reactor destruction).
   void send(const void* data, size_t size) override;
 
   /// Enqueue a shared immutable payload: the outbox holds the refcount,
@@ -101,8 +103,11 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
 
   bool connected() const override { return !closed_.load(std::memory_order_acquire); }
 
-  /// Request close. Thread-safe; the actual teardown (epoll removal, close
-  /// callback, state destruction) runs on the owning loop.
+  /// Request close (thread-safe), as the peer's EOF does. Later sends drop
+  /// and later inbound bytes are discarded. The outbox keeps flushing; the
+  /// loop tears the link down (on_close, ::close) once it is empty, so the
+  /// peer reads every byte sent before close(), then EOF. Until then the
+  /// link keeps its max_connections slot and idle timeout.
   void close();
 
   /// Stable id, unique per process (survives fd reuse).
@@ -147,6 +152,8 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
   int fd_;
   Reactor* loop_;
   uint64_t id_;
+  // Close requested (sends drop, data is discarded). Set under out_mutex_,
+  // so a closed link's empty outbox stays empty.
   std::atomic<bool> closed_{false};
 
   // Outbox, shared between senders (any thread) and the loop.
@@ -157,7 +164,6 @@ class AsyncTcpLink : public Link, public std::enable_shared_from_this<AsyncTcpLi
   // send put the link on the loop's dirty list. Either way a later sender
   // need not post another.
   bool flush_queued_ = false;
-  bool kill_ = false;          // overflow or fatal error; close is scheduled
 
   // Loop-thread-only state.
   bool dead_ = false;          // torn down; skip events already harvested
@@ -244,11 +250,13 @@ class Reactor {
   void add_conn(int fd);  // loop thread: register, count, on_accept
   void handle_readable(AsyncTcpLink& conn);
   void dispatch_ring(AsyncTcpLink& conn);
-  bool flush(AsyncTcpLink& conn);  // loop thread; false if conn was killed
+  void flush(AsyncTcpLink& conn);  // loop thread; tears down when done or failed
   void mark_dirty(AsyncTcpLink& conn);  // loop thread
   void flush_dirty();                   // loop thread
-  void request_close(std::shared_ptr<AsyncTcpLink> conn, const char* reason);
-  void close_conn(AsyncTcpLink& conn, const char* reason);
+  void teardown(AsyncTcpLink& conn);     // loop thread: close now
+  // `step` now on the loop thread, else posted (skipped once torn down).
+  void run_on_loop(AsyncTcpLink& conn, void (Reactor::*step)(AsyncTcpLink&));
+  void drop_outbox(AsyncTcpLink& conn);  // counted as send drops
   void wheel_touch(AsyncTcpLink& conn, uint64_t now_ms);
   void wheel_remove(AsyncTcpLink& conn);
   void wheel_advance(uint64_t now_ms);

@@ -1,78 +1,69 @@
 #include "transport/stats_endpoint.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 
 namespace morph::transport {
 
+namespace {
+// A request head longer than this is not a scrape: the connection closes
+// without a reply.
+constexpr size_t kMaxHeadBytes = 8u << 10;
+}  // namespace
+
 StatsServer::StatsServer(uint16_t port, obs::MetricsRegistry* registry)
     : registry_(registry != nullptr ? *registry : obs::MetricsRegistry::global()),
       listener_(port),
-      thread_([this] { serve_loop(); }) {}
+      // A scraper that dawdles past the idle timeout forfeits its response.
+      server_(listener_, {.idle_timeout_ms = 2000, .max_connections = 16},
+              [this](AsyncTcpLink& link) { serve(link); }) {}
 
-StatsServer::~StatsServer() {
-  stop_.store(true, std::memory_order_relaxed);
-  thread_.join();
-}
-
-void StatsServer::serve_loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    try {
-      auto link = listener_.accept(100);
-      if (link != nullptr) handle(*link);
-    } catch (const Error& e) {
-      // A misbehaving client must not take the endpoint down.
-      MORPH_LOG_WARN("stats") << "request failed: " << e.what();
-    }
-  }
-}
-
-void StatsServer::handle(TcpLink& link) {
-  // Accumulate until the request head is complete; a scraper that dawdles
-  // longer than ~2s forfeits its response.
-  std::string request;
-  link.set_on_data([&](const uint8_t* d, size_t n) {
+void StatsServer::serve(AsyncTcpLink& link) {
+  // The callback owns the request head it accumulates.
+  link.set_on_data([this, &link, request = std::string()](const uint8_t* d, size_t n) mutable {
     request.append(reinterpret_cast<const char*>(d), n);
-  });
-  for (int rounds = 0; rounds < 20; ++rounds) {
-    if (request.find("\r\n\r\n") != std::string::npos ||
-        request.find("\n\n") != std::string::npos) {
-      break;
+    if (request.size() > kMaxHeadBytes) {
+      link.close();
+      return;
     }
-    if (!link.pump(100)) return;  // peer went away
-    if (stop_.load(std::memory_order_relaxed)) return;
-  }
+    if (request.find("\r\n\r\n") == std::string::npos &&
+        request.find("\n\n") == std::string::npos) {
+      return;  // head not complete yet
+    }
+    const bool prometheus = request.starts_with("GET /metrics ");
+    const std::string body = prometheus ? obs::to_prometheus(registry_.snapshot())
+                                        : obs::to_json(registry_.snapshot(), obs::recent_spans(),
+                                                       obs::flight_events());
+    char head[256];
+    const int h = std::snprintf(head, sizeof head,
+                                "HTTP/1.0 200 OK\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
+                                "Connection: close\r\n\r\n",
+                                prometheus ? "text/plain; version=0.0.4" : "application/json",
+                                body.size());
+    link.send(head, static_cast<size_t>(h));
+    link.send(body.data(), body.size());
+    link.close();  // drains: the reply leaves whole, then the FIN
+  });
+}
 
-  std::string path = "/";
-  if (request.compare(0, 4, "GET ") == 0) {
-    size_t end = request.find(' ', 4);
-    if (end != std::string::npos) path = request.substr(4, end - 4);
+std::unique_ptr<StatsServer> StatsServer::from_env() {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) — read before worker threads start
+  const char* env = std::getenv("MORPH_STATS_PORT");
+  if (env == nullptr || env[0] == '\0') return nullptr;
+  const char* last = env + std::strlen(env);
+  uint16_t port = 0;
+  const auto [end, ec] = std::from_chars(env, last, port);
+  if (ec != std::errc() || end != last) {
+    throw Error("MORPH_STATS_PORT: bad port '" + std::string(env) + "'");
   }
-
-  std::string body;
-  const char* content_type;
-  if (path == "/metrics") {
-    body = obs::to_prometheus(registry_.snapshot());
-    content_type = "text/plain; version=0.0.4";
-  } else {
-    body = obs::to_json(registry_.snapshot(), obs::recent_spans(), obs::flight_events());
-    content_type = "application/json";
-  }
-
-  char head[256];
-  int n = std::snprintf(head, sizeof head,
-                        "HTTP/1.0 200 OK\r\n"
-                        "Content-Type: %s\r\n"
-                        "Content-Length: %zu\r\n"
-                        "Connection: close\r\n\r\n",
-                        content_type, body.size());
-  link.send(head, static_cast<size_t>(n));
-  link.send(body.data(), body.size());
+  return std::make_unique<StatsServer>(port);
 }
 
 }  // namespace morph::transport

@@ -15,8 +15,11 @@
 namespace morph::transport {
 
 namespace {
-[[noreturn]] void fail(const std::string& what) {
-  throw TransportError(what + ": " + std::strerror(errno));
+/// Throws for the failed call `what`, closing `fd` (if any) first.
+[[noreturn]] void fail(const std::string& what, int fd = -1) {
+  const int err = errno;
+  if (fd >= 0) ::close(fd);
+  throw TransportError(what + ": " + std::strerror(err));
 }
 }  // namespace
 
@@ -42,24 +45,18 @@ std::unique_ptr<TcpLink> TcpLink::connect(const std::string& host, uint16_t port
     do {
       pr = ::poll(&pfd, 1, -1);
     } while (pr < 0 && errno == EINTR);
-    if (pr < 0) {
-      ::close(fd);
-      fail("poll (connect)");
-    }
+    if (pr < 0) fail("poll (connect)", fd);
     int err = 0;
     socklen_t len = sizeof err;
     if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-      ::close(fd);
-      fail("getsockopt SO_ERROR");
+      fail("getsockopt SO_ERROR", fd);
     }
     if (err != 0) {
-      ::close(fd);
       errno = err;
-      fail("connect");
+      fail("connect", fd);
     }
   } else if (rc != 0) {
-    ::close(fd);
-    fail("connect");
+    fail("connect", fd);
   }
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -130,18 +127,19 @@ TcpListener::TcpListener(uint16_t port) {
   // as a timeout instead of blocking.
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd_ < 0) fail("socket");
+  // A throwing constructor runs no destructor: each fail closes the socket.
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) fail("bind");
+  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) fail("bind", fd_);
   // Deep backlog (kernel clamps to somaxconn): connection-scale clients
   // arrive in storms, and a backlog of 16 turns those into ECONNREFUSED.
-  if (::listen(fd_, 4096) != 0) fail("listen");
+  if (::listen(fd_, 4096) != 0) fail("listen", fd_);
   socklen_t len = sizeof addr;
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) fail("getsockname");
+  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) fail("getsockname", fd_);
   port_ = ntohs(addr.sin_port);
 }
 

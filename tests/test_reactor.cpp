@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "transport/framing.hpp"
 #include "transport/port.hpp"
 #include "transport/reactor.hpp"
+#include "transport/stats_endpoint.hpp"
 #include "transport/tcp.hpp"
 #include "transport/telemetry_endpoint.hpp"
 
@@ -327,6 +329,88 @@ TEST(Reactor, ThrowingCallbackCostsOnlyItsConnection) {
   // ...while its neighbor keeps round-tripping.
   EXPECT_TRUE(echoes(*good, "ok"));
   EXPECT_EQ(server.stats().bad_callbacks, 1u);
+}
+
+/// Deterministic bytes that show a lost or reordered byte.
+std::string pattern_bytes(size_t n) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<char>(i * 31 + (i >> 9));
+  return out;
+}
+
+/// Everything `link` reads up to the peer's FIN; nullopt on a reset or
+/// when no FIN comes within ~5s.
+std::optional<std::string> read_to_eof(TcpLink& link) {
+  std::string got;
+  link.set_on_data([&](const uint8_t* d, size_t n) {
+    got.append(reinterpret_cast<const char*>(d), n);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  try {
+    while (link.pump(100)) {
+      if (std::chrono::steady_clock::now() > deadline) return std::nullopt;
+    }
+  } catch (const TransportError&) {
+    return std::nullopt;  // ECONNRESET
+  }
+  return got;
+}
+
+TEST(Reactor, CloseDeliversQueuedBytesBeforeFin) {
+  // A reply far larger than the socket buffers, then close(): the outbox
+  // keeps draining after the close, so a reader that starts late still
+  // gets every byte, then EOF. Only then is the connection torn down.
+  const std::string reply = pattern_bytes(4'000'000);
+  TcpListener listener(0);
+  ReactorServer server(listener, ReactorOptions{}, [&](AsyncTcpLink& link) {
+    link.send(reply.data(), reply.size());
+    link.close();
+  });
+  auto client = TcpLink::connect("127.0.0.1", server.port());
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(server.connections(), 1u);  // draining keeps its slot
+  const std::optional<std::string> got = read_to_eof(*client);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size(), reply.size());
+  EXPECT_TRUE(*got == reply);
+  EXPECT_EQ(server.connections(), 0u);
+  EXPECT_EQ(server.stats().closed, 1u);
+  EXPECT_EQ(server.stats().send_drops, 0u);
+}
+
+TEST(Reactor, CloseDiscardsLaterInboundAndEndsWithFin) {
+  // The peer keeps sending after the server's close(). Those bytes reach
+  // no callback; they are read and dropped, so the socket is closed with
+  // nothing unread and the peer sees the whole reply and a FIN, not a
+  // reset.
+  const std::string reply = pattern_bytes(4'000'000);
+  std::atomic<size_t> delivered{0};
+  TcpListener listener(0);
+  ReactorServer server(listener, ReactorOptions{}, [&](AsyncTcpLink& link) {
+    AsyncTcpLink* l = &link;
+    link.set_on_data([&, l](const uint8_t*, size_t n) {
+      if (delivered.fetch_add(n) + n < 4) return;
+      l->send(reply.data(), reply.size());
+      l->close();
+    });
+  });
+  auto client = TcpLink::connect("127.0.0.1", server.port());
+  client->send("ping", 4);
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (delivered.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(delivered.load(), 4u);
+  // The reply is still draining (the client has read nothing yet).
+  const std::string junk(64 * 1024, 'j');
+  for (int i = 0; i < 4; ++i) ASSERT_NO_THROW(client->send(junk.data(), junk.size()));
+  std::this_thread::sleep_for(50ms);
+  const std::optional<std::string> got = read_to_eof(*client);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size(), reply.size());
+  EXPECT_TRUE(*got == reply);
+  EXPECT_EQ(delivered.load(), 4u);
+  EXPECT_EQ(server.stats().closed, 1u);
 }
 
 TEST(Reactor, ConnectionChurnSettlesToZero) {
@@ -701,6 +785,7 @@ TEST(ReactorCoalescing, SendErrorOnDirtyLinkClosesOnceAndLaterSendsDrop) {
   // end-of-batch flush, then on a second link a send past the bound that
   // fails mid-batch: the close lands while the link is still listed, the
   // rest of the handler's sends to it are dropped, and the pass skips it.
+  // The chunk a failed send leaves in the outbox counts as a drop too.
   PairedLoop pl(4);
   ::shutdown(pl.reactor_fds[1], SHUT_WR);
   ::shutdown(pl.reactor_fds[2], SHUT_WR);
@@ -722,17 +807,17 @@ TEST(ReactorCoalescing, SendErrorOnDirtyLinkClosesOnceAndLaterSendsDrop) {
   pl.trigger(handled);
   EXPECT_FALSE(pl.links[1]->connected());
   EXPECT_EQ(pl.close_count(*pl.links[1]), 1);
-  EXPECT_EQ(pl.loop.stats().send_drops, 0u);
+  EXPECT_EQ(pl.loop.stats().send_drops, 1u);  // "doomed"
 
   pl.trigger(handled);
   EXPECT_FALSE(pl.links[2]->connected());
   EXPECT_EQ(pl.close_count(*pl.links[2]), 1);
-  EXPECT_EQ(pl.loop.stats().send_drops, 1u);
+  EXPECT_EQ(pl.loop.stats().send_drops, 3u);  // the big chunk and "after"
 
   pl.links[1]->send("x", 1);
   pl.links[2]->send("y", 1);
   pl.run_on_loop([] {});
-  EXPECT_EQ(pl.loop.stats().send_drops, 3u);
+  EXPECT_EQ(pl.loop.stats().send_drops, 5u);
   EXPECT_EQ(pl.close_count(*pl.links[1]), 1);
   EXPECT_EQ(pl.close_count(*pl.links[2]), 1);
   EXPECT_EQ(pl.loop.stats().closed, 2u);
@@ -1040,6 +1125,7 @@ TEST(ServerThreads, EachServerRunsOneThread) {
   fmtsvc::FormatStore store;
   expect_one_thread([&] { return std::make_unique<fmtsvc::FormatService>(store); });
   expect_one_thread([] { return std::make_unique<transport::TelemetryCollector>(); });
+  expect_one_thread([] { return std::make_unique<transport::StatsServer>(); });
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <thread>
 
@@ -491,6 +493,48 @@ TEST(StatsServer, ServesJsonSnapshot) {
   std::string response = http_get(server.port(), "/");
   EXPECT_NE(response.find("application/json"), std::string::npos);
   EXPECT_NE(response.find("\"schema\": \"morph-metrics-v1\""), std::string::npos);
+}
+
+TEST(StatsServer, SilentClientDoesNotDelayScrape) {
+  // A connected client that never sends its request holds nothing up: the
+  // endpoint serves concurrent connections on its loop.
+  StatsServer server(0);
+  auto silent = TcpLink::connect("127.0.0.1", server.port());
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = http_get(server.port(), "/metrics");
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_LT(took, std::chrono::milliseconds(500));
+}
+
+TEST(StatsServer, OversizedRequestHeadIsClosed) {
+  // A head past the cap is not a scrape: the connection ends at once,
+  // without a reply and without waiting out the idle timeout.
+  StatsServer server(0);
+  auto link = TcpLink::connect("127.0.0.1", server.port());
+  const std::string head = "GET /metrics HTTP/1.0\r\nX-Pad: " + std::string(16 * 1024, 'a');
+  const auto start = std::chrono::steady_clock::now();
+  link->send(head.data(), head.size());
+  std::string response;
+  link->set_on_data([&](const uint8_t* d, size_t n) {
+    response.append(reinterpret_cast<const char*>(d), n);
+  });
+  while (link->pump(100) && std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+  }
+  EXPECT_FALSE(link->connected());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(response, "");
+}
+
+TEST(Tcp, FailedBindLeaksNoDescriptor) {
+  const auto open_fds = [] {
+    const std::filesystem::directory_iterator fds("/proc/self/fd");
+    return std::distance(begin(fds), end(fds));
+  };
+  TcpListener bound(0);
+  const auto before = open_fds();
+  for (int i = 0; i < 100; ++i) EXPECT_THROW(TcpListener{bound.port()}, TransportError);
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST(Tcp, LoopbackRoundTrip) {

@@ -9,6 +9,7 @@
 //       restart durability. --audit gates REGISTER on the fleet-wide
 //       evolution audit; each --live declares a revision fingerprint a
 //       deployed peer still reads. Runs until SIGINT/SIGTERM.
+//       MORPH_STATS_PORT=N also serves live metrics on 127.0.0.1:N.
 //   fmtsvc --put HOST:PORT
 //       Register the built-in ECho demo formats (ChannelOpenResponse v1,
 //       v2 and the Figure 5 retro-transformation) with a running service.
@@ -16,12 +17,14 @@
 //       Fetch one format by fingerprint and dump it.
 //   fmtsvc --dump HOST:PORT
 //       List everything the service stores.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "analysis/audit.hpp"
 #include "core/lint.hpp"
@@ -29,13 +32,11 @@
 #include "fmtsvc/resolver.hpp"
 #include "fmtsvc/server.hpp"
 #include "fmtsvc/store.hpp"
+#include "transport/stats_endpoint.hpp"
 
 using namespace morph;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
 
 bool parse_endpoint(const char* arg, std::string& host, uint16_t& port) {
   const char* colon = std::strrchr(arg, ':');
@@ -108,6 +109,17 @@ int serve(int argc, char** argv) {
     }
   }
 
+  // SIGINT/SIGTERM are taken by sigwait below. They are blocked before any
+  // server starts its loop thread, which inherits the mask, so neither
+  // signal can land there and end the process without the summary.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
+  const auto stats = transport::StatsServer::from_env();
+  if (stats) std::fprintf(stderr, "stats endpoint on 127.0.0.1:%u\n", stats->port());
   fmtsvc::FormatStore store;
   if (spill != nullptr) {
     size_t replayed = store.attach_spill(spill);
@@ -121,9 +133,8 @@ int serve(int argc, char** argv) {
               opts.live_readers.size() == 1 ? "" : "s");
   std::fflush(stdout);
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-  while (g_stop == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  int sig = 0;
+  sigwait(&stop_signals, &sig);
 
   fmtsvc::ServiceStats s = service.stats();
   std::printf("\nfmtsvc shutting down: %llu connections, %llu requests, "
@@ -209,7 +220,14 @@ int dump(const char* endpoint) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--serve") == 0) return serve(argc, argv);
+  if (argc >= 2 && std::strcmp(argv[1], "--serve") == 0) {
+    try {
+      return serve(argc, argv);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "fmtsvc: %s\n", e.what());
+      return 2;
+    }
+  }
   if (argc >= 3 && std::strcmp(argv[1], "--put") == 0) return put(argv[2]);
   if (argc >= 4 && std::strcmp(argv[1], "--get") == 0) return get(argv[2], argv[3]);
   if (argc >= 3 && std::strcmp(argv[1], "--dump") == 0) return dump(argv[2]);

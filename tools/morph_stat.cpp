@@ -33,6 +33,7 @@
 // live endpoint.
 #include <array>
 #include <charconv>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -126,11 +127,31 @@ std::string scrape(const std::string& target) {
   link->set_on_data([&](const uint8_t* d, size_t n) {
     response.append(reinterpret_cast<const char*>(d), n);
   });
-  while (link->pump(2000)) {
+  // Read to EOF within one deadline for the whole response.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) die("timed out reading " + target);
+    if (!link->pump(static_cast<int>(left))) break;
   }
-  size_t body = response.find("\r\n\r\n");
-  if (body == std::string::npos) die("malformed HTTP response from " + target);
-  return response.substr(body + 4);
+  // StatsServer's head; a body shorter than its Content-Length is truncated.
+  const size_t head_end = response.find("\r\n\r\n");
+  const size_t field = response.find("\r\nContent-Length: ");
+  if (head_end == std::string::npos || field >= head_end) {
+    die("malformed HTTP response from " + target + " (no Content-Length)");
+  }
+  size_t length = 0;
+  const auto parsed =
+      std::from_chars(response.data() + field + 18, response.data() + head_end, length);
+  if (parsed.ec != std::errc()) die("bad Content-Length from " + target);
+  std::string body = response.substr(head_end + 4);
+  if (body.size() != length) {
+    die("response from " + target + " has " + std::to_string(body.size()) +
+        " body bytes, Content-Length says " + std::to_string(length));
+  }
+  return body;
 }
 
 /// `v` in `unit`: nanoseconds auto-scale to us/ms/s, other units print as is.

@@ -4,6 +4,8 @@
 //                                       SIGINT/SIGTERM; prints the bound
 //                                       port on stdout. Exporting processes
 //                                       point MORPH_TELEMETRY at it.
+//                                       MORPH_STATS_PORT=N also serves its
+//                                       live metrics (transport::StatsServer).
 //   morph-trace dump HOST:PORT          fetch the collector's stitched
 //              [--json FILE]            morph-telemetry-v1 document and
 //                                       print (or save) it.
@@ -28,6 +30,7 @@
 // from fmtsvc), and fans the morphed record out through a shared frame —
 // so the stitched critical path shows the broker paying the morph while
 // the receiver gets an identity delivery.
+#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -54,15 +57,13 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "transport/port.hpp"
+#include "transport/stats_endpoint.hpp"
 #include "transport/tcp.hpp"
 #include "transport/telemetry_endpoint.hpp"
 
 using namespace morph;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-void handle_stop(int) { g_stop = 1; }
 
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "morph-trace: %s\n", msg.c_str());
@@ -88,12 +89,22 @@ bool deadline_passed(std::chrono::steady_clock::time_point deadline) {
 // --- serve -----------------------------------------------------------------
 
 int cmd_serve(uint16_t port) {
+  // Blocked before any server starts its loop thread, which inherits the
+  // mask, so the signals reach only the sigwait below.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
+  const auto stats = transport::StatsServer::from_env();
+  if (stats) std::fprintf(stderr, "stats endpoint on 127.0.0.1:%u\n", stats->port());
   transport::TelemetryCollector collector({.port = port});
   std::printf("collector listening on 127.0.0.1:%u\n", collector.port());
   std::fflush(stdout);
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-  while (g_stop == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  int sig = 0;
+  sigwait(&stop_signals, &sig);
   auto s = collector.stats();
   std::fprintf(stderr, "collector: %llu batches, %llu spans, %llu dumps, %llu bad frames\n",
                static_cast<unsigned long long>(s.batches),
