@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -451,6 +452,11 @@ class Interp {
   void do_load(State& st, int pc, Op op);
   void do_store(State& st, int pc, Op op);
   void do_index(State& st, int pc, const Instr& in);
+  void do_copy_loop(State& st, int pc, const Instr& in);
+  const FieldSite* dyn_slot(const AbsVal& v, int pc, const std::string& what);
+  std::optional<FieldSite> element_leaf(const FieldDescriptor& array, int64_t off);
+  std::string check_copy_fields(const FieldDescriptor& dst, const FieldDescriptor& src,
+                                const CopyLoop& loop);
 
   static uint32_t load_width(Op op) {
     switch (op) {
@@ -888,6 +894,107 @@ void Interp::do_index(State& st, int pc, const Instr& in) {
     return;
   }
   push(st, pc, std::move(out));
+}
+
+const FieldSite* Interp::dyn_slot(const AbsVal& v, int pc, const std::string& what) {
+  if (v.kind != ValKind::kPtr || v.ptr.kind != PtrKind::kStruct) {
+    finding(VerifyCheck::kTypeConfusion, pc, what + " is not a field address");
+    return nullptr;
+  }
+  const FieldSite* site = resolve_site(v.ptr, pc, what.c_str());
+  if (site == nullptr) return nullptr;
+  if (site->use != SiteUse::kDynSlot) {
+    std::string fname = field_name(v.ptr.param, site->path);
+    finding(VerifyCheck::kTypeConfusion, pc,
+            what + " '" + fname + "' is not a dynamic-array field", fname);
+    return nullptr;
+  }
+  return site;
+}
+
+std::optional<FieldSite> Interp::element_leaf(const FieldDescriptor& array, int64_t off) {
+  if (array.has_element_format()) {
+    const FieldSite* site = layout(array.element_format.get()).at(off);
+    if (site == nullptr || site->start != off) return std::nullopt;
+    return *site;
+  }
+  if (off != 0) return std::nullopt;
+  FieldSite leaf;
+  leaf.size = array.element_size;
+  leaf.kind = array.element_kind;
+  leaf.use = array.element_kind == FieldKind::kString ? SiteUse::kStringSlot : SiteUse::kScalar;
+  return leaf;
+}
+
+/// Why `loop`'s runs and strings do not pair whole element fields of the
+/// same kind and size in `src`'s and `dst`'s elements, or "". A run never
+/// moves pointer bytes, and no copy reaches outside an element.
+std::string Interp::check_copy_fields(const FieldDescriptor& dst, const FieldDescriptor& src,
+                                      const CopyLoop& loop) {
+  for (const auto& run : loop.runs) {
+    std::string where = std::to_string(run.len) + "-byte run " + std::to_string(run.src_off) +
+                        " -> " + std::to_string(run.dst_off);
+    for (uint32_t k = 0; k < run.len;) {
+      auto d = element_leaf(dst, int64_t{run.dst_off} + k);
+      auto s = element_leaf(src, int64_t{run.src_off} + k);
+      if (!d || !s || d->use != SiteUse::kScalar || s->use != SiteUse::kScalar ||
+          d->kind != s->kind || d->size != s->size || k + d->size > run.len) {
+        return where + " does not cover whole scalar element fields of one kind and size";
+      }
+      k += d->size;
+    }
+    if (run.len == 0) return where + " is empty";
+  }
+  for (const auto& str : loop.strings) {
+    auto d = element_leaf(dst, str.dst_off);
+    auto s = element_leaf(src, str.src_off);
+    if (!d || !s || d->use != SiteUse::kStringSlot || s->use != SiteUse::kStringSlot) {
+      return "string copy " + std::to_string(str.src_off) + " -> " + std::to_string(str.dst_off) +
+             " does not pair two string element fields";
+    }
+  }
+  return "";
+}
+
+/// A lowered element-copy loop: the source reads are safe when the count is
+/// the source array's length field as just loaded; the destination grows to
+/// the count like kEnsure; the copied fields must pair up by the layouts.
+void Interp::do_copy_loop(State& st, int pc, const Instr& in) {
+  AbsVal count = pop_int(st, pc, "copy loop");
+  AbsVal src = pop(st, pc);
+  AbsVal dst = pop(st, pc);
+  push(st, pc, AbsVal::integer({0, std::max<int64_t>(0, count.iv.hi)}));
+  const CopyLoop& loop = chunk_.copy_loops[static_cast<size_t>(in.a)];
+  const FieldSite* ss = dyn_slot(src, pc, "copy loop source");
+  const FieldSite* ds = dyn_slot(dst, pc, "copy loop destination");
+  if (ss == nullptr || ds == nullptr) return;
+  const PtrVal& sp = src.ptr;
+  const PtrVal& dp = dst.ptr;
+  std::string sname = field_name(sp.param, ss->path);
+  std::string dname = field_name(dp.param, ds->path);
+  bool bounded = sp.root_inline && sp.off.singleton() && sp.root_off.singleton() &&
+                 ss->len_off >= 0 && count.origin.kind == OriginKind::kFieldLoad &&
+                 count.origin.param == sp.param &&
+                 count.origin.offset == sp.root_off.lo - sp.off.lo + ss->len_off &&
+                 count.origin.size == ss->len_size;
+  if (!bounded) {
+    finding(VerifyCheck::kOobAccess, pc,
+            "copy loop over '" + sname + "' is not bounded by its length field", sname);
+  }
+  if (loop.src_stride != ss->fd->element_stride() || loop.dst_stride != ds->fd->element_stride()) {
+    finding(VerifyCheck::kWidthMismatch, pc,
+            "copy loop strides " + std::to_string(loop.src_stride) + " -> " +
+                std::to_string(loop.dst_stride) + " do not match '" + sname + "' -> '" + dname +
+                "'",
+            dname);
+  } else if (std::string why = check_copy_fields(*ds->fd, *ss->fd, loop); !why.empty()) {
+    finding(VerifyCheck::kWidthMismatch, pc,
+            "copy loop from '" + sname + "' into '" + dname + "': " + why, dname);
+  }
+  if (sp.root_inline) mark_read(st, pc, sp.param, sp.root_off, 8, sname);
+  if (dp.root_inline) mark_store(st, pc, dp.param, dp.root_off, 8);
+  record_store(pc, dp.param, dp, /*scalar=*/false, FieldKind::kDynArray, 8, AbsVal::any(),
+               ds->path);
 }
 
 void Interp::step(int pc, State st) {
@@ -1358,6 +1465,10 @@ void Interp::step(int pc, State st) {
       }
       break;
     }
+
+    case Op::kCopyLoop:
+      do_copy_loop(st, pc, in);
+      break;
 
     case Op::kRet: {
       if (!st.stack.empty()) {

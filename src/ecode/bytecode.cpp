@@ -80,6 +80,7 @@ std::string op_name(Op op) {
     case Op::kStrLen: return "strlen";
     case Op::kStrEq: return "streq";
     case Op::kStructCopy: return "struct.copy";
+    case Op::kCopyLoop: return "copy.loop";
     case Op::kRet: return "ret";
   }
   return "?";
@@ -101,6 +102,22 @@ std::string Chunk::disassemble() const {
       case Op::kConstStr:
         out += " \"" + string_pool[static_cast<size_t>(in.a)] + "\"";
         break;
+      case Op::kCopyLoop: {
+        out += " " + std::to_string(in.a);
+        if (in.a < 0 || static_cast<size_t>(in.a) >= copy_loops.size()) break;
+        const CopyLoop& loop = copy_loops[static_cast<size_t>(in.a)];
+        out += " (stride " + std::to_string(loop.src_stride) + " -> " +
+               std::to_string(loop.dst_stride) + ";";
+        for (const auto& r : loop.runs) {
+          out += " " + std::to_string(r.len) + "B " + std::to_string(r.src_off) + "->" +
+                 std::to_string(r.dst_off);
+        }
+        for (const auto& r : loop.strings) {
+          out += " str " + std::to_string(r.src_off) + "->" + std::to_string(r.dst_off);
+        }
+        out += ")";
+        break;
+      }
       case Op::kLoadLocal:
       case Op::kStoreLocal:
       case Op::kParamAddr:

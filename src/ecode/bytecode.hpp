@@ -72,6 +72,9 @@ enum class Op : uint8_t {
   kStrEq,       // pop b, pop a, push equality as 0/1 (null == null)
   kStructCopy,  // imm = FormatDescriptor*; pop dst base, pop src base;
                 // deep-copy the struct through the runtime arena
+  kCopyLoop,    // a = Chunk::copy_loops index; pop count, pop src slot addr,
+                // pop dst slot addr; run a whole element-copy loop (see
+                // CopyLoop) and push the loop variable's final value
 
   kRet,
 };
@@ -86,9 +89,32 @@ struct Instr {
                     // execution backends
 };
 
+/// An element-copy loop (ecode/copyloop.hpp) lowered to one kCopyLoop op:
+/// `count` elements of the source dynamic array are copied into the
+/// destination one, which first grows to exactly `count` elements if it is
+/// smaller (keeping the elements already written).
+struct CopyLoop {
+  /// Bytes copied per element: [src_off, src_off + len) of the source
+  /// element to [dst_off, dst_off + len) of the destination element.
+  struct Field {
+    uint32_t dst_off = 0;
+    uint32_t src_off = 0;
+    uint32_t len = 0;
+  };
+  uint32_t dst_stride = 0;
+  uint32_t src_stride = 0;
+  /// Scalar element fields, adjacent ones merged into one run; sorted by
+  /// dst_off. Bytes no run covers stay as they were.
+  std::vector<Field> runs;
+  /// String element fields (len = pointer size), copied per element through
+  /// the runtime arena so the output never aliases the input.
+  std::vector<Field> strings;
+};
+
 struct Chunk {
   std::vector<Instr> code;
   std::vector<std::string> string_pool;
+  std::vector<CopyLoop> copy_loops;  // kCopyLoop descriptors, by index
   int local_slots = 0;
   int param_count = 0;
   /// Upper bound on evaluation stack depth, computed by the compiler.

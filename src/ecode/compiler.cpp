@@ -1,8 +1,10 @@
 #include "ecode/compiler.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
+#include "ecode/copyloop.hpp"
 
 namespace morph::ecode {
 
@@ -84,6 +86,7 @@ class Compiler {
       case Op::kStrEq:
         return -1;
       case Op::kStructCopy:
+      case Op::kCopyLoop:
         return -2;
       case Op::kStoreI8:
       case Op::kStoreI16:
@@ -183,6 +186,7 @@ class Compiler {
         break;
       }
       case StmtKind::kFor: {
+        if (copy_loop(s)) break;
         if (s.for_init) stmt(*s.for_init);
         int top = here();
         int jexit = -1;
@@ -213,6 +217,62 @@ class Compiler {
         emit(Op::kRet);
         break;
     }
+  }
+
+  /// Lower `s` to one kCopyLoop op when it is an element-copy loop
+  /// (ecode/copyloop.hpp) that copies no float4 fields; false leaves it to
+  /// the generic loop code. A float4 copy stays a load-to-double and a
+  /// store, which quiets signalling NaNs; a byte copy would not.
+  bool copy_loop(const Stmt& s) {
+    const LoopShape shape = loop_shape(s);
+    if (!shape.canonical) return false;
+    const std::vector<const Stmt*> body = body_stmts(*s.body);
+    if (body.empty() || body[0]->kind != StmtKind::kAssign) return false;
+    const Expr* head = lvalue_head(*body[0]->lvalue);
+    const Expr& count = *s.expr->b;  // S.cnt, sema-resolved
+    if (!head || head->a->param_index < 0 || count.a->param_index < 0) return false;
+    const RecordParam& dst = params_[static_cast<size_t>(head->a->param_index)];
+    const RecordParam& src = params_[static_cast<size_t>(count.a->param_index)];
+    CopyLoopProof proof;
+    CopySides sides{dst.name, dst.format.get(), src.name, src.format.get(), ""};
+    if (!prove_copy_loop(s, sides, proof).empty()) return false;
+    CopyLoop loop;
+    loop.dst_stride = proof.dst_array->element_stride();
+    loop.src_stride = proof.src_array->element_stride();
+    for (const ElementCopy& c : proof.copies) {
+      const FieldDescriptor* leaf = c.dst_leaf;
+      FieldKind kind = leaf ? leaf->kind : proof.dst_array->element_kind;
+      uint32_t size = leaf ? leaf->size : proof.dst_array->element_size;
+      CopyLoop::Field f{leaf ? leaf->offset : 0, c.src_leaf ? c.src_leaf->offset : 0, size};
+      if (kind == FieldKind::kFloat && size == 4) return false;
+      (kind == FieldKind::kString ? loop.strings : loop.runs).push_back(f);
+    }
+    std::sort(loop.runs.begin(), loop.runs.end(),
+              [](const CopyLoop::Field& a, const CopyLoop::Field& b) {
+                return a.dst_off < b.dst_off;
+              });
+    std::vector<CopyLoop::Field> merged;
+    for (const auto& f : loop.runs) {
+      if (!merged.empty() && merged.back().dst_off + merged.back().len == f.dst_off &&
+          merged.back().src_off + merged.back().len == f.src_off) {
+        merged.back().len += f.len;
+      } else {
+        merged.push_back(f);
+      }
+    }
+    loop.runs = std::move(merged);
+    // dst slot, src slot, count; the helper returns the loop variable.
+    emit(Op::kParamAddr, head->a->param_index);
+    if (proof.dst_array->offset != 0) emit(Op::kFieldAddr, 0, proof.dst_array->offset);
+    emit(Op::kParamAddr, count.a->param_index);
+    if (proof.src_array->offset != 0) emit(Op::kFieldAddr, 0, proof.src_array->offset);
+    rvalue(count);
+    chunk_.copy_loops.push_back(std::move(loop));
+    emit(Op::kCopyLoop, static_cast<int32_t>(chunk_.copy_loops.size() - 1));
+    const Stmt& init = *s.for_init;
+    emit(Op::kStoreLocal,
+         init.kind == StmtKind::kDecl ? init.decls[0].local_slot : init.lvalue->local_slot);
+    return true;
   }
 
   void assignment(const Stmt& s) {

@@ -16,7 +16,9 @@
 //    element write sits in one top-level `for (int i = 0; i < S.cnt; i++)`
 //    loop (S.cnt the length field of S.B, i not written in the body)
 //    whose body only copies `D.A[i].x = S.B[i].x` or `D.A[i] = S.B[i]` with
-//    identical element kind and size. Later reads `m.A[e].x` must sit in a
+//    identical element kind and size (the element-copy loop proof of
+//    ecode/copyloop.hpp, which the bytecode compiler also uses to run such
+//    a loop as one copy op). Later reads `m.A[e].x` must sit in a
 //    canonical loop bounded by `m.cnt` with `e` that loop's variable; they
 //    read the source array directly.
 //  * Local. A scalar that is not a verbatim copy becomes an i64/f64 local.

@@ -145,6 +145,9 @@ std::unique_ptr<const JitCode> JitCode::build(const Chunk& chunk) {
     table[i] = storage[i].c_str();
   }
 
+  // Descriptors the kCopyLoop calls point at, owned by the JitCode.
+  auto copy_loops = std::make_unique<const std::vector<CopyLoop>>(chunk.copy_loops);
+
   // Prologue.
   e.bytes({0x55});                    // push rbp
   e.bytes({0x48, 0x89, 0xE5});        // mov rbp, rsp
@@ -572,6 +575,17 @@ std::unique_ptr<const JitCode> JitCode::build(const Chunk& chunk) {
         e.call_abs(reinterpret_cast<const void*>(&morph_ecode_struct_copy));
         break;
 
+      case Op::kCopyLoop:
+        e.pop_rcx();                  // count
+        e.pop_rdx();                  // src slot
+        e.pop_rsi();                  // dst slot
+        e.bytes({0x4C, 0x89, 0xF7});  // mov rdi, r14 (runtime)
+        e.bytes({0x49, 0xB8});        // mov r8, imm64 (descriptor)
+        e.u64(reinterpret_cast<uint64_t>(&(*copy_loops)[static_cast<size_t>(in.a)]));
+        e.call_abs(reinterpret_cast<const void*>(&morph_ecode_copy_loop));
+        e.push_rax();
+        break;
+
       case Op::kRet:
         emit_epilogue();
         break;
@@ -604,6 +618,7 @@ std::unique_ptr<const JitCode> JitCode::build(const Chunk& chunk) {
   code->entry_ = reinterpret_cast<Fn>(mem);
   code->string_table_ = std::move(table);
   code->string_storage_ = std::move(storage);
+  code->copy_loops_ = std::move(copy_loops);
   return code;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "ecode/bytecode.hpp"
 #include "ecode/runtime.hpp"
@@ -39,6 +40,7 @@ class JitCode {
   Fn entry_ = nullptr;
   std::unique_ptr<const char*[]> string_table_;  // stable char* per pooled literal
   std::unique_ptr<std::string[]> string_storage_;
+  std::unique_ptr<const std::vector<CopyLoop>> copy_loops_;  // kCopyLoop targets
 };
 
 }  // namespace morph::ecode

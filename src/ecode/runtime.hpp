@@ -1,7 +1,8 @@
 // Ecode runtime context and the helpers both execution backends call for
-// operations that need allocation: growing destination dynamic arrays and
-// copying strings. The helpers are exported with C linkage so the JIT can
-// call them through plain absolute addresses.
+// operations that need allocation or a loop of their own: growing
+// destination dynamic arrays, copying strings and structs, and running
+// whole element-copy loops. The helpers are exported with C linkage so the
+// JIT can call them through plain absolute addresses.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,8 @@ class FormatDescriptor;
 }
 
 namespace morph::ecode {
+
+struct CopyLoop;
 
 /// Per-invocation execution context. Not thread-safe; create one per call
 /// (it is a single pointer + arena reference, construction is free).
@@ -39,6 +42,16 @@ int64_t morph_ecode_strlen(const char* s);
 
 /// String equality that tolerates nulls (null equals null and "").
 int64_t morph_ecode_streq(const char* a, const char* b);
+
+/// Run a lowered element-copy loop (bytecode.hpp CopyLoop) over `count`
+/// elements: grow the destination array whose pointer lives at `dst_slot`
+/// to exactly `count` elements if it is smaller, copy `loop`'s runs and
+/// strings of each element from the array whose pointer lives at
+/// `src_slot`, and return the value the loop variable ends with (`count`,
+/// or 0 when `count` is not positive). A null source array copies nothing.
+int64_t morph_ecode_copy_loop(morph::ecode::EcodeRuntime* rt, void* dst_slot,
+                              const void* src_slot, int64_t count,
+                              const morph::ecode::CopyLoop* loop);
 
 /// Deep-copy a struct of format `fmt` from `src` to `dst` (same format on
 /// both sides; enforced by sema). Strings and dynamic arrays are duplicated

@@ -89,6 +89,11 @@ void structural_pass(const Chunk& chunk, const std::vector<RecordParam>& params,
           err(pc, "struct copy carries a null format descriptor");
         }
         break;
+      case Op::kCopyLoop:
+        if (in.a < 0 || in.a >= static_cast<int>(chunk.copy_loops.size())) {
+          err(pc, "copy loop index " + std::to_string(in.a) + " is out of range");
+        }
+        break;
       default:
         break;
     }

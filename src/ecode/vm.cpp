@@ -424,6 +424,15 @@ void vm_run(const Chunk& chunk, void* const* params, EcodeRuntime& rt) {
         break;
       }
 
+      case Op::kCopyLoop: {
+        int64_t count = pop();
+        const void* src = reinterpret_cast<const void*>(pop());
+        void* dst = reinterpret_cast<void*>(pop());
+        push(morph_ecode_copy_loop(&rt, dst, src, count,
+                                   &chunk.copy_loops[static_cast<size_t>(in.a)]));
+        break;
+      }
+
       case Op::kRet:
         return;
     }

@@ -229,17 +229,22 @@ uint64_t dyn_array_grown_capacity(uint64_t cap, uint64_t index) {
   return new_cap;
 }
 
+void* reserve_dyn_array(void* slot, uint32_t stride, uint64_t capacity, RecordArena& arena) {
+  void* elems;
+  std::memcpy(&elems, slot, sizeof(void*));
+  uint64_t cap = dyn_array_capacity(elems);
+  if (capacity <= cap) return elems;
+  void* grown = alloc_dyn_array(arena, stride, capacity);
+  if (elems != nullptr && cap > 0) std::memcpy(grown, elems, cap * stride);
+  std::memcpy(slot, &grown, sizeof(void*));
+  return grown;
+}
+
 void* grow_dyn_array(void* record, const FieldDescriptor& fd, RecordArena& arena,
                      uint64_t index) {
   void* elems = read_pointer(record, fd);
-  uint64_t cap = dyn_array_capacity(elems);
-  if (index < cap) return elems;
-  uint64_t new_cap = dyn_array_grown_capacity(cap, index);
-  uint32_t stride = fd.element_stride();
-  void* grown = alloc_dyn_array(arena, stride, new_cap);
-  if (elems != nullptr && cap > 0) std::memcpy(grown, elems, cap * stride);
-  write_pointer(record, fd, grown);
-  return grown;
+  return reserve_dyn_array(at(record, fd.offset), fd.element_stride(),
+                           dyn_array_grown_capacity(dyn_array_capacity(elems), index), arena);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,9 +61,17 @@ uint64_t dyn_array_capacity(const void* elements);
 /// allocation against a budget before the growth happens.
 uint64_t dyn_array_grown_capacity(uint64_t cap, uint64_t index);
 
+/// Make the dynamic array whose element pointer lives at `slot` (elements
+/// of `stride` bytes) hold at least `capacity` elements: a smaller array is
+/// replaced by an arena array of exactly `capacity` elements holding the
+/// old elements, the rest zeroed. Returns the element pointer. Only valid
+/// on arrays this library allocated.
+void* reserve_dyn_array(void* slot, uint32_t stride, uint64_t capacity, RecordArena& arena);
+
 /// Ensure the dynamic array field in `record` can hold index+1 elements,
-/// growing (and copying) through the arena if needed. Returns the element
-/// pointer (base of the array). Only valid on arrays this library allocated.
+/// growing (and copying) through the arena if needed, to
+/// dyn_array_grown_capacity(). Returns the element pointer (base of the
+/// array). Only valid on arrays this library allocated.
 void* grow_dyn_array(void* record, const FieldDescriptor& fd, RecordArena& arena,
                      uint64_t index);
 

@@ -1,9 +1,7 @@
 #include "transport/stats_endpoint.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
@@ -57,13 +55,9 @@ std::unique_ptr<StatsServer> StatsServer::from_env() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe) — read before worker threads start
   const char* env = std::getenv("MORPH_STATS_PORT");
   if (env == nullptr || env[0] == '\0') return nullptr;
-  const char* last = env + std::strlen(env);
-  uint16_t port = 0;
-  const auto [end, ec] = std::from_chars(env, last, port);
-  if (ec != std::errc() || end != last) {
-    throw Error("MORPH_STATS_PORT: bad port '" + std::string(env) + "'");
-  }
-  return std::make_unique<StatsServer>(port);
+  const auto port = parse_port(env);
+  if (!port) throw Error("MORPH_STATS_PORT: bad port '" + std::string(env) + "'");
+  return std::make_unique<StatsServer>(*port);
 }
 
 }  // namespace morph::transport

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -22,6 +23,22 @@ namespace {
   throw TransportError(what + ": " + std::strerror(err));
 }
 }  // namespace
+
+std::optional<uint16_t> parse_port(std::string_view text) {
+  const char* last = text.data() + text.size();
+  uint16_t port = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, port);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return port;
+}
+
+std::optional<std::pair<std::string, uint16_t>> parse_endpoint(std::string_view text) {
+  const size_t colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) return std::nullopt;
+  const auto port = parse_port(text.substr(colon + 1));
+  if (!port || *port == 0) return std::nullopt;
+  return std::make_pair(std::string(text.substr(0, colon)), *port);
+}
 
 std::unique_ptr<TcpLink> TcpLink::connect(const std::string& host, uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);

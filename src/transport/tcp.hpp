@@ -5,12 +5,26 @@
 // threads — callers decide the threading model.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "transport/link.hpp"
 
 namespace morph::transport {
+
+/// A TCP port written as decimal digits only: "0".."65535", no sign,
+/// blank or suffix ("80abc", "99999" and "" are not ports). 0 is returned
+/// as is; a listener takes it as "pick an ephemeral port". The one port
+/// parser of every tool and of MORPH_STATS_PORT.
+std::optional<uint16_t> parse_port(std::string_view text);
+
+/// "HOST:PORT", split at the last colon: a non-empty host and a port
+/// parse_port() accepts other than 0. nullopt otherwise.
+std::optional<std::pair<std::string, uint16_t>> parse_endpoint(std::string_view text);
 
 class TcpLink : public Link {
  public:

@@ -5,12 +5,16 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "ecode/ecode.hpp"
 #include "pbio/dynrecord.hpp"
+#include "pbio/randgen.hpp"
 #include "pbio/record.hpp"
+#include "record_bytes.hpp"
 
 namespace morph::ecode {
 namespace {
@@ -716,6 +720,285 @@ TEST(TransformApi, ThreeParamTransform) {
   void* records[3] = {ra, rb, rc};
   t.run(records, arena);
   EXPECT_EQ(RecordRef(ra, fmt).get_int("i32"), 42);
+}
+
+// --- element-copy loops (one kCopyLoop op) ------------------------------------
+
+/// Source: readings {ts, v, q, flags, name, tail} sized by n, plus string,
+/// float4 and int4 arrays. Destination readings keep ts, v, q, name and tail
+/// at other offsets and add `extra`, so a copy leaves gaps the loop never
+/// writes.
+FormatPtr copy_src_format() {
+  static FormatPtr fmt = [] {
+    auto elem = FormatBuilder("SrcElem")
+                    .add_int("ts", 8)
+                    .add_float("v", 8)
+                    .add_int("q", 4)
+                    .add_int("flags", 4)
+                    .add_string("name")
+                    .add_int("tail", 2)
+                    .build();
+    return FormatBuilder("Src")
+        .add_int("n", 4)
+        .add_dyn_array("rs", elem, "n")
+        .add_int("m", 4)
+        .add_dyn_array("ss", FieldKind::kString, 0, "m")
+        .add_int("k", 4)
+        .add_dyn_array("fs", FieldKind::kFloat, 4, "k")
+        .add_uint("j", 2)
+        .add_dyn_array("xs", FieldKind::kInt, 4, "j")
+        .build();
+  }();
+  return fmt;
+}
+
+FormatPtr copy_dst_format() {
+  static FormatPtr fmt = [] {
+    auto elem = FormatBuilder("DstElem")
+                    .add_int("ts", 8)
+                    .add_float("v", 8)
+                    .add_int("extra", 4)
+                    .add_int("q", 4)
+                    .add_string("name")
+                    .add_int("tail", 2)
+                    .build();
+    return FormatBuilder("Dst")
+        .add_int("n", 4)
+        .add_dyn_array("rs", elem, "n")
+        .add_int("m", 4)
+        .add_dyn_array("ss", FieldKind::kString, 0, "m")
+        .add_int("k", 4)
+        .add_dyn_array("fs", FieldKind::kFloat, 4, "k")
+        .add_int("j", 4)
+        .add_dyn_array("xs", FieldKind::kInt, 4, "j")
+        .add_int("seen", 8)
+        .build();
+  }();
+  return fmt;
+}
+
+/// A random source record with readings, strings, floats and ints; one
+/// reading name and one string element are null pointers.
+void* copy_src_record(uint64_t seed, RecordArena& arena) {
+  Rng rng(seed);
+  pbio::RandRecordOptions opt;
+  opt.max_array_len = 40;
+  void* rec = pbio::from_dyn(pbio::random_dyn(rng, copy_src_format(), opt), arena);
+  const auto& fmt = *copy_src_format();
+  auto null_first = [&](const char* array, uint32_t off) {
+    const auto& fd = *fmt.find_field(array);
+    auto* elems = static_cast<uint8_t*>(pbio::read_pointer(rec, fd));
+    if (elems && pbio::read_scalar_i64(rec, *fmt.find_field(fd.length_field)) > 0) {
+      std::memset(elems + off, 0, sizeof(char*));
+    }
+  };
+  null_first("rs", fmt.find_field("rs")->element_format->find_field("name")->offset);
+  null_first("ss", 0);
+  return rec;
+}
+
+std::vector<ExecBackend> exec_backends() {
+  std::vector<ExecBackend> out{ExecBackend::kInterpreter};
+  if (jit_supported()) out.push_back(ExecBackend::kJit);
+  return out;
+}
+
+/// Run `t` (dst "old", src "new") on a fresh destination and the source
+/// record of `seed`; return the destination deep-encoded. `prepare` may
+/// edit the source first.
+std::string run_copy(const Transform& t, uint64_t seed,
+                     const std::function<void(void*)>& prepare) {
+  RecordArena arena;
+  void* src = copy_src_record(seed, arena);
+  if (prepare) prepare(src);
+  void* dst = pbio::alloc_record(*copy_dst_format(), arena);
+  t.run2(dst, src, arena);
+  return testing::record_bytes(*copy_dst_format(), dst);
+}
+
+/// `lowered` must compile to exactly `copy_loops` kCopyLoop ops, and on
+/// every backend give byte-identical records to `oracle`, the same copy
+/// written as a `while` loop that stays element by element.
+void expect_copy_matches(const std::string& lowered, const std::string& oracle, int copy_loops,
+                         const std::function<void(void*)>& prepare = {}) {
+  std::vector<RecordParam> params = {{"old", copy_dst_format()}, {"new", copy_src_format()}};
+  std::vector<std::string> first_backend;
+  for (ExecBackend backend : exec_backends()) {
+    SCOPED_TRACE(backend == ExecBackend::kJit ? "jit" : "vm");
+    Transform fast = Transform::compile(lowered, params, backend);
+    Transform slow = Transform::compile(oracle, params, backend);
+    EXPECT_EQ(static_cast<int>(fast.chunk().copy_loops.size()), copy_loops) << fast.disassemble();
+    EXPECT_TRUE(slow.chunk().copy_loops.empty()) << slow.disassemble();
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+      std::string got = run_copy(fast, seed, prepare);
+      ASSERT_EQ(got, run_copy(slow, seed, prepare)) << "seed " << seed << "\n" << lowered;
+      if (first_backend.size() < seed) {
+        first_backend.push_back(got);
+      } else {
+        ASSERT_EQ(got, first_backend[seed - 1]) << "backends disagree at seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(CopyLoop, PartialStructElementsLeaveGapsZero) {
+  // ts and v merge into one 16-byte run; q moves from offset 16 to 20;
+  // `extra` and the element padding are never written.
+  expect_copy_matches(R"(
+    old.n = new.n;
+    for (int i = 0; i < new.n; i++) {
+      old.rs[i].ts = new.rs[i].ts; old.rs[i].v = new.rs[i].v;
+      old.rs[i].q = new.rs[i].q; old.rs[i].name = new.rs[i].name;
+      old.rs[i].tail = new.rs[i].tail;
+    }
+  )",
+                      R"(
+    old.n = new.n;
+    int i = 0;
+    while (i < new.n) {
+      old.rs[i].ts = new.rs[i].ts; old.rs[i].v = new.rs[i].v;
+      old.rs[i].q = new.rs[i].q; old.rs[i].name = new.rs[i].name;
+      old.rs[i].tail = new.rs[i].tail;
+      i++;
+    }
+  )",
+                      1);
+  auto t = Transform::compile(
+      "old.n = new.n; for (int i = 0; i < new.n; i++) { old.rs[i].v = new.rs[i].v; "
+      "old.rs[i].ts = new.rs[i].ts; old.rs[i].q = new.rs[i].q; }",
+      {{"old", copy_dst_format()}, {"new", copy_src_format()}});
+  ASSERT_EQ(t.chunk().copy_loops.size(), 1u);
+  const CopyLoop& loop = t.chunk().copy_loops[0];
+  ASSERT_EQ(loop.runs.size(), 2u) << t.disassemble();
+  EXPECT_EQ(loop.runs[0].len, 16u);
+  EXPECT_EQ(loop.runs[1].src_off, 16u);
+  EXPECT_EQ(loop.runs[1].dst_off, 20u);
+  EXPECT_EQ(loop.src_stride, 40u);
+  EXPECT_EQ(loop.dst_stride, 40u);
+  EXPECT_NE(t.disassemble().find("copy.loop 0"), std::string::npos) << t.disassemble();
+}
+
+TEST(CopyLoop, ZeroAndNegativeCounts) {
+  const char* lowered =
+      "long i = 5; old.n = new.n; for (i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts; }"
+      "old.seen = i;";
+  const char* oracle =
+      "long i = 5; old.n = new.n; i = 0; while (i < new.n) { old.rs[i].ts = new.rs[i].ts; i++; }"
+      "old.seen = i;";
+  for (int64_t n : {int64_t{0}, int64_t{-1}, int64_t{-7}, int64_t{INT32_MIN}}) {
+    SCOPED_TRACE(n);
+    expect_copy_matches(lowered, oracle, 1, [n](void* src) {
+      pbio::write_scalar_i64(src, *copy_src_format()->find_field("n"), n);
+    });
+  }
+}
+
+TEST(CopyLoop, LoopVariableReadAfterTheLoop) {
+  expect_copy_matches(
+      "int i = 0; old.j = new.j; for (i = 0; i < new.j; i += 1) { old.xs[i] = new.xs[i]; }"
+      "old.seen = i * 1000 + 7;",
+      "int i = 0; old.j = new.j; while (i < new.j) { old.xs[i] = new.xs[i]; i += 1; }"
+      "old.seen = i * 1000 + 7;",
+      1);
+}
+
+TEST(CopyLoop, DestinationPartlyWrittenBeforeTheLoop) {
+  // Element 2 forces a first allocation of 8 that the copy outgrows;
+  // element 45 one of 64 that it does not. Both keep their `extra`.
+  expect_copy_matches(
+      "old.rs[2].extra = 7; old.rs[2].ts = -1; old.rs[45].extra = 9;"
+      "for (int i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts; old.rs[i].v = new.rs[i].v; }"
+      "old.n = 50;",
+      "old.rs[2].extra = 7; old.rs[2].ts = -1; old.rs[45].extra = 9;"
+      "int i = 0;"
+      "while (i < new.n) { old.rs[i].ts = new.rs[i].ts; old.rs[i].v = new.rs[i].v; i++; }"
+      "old.n = 50;",
+      1);
+  expect_copy_matches(
+      "old.rs[1].extra = 3;"
+      "for (int i = 0; i < new.n; i++) { old.rs[i].q = new.rs[i].q; }"
+      "old.n = new.n > 2 ? new.n : 2;",
+      "old.rs[1].extra = 3;"
+      "int i = 0; while (i < new.n) { old.rs[i].q = new.rs[i].q; i++; }"
+      "old.n = new.n > 2 ? new.n : 2;",
+      1);
+}
+
+TEST(CopyLoop, StringElementArraysOwnTheirCopies) {
+  expect_copy_matches(
+      "old.m = new.m; for (int i = 0; i < new.m; i++) { old.ss[i] = new.ss[i]; }",
+      "old.m = new.m; int i = 0; while (i < new.m) { old.ss[i] = new.ss[i]; i++; }", 1);
+  // Clobbering the source after the run leaves the output intact.
+  auto t = Transform::compile(
+      "old.m = new.m; for (int i = 0; i < new.m; i++) { old.ss[i] = new.ss[i]; }",
+      {{"old", copy_dst_format()}, {"new", copy_src_format()}});
+  RecordArena arena;
+  void* src = copy_src_record(3, arena);
+  const auto& ss = *copy_src_format()->find_field("ss");
+  const int64_t m = pbio::read_scalar_i64(src, *copy_src_format()->find_field("m"));
+  ASSERT_GT(m, 1);
+  void* dst = pbio::alloc_record(*copy_dst_format(), arena);
+  t.run2(dst, src, arena);
+  std::string before = testing::record_bytes(*copy_dst_format(), dst);
+  auto* elems = static_cast<char**>(pbio::read_pointer(src, ss));
+  for (int64_t i = 0; i < m; ++i) {
+    if (elems[i]) std::memset(elems[i], 'Z', std::strlen(elems[i]));
+  }
+  EXPECT_EQ(before, testing::record_bytes(*copy_dst_format(), dst));
+}
+
+TEST(CopyLoop, Float4ElementsStayElementByElement) {
+  // A float4 copy loads to double and stores back, which quiets a
+  // signalling NaN; a byte copy would keep it. The loop is not lowered, so
+  // both backends deliver the quieted NaN.
+  const uint32_t snan = 0x7F800001u;
+  for (ExecBackend backend : exec_backends()) {
+    SCOPED_TRACE(backend == ExecBackend::kJit ? "jit" : "vm");
+    auto t = Transform::compile(
+        "old.k = new.k; for (int i = 0; i < new.k; i++) { old.fs[i] = new.fs[i]; }",
+        {{"old", copy_dst_format()}, {"new", copy_src_format()}}, backend);
+    EXPECT_TRUE(t.chunk().copy_loops.empty()) << t.disassemble();
+    RecordArena arena;
+    void* src = copy_src_record(5, arena);
+    const auto& fs = *copy_src_format()->find_field("fs");
+    auto* elems = static_cast<uint8_t*>(pbio::alloc_dyn_array(arena, 4, 2));
+    std::memcpy(elems, &snan, 4);
+    const float one = 1.5f;
+    std::memcpy(elems + 4, &one, 4);
+    pbio::write_pointer(src, fs, elems);
+    pbio::write_scalar_i64(src, *copy_src_format()->find_field("k"), 2);
+    void* dst = pbio::alloc_record(*copy_dst_format(), arena);
+    t.run2(dst, src, arena);
+    const auto* out =
+        static_cast<const uint8_t*>(pbio::read_pointer(dst, *copy_dst_format()->find_field("fs")));
+    uint32_t bits;
+    std::memcpy(&bits, out, 4);
+    EXPECT_EQ(bits, 0x7FC00001u);
+    float second;
+    std::memcpy(&second, out + 4, 4);
+    EXPECT_EQ(second, 1.5f);
+  }
+}
+
+TEST(CopyLoop, OtherLoopShapesKeepTheGenericCode) {
+  auto compile = [](const std::string& code) {
+    return Transform::compile(code, {{"old", copy_dst_format()}, {"new", copy_src_format()}});
+  };
+  // Bound by the destination's count, a computed element, a non-unit step,
+  // a body that writes the index, two arrays, and a source-to-source copy.
+  for (const char* code : {
+           "old.n = new.n; for (int i = 0; i < old.n; i++) { old.rs[i].ts = new.rs[i].ts; }",
+           "for (int i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts + 1; }",
+           "for (int i = 0; i < new.n; i += 2) { old.rs[i].ts = new.rs[i].ts; }",
+           "for (int i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts; i = i + 0; }",
+           "for (int i = 0; i < new.n; i++) { old.rs[i].ts = new.rs[i].ts; "
+           "old.xs[i] = new.xs[i]; }",
+           "for (int i = 0; i < new.m; i++) { old.rs[i].ts = new.rs[i].ts; }",
+           "for (int i = 0; i < new.n; i++) { new.rs[i].ts = new.rs[i].ts; }",
+       }) {
+    SCOPED_TRACE(code);
+    EXPECT_TRUE(compile(code).chunk().copy_loops.empty());
+  }
 }
 
 }  // namespace

@@ -4,13 +4,18 @@
 // compile gate.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "ecode/ecode.hpp"
+#include "ecode/fuse.hpp"
 #include "ecode/verify.hpp"
+#include "eco_corpus.hpp"
 #include "pbio/format.hpp"
 #include "pbio/record.hpp"
 
@@ -264,6 +269,164 @@ TEST(VerifyStructure, InconsistentStackDepthAtMerge) {
                             {Op::kRet, 0, 0, 0}}),
                   two_params());
   EXPECT_TRUE(has_error(r, VerifyCheck::kStackShape)) << r.to_string();
+}
+
+// --- element-copy loops (kCopyLoop) -----------------------------------------
+
+/// A copy loop over the scratch format: one kCopyLoop op whose count is
+/// loaded from src.count right before it.
+Chunk copy_loop_chunk() {
+  auto t = Transform::compile(
+      "for (int i = 0; i < src.count; i++) { dst.items[i].v = src.items[i].v; }", two_params(),
+      ExecBackend::kInterpreter);
+  EXPECT_EQ(t.chunk().copy_loops.size(), 1u) << t.disassemble();
+  return t.chunk();
+}
+
+int pc_of(const Chunk& c, Op op) {
+  for (size_t pc = 0; pc < c.code.size(); ++pc) {
+    if (c.code[pc].op == op) return static_cast<int>(pc);
+  }
+  return -1;
+}
+
+TEST(VerifyCopyLoop, LoweredLoopVerifies) {
+  auto r = verify(copy_loop_chunk(), two_params());
+  EXPECT_TRUE(r.ok()) << r.to_string();
+}
+
+TEST(VerifyCopyLoop, CountOtherThanTheLengthFieldIsRejected) {
+  const int32_t i32_off = static_cast<int32_t>(scratch_format()->find_field("i32")->offset);
+  // The count load is [param.addr src, field.addr count, load.i32] right
+  // before the op: aim it at another int4 field, then replace it with a
+  // constant.
+  Chunk c = copy_loop_chunk();
+  const int op = pc_of(c, Op::kCopyLoop);
+  ASSERT_GE(op, 3);
+  ASSERT_EQ(c.code[static_cast<size_t>(op - 2)].op, Op::kFieldAddr);
+  c.code[static_cast<size_t>(op - 2)].imm = i32_off;
+  auto r = verify(c, two_params());
+  EXPECT_TRUE(has_error(r, VerifyCheck::kOobAccess)) << r.to_string();
+  EXPECT_NE(r.to_string().find("not bounded by its length field"), std::string::npos)
+      << r.to_string();
+
+  c = copy_loop_chunk();
+  c.code[static_cast<size_t>(op - 3)] = {Op::kConstI, 0, 1000, 0};
+  c.code[static_cast<size_t>(op - 2)] = {Op::kNop, 0, 0, 0};
+  c.code[static_cast<size_t>(op - 1)] = {Op::kNop, 0, 0, 0};
+  r = verify(c, two_params());
+  EXPECT_TRUE(has_error(r, VerifyCheck::kOobAccess)) << r.to_string();
+}
+
+TEST(VerifyCopyLoop, DescriptorMustPairWholeFields) {
+  // Sub is {v int4, name string}: a 16-byte run would copy the string
+  // pointer, a run past the element reads the next one, and a string copy
+  // must pair string fields.
+  auto rejects = [](const std::function<void(CopyLoop&)>& edit, VerifyCheck check) {
+    Chunk c = copy_loop_chunk();
+    edit(c.copy_loops[0]);
+    auto r = verify(c, two_params());
+    EXPECT_TRUE(has_error(r, check)) << r.to_string();
+  };
+  rejects([](CopyLoop& l) { l.runs = {{0, 0, 16}}; }, VerifyCheck::kWidthMismatch);
+  rejects([](CopyLoop& l) { l.runs = {{0, 0, 2}}; }, VerifyCheck::kWidthMismatch);
+  rejects([](CopyLoop& l) { l.runs = {{12, 0, 4}}; }, VerifyCheck::kWidthMismatch);
+  rejects([](CopyLoop& l) { l.strings = {{0, 8, 8}}; }, VerifyCheck::kWidthMismatch);
+  rejects([](CopyLoop& l) { l.src_stride = 8; }, VerifyCheck::kWidthMismatch);
+  Chunk c = copy_loop_chunk();
+  c.code[static_cast<size_t>(pc_of(c, Op::kCopyLoop))].a = 3;
+  EXPECT_TRUE(has_error(verify(c, two_params()), VerifyCheck::kStructure));
+}
+
+/// The large_morph ladder (perfbench/workload.cpp): a scan whose readings
+/// gain one element field per revision, copied down four revisions.
+TEST(VerifyCopyLoop, LargeMorphFusedChainVerifiesUnderEnforce) {
+  auto reading = [](int rev) {
+    FormatBuilder b("Reading");
+    b.add_int("ts", 8).add_float("v", 8);
+    if (rev >= 1) b.add_int("q", 4);
+    if (rev >= 2) b.add_int("flags", 4);
+    if (rev >= 3) b.add_float("err", 8);
+    if (rev >= 4) b.add_int("src", 4);
+    return b.build();
+  };
+  std::vector<FormatPtr> revs;
+  for (int rev = 0; rev <= 4; ++rev) {
+    FormatBuilder b("Scan");
+    b.add_int("seq", 8).add_string("name").add_int("site", 4).add_string("notes");
+    b.add_int("nreadings", 4).add_dyn_array("readings", reading(rev), "nreadings");
+    if (rev >= 1) b.add_float("gain", 8);
+    if (rev >= 2) b.add_int("zone", 4);
+    if (rev >= 3) b.add_string("label");
+    if (rev >= 4) b.add_int("epoch", 8);
+    revs.push_back(pbio::relayout(*b.build()));
+  }
+  std::vector<FuseHop> hops;
+  for (int k = 4; k >= 1; --k) {
+    std::string code;
+    for (const auto& fd : revs[static_cast<size_t>(k - 1)]->fields()) {
+      if (fd.kind != FieldKind::kDynArray) {
+        code += "old." + fd.name + " = new." + fd.name + ";\n";
+        continue;
+      }
+      code += "for (int i = 0; i < new." + fd.length_field + "; i++) {\n";
+      for (const auto& ef : fd.element_format->fields()) {
+        code += "  old." + fd.name + "[i]." + ef.name + " = new." + fd.name + "[i]." + ef.name +
+                ";\n";
+      }
+      code += "}\n";
+    }
+    hops.push_back(FuseHop{code, "old", "new", revs[static_cast<size_t>(k - 1)]});
+  }
+  FuseResult fused = fuse_chain(hops, *revs[4]);
+  ASSERT_TRUE(fused.ok) << fused.bailout;
+  CompileOptions o;
+  o.verify = VerifyMode::kEnforce;
+  o.require_full_assignment = true;
+  auto t = Transform::compile(fused.source, {{"old", revs[0]}, {"new", revs[4]}}, o);
+  EXPECT_FALSE(t.fuel_instrumented());
+  ASSERT_EQ(t.chunk().copy_loops.size(), 1u) << t.disassemble();
+  // ts and v: one 16-byte run per element, stride 40 -> 16.
+  const CopyLoop& loop = t.chunk().copy_loops[0];
+  ASSERT_EQ(loop.runs.size(), 1u);
+  EXPECT_EQ(loop.runs[0].len, 16u);
+  EXPECT_EQ(loop.src_stride, 40u);
+  EXPECT_EQ(loop.dst_stride, 16u);
+  EXPECT_EQ(first_error(t.verify_findings()), nullptr);
+}
+
+TEST(VerifyCopyLoop, CorpusVerifiesUnderEnforceAsBefore) {
+  // Per bundle, which hops compile under kEnforce ("+copy": with a
+  // kCopyLoop op): every hop did before element-copy loops ran as one op.
+  // None is a pure copy loop; each loop computes or branches per element.
+  const std::map<std::string, std::string> expected = {
+      {"b2b_supplier_a.eco", "ok "},
+      {"echo_response_v2_v1.eco", "ok "},
+      {"quickstart_retro.eco", "ok "},
+      {"sensor_fusion_chain.eco", "ok ok ok "},
+      {"telemetry_chain.eco", "ok ok "},
+  };
+  std::map<std::string, std::string> seen;
+  for (const auto& entry : std::filesystem::directory_iterator(MORPH_TRANSFORMS_DIR)) {
+    if (entry.path().extension() != ".eco") continue;
+    std::string verdicts;
+    for (const auto& spec : tools::read_bundle(entry.path().string())) {
+      CompileOptions o;
+      o.verify = VerifyMode::kEnforce;
+      try {
+        auto t = Transform::compile(spec.code, {{spec.dst_param, pbio::relayout(*spec.dst)},
+                                                {spec.src_param, pbio::relayout(*spec.src)}},
+                                    o);
+        verdicts += "ok";
+        if (!t.chunk().copy_loops.empty()) verdicts += "+copy";
+        verdicts += " ";
+      } catch (const VerifyError&) {
+        verdicts += "rejected ";
+      }
+    }
+    seen[entry.path().filename().string()] = verdicts;
+  }
+  EXPECT_EQ(seen, expected);
 }
 
 // --- fuel instrumentation ---------------------------------------------------

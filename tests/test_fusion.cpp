@@ -19,6 +19,7 @@
 #include "pbio/dynrecord.hpp"
 #include "pbio/randgen.hpp"
 #include "pbio/record.hpp"
+#include "record_bytes.hpp"
 
 #ifndef MORPH_TRANSFORMS_DIR
 #define MORPH_TRANSFORMS_DIR "examples/transforms"
@@ -310,42 +311,49 @@ TEST(Fusion, VerifyFindingsReturnsStableReference) {
 
 /// Retro-transform copying every field of `dst` from the same-named field
 /// of its source: scalars and strings by assignment, dynamic arrays
-/// element-wise (struct elements field by field) in a canonical loop over
-/// the source's count. The shape a schema-evolution tool emits for a
-/// revision that only adds fields.
-std::string copy_code(const pbio::FormatDescriptor& dst) {
+/// element-wise (struct elements field by field, except fields named
+/// "keep") in a canonical loop over the source's count. The shape a
+/// schema-evolution tool emits for a revision that only adds fields.
+/// `as_while` writes each loop as the equivalent `while` loop, which
+/// neither fuses nor runs as one copy op: the element-by-element oracle.
+std::string copy_code(const pbio::FormatDescriptor& dst, bool as_while = false) {
   std::string code;
   for (const auto& fd : dst.fields()) {
     if (fd.kind != pbio::FieldKind::kDynArray) {
       code += "old." + fd.name + " = new." + fd.name + ";\n";
       continue;
     }
-    code += "for (int i = 0; i < new." + fd.length_field + "; i++) {\n";
+    if (as_while) {
+      code += "{ int i = 0; while (i < new." + fd.length_field + ") {\n";
+    } else {
+      code += "for (int i = 0; i < new." + fd.length_field + "; i++) {\n";
+    }
     if (fd.element_format == nullptr) {
       code += "  old." + fd.name + "[i] = new." + fd.name + "[i];\n";
     } else {
       for (const auto& ef : fd.element_format->fields()) {
+        if (ef.name == "keep") continue;
         code += "  old." + fd.name + "[i]." + ef.name + " = new." + fd.name + "[i]." + ef.name +
                 ";\n";
       }
     }
-    code += "}\n";
+    code += as_while ? "  i++;\n} }\n" : "}\n";
   }
   return code;
 }
 
 /// Specs from the newest revision down to rev 0, one copy hop per step.
-std::vector<TransformSpec> ladder(const std::vector<FormatPtr>& revs) {
+std::vector<TransformSpec> ladder(const std::vector<FormatPtr>& revs, bool as_while = false) {
   std::vector<TransformSpec> specs;
   for (size_t k = revs.size() - 1; k >= 1; --k) {
-    specs.push_back(spec_of(revs[k], revs[k - 1], copy_code(*revs[k - 1])));
+    specs.push_back(spec_of(revs[k], revs[k - 1], copy_code(*revs[k - 1], as_while)));
   }
   return specs;
 }
 
 /// A scan of sensor readings in 5 revisions: every revision adds a record
 /// field and one element field to the readings array of structs.
-std::vector<TransformSpec> scan_ladder() {
+std::vector<TransformSpec> scan_ladder(bool as_while = false) {
   std::vector<FormatPtr> revs;
   for (int rev = 0; rev <= 4; ++rev) {
     FormatBuilder r("Reading");
@@ -363,12 +371,12 @@ std::vector<TransformSpec> scan_ladder() {
     if (rev >= 4) b.add_int("epoch", 8);
     revs.push_back(b.build());
   }
-  return ladder(revs);
+  return ladder(revs, as_while);
 }
 
 /// A small tick in 3 revisions: strings, an int array, and a station id
 /// that narrows from int8 to int4 on the way down.
-std::vector<TransformSpec> tick_ladder() {
+std::vector<TransformSpec> tick_ladder(bool as_while = false) {
   std::vector<FormatPtr> revs;
   for (int rev = 0; rev <= 2; ++rev) {
     FormatBuilder b("Tick");
@@ -379,7 +387,27 @@ std::vector<TransformSpec> tick_ladder() {
     if (rev >= 2) b.add_float("quality", 8);
     revs.push_back(b.build());
   }
-  return ladder(revs);
+  return ladder(revs, as_while);
+}
+
+/// A notebook in 3 revisions: an array of strings, and notes whose oldest
+/// revision carries a `keep` field no hop writes, so the final copy leaves
+/// a gap inside every element.
+std::vector<TransformSpec> notes_ladder(bool as_while = false) {
+  std::vector<FormatPtr> revs;
+  for (int rev = 0; rev <= 2; ++rev) {
+    FormatBuilder n("Note");
+    n.add_int("id", 4);
+    if (rev == 0) n.add_int("keep", 2);
+    n.add_string("text").add_float("w", 8);
+    if (rev >= 2) n.add_int("lvl", 4);
+    FormatBuilder b("Book");
+    b.add_int("ntags", 4).add_dyn_array("tags", pbio::FieldKind::kString, 0, "ntags");
+    b.add_int("nnotes", 2).add_dyn_array("notes", n.build(), "nnotes");
+    if (rev >= 1) b.add_string("owner");
+    revs.push_back(b.build());
+  }
+  return ladder(revs, as_while);
 }
 
 TEST(FusionWorkload, ScanLadderFusesIntoOneCopyPass) {
@@ -416,6 +444,64 @@ TEST(FusionWorkload, TickLadderFusesWithNarrowedStation) {
           << chain.fused_source();
       EXPECT_EQ(count_of(chain.fused_source(), "for ("), 1u) << chain.fused_source();
       expect_differential(chain, 64, 22);
+    }
+  }
+}
+
+/// Number of kCopyLoop ops `chain`'s fused program compiles to.
+size_t fused_copy_loops(const MorphChain& chain, const std::vector<TransformSpec>& specs) {
+  auto t = ecode::Transform::compile(chain.fused_source(),
+                                     {{specs.back().dst_param, chain.dst_format()},
+                                      {specs.front().src_param, chain.src_format()}});
+  return t.chunk().copy_loops.size();
+}
+
+TEST(FusionCopyLoop, FusedHopwiseAndElementwiseAreByteIdentical) {
+  // Every execution of the same ladder must leave identical bytes, padding
+  // and the never-written `keep` included: the fused program and the hops,
+  // whose copy loops each run as one copy op, and the same copies written
+  // as `while` loops, which run element by element. Counts of zero and
+  // below, written into the source, ride along.
+  struct Ladder {
+    const char* name;
+    std::vector<TransformSpec> (*make)(bool);
+    size_t copy_loops;  // arrays in the final destination
+  };
+  for (const Ladder& l : {Ladder{"scan", scan_ladder, 1}, Ladder{"tick", tick_ladder, 1},
+                          Ladder{"notes", notes_ladder, 2}}) {
+    auto specs = l.make(false);
+    auto oracle_specs = l.make(true);
+    for (auto backend : backends()) {
+      SCOPED_TRACE(::testing::Message() << l.name << " backend " << static_cast<int>(backend));
+      auto chain = make_chain(specs, true, ecode::VerifyMode::kEnforce, backend);
+      auto oracle = make_chain(oracle_specs, true, ecode::VerifyMode::kOff, backend);
+      ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
+      EXPECT_FALSE(oracle.fused());
+      EXPECT_EQ(fused_copy_loops(chain, specs), l.copy_loops) << chain.fused_source();
+      const pbio::FormatDescriptor& src_fmt = *chain.src_format();
+      Rng rng(41);
+      pbio::RandRecordOptions opt;
+      opt.max_array_len = 40;
+      for (int i = 0; i < 48; ++i) {
+        RecordArena arena;
+        pbio::DynValue input = pbio::random_dyn(rng, chain.src_format(), opt);
+        void* srcs[3];
+        for (void*& src : srcs) {
+          src = pbio::from_dyn(input, arena);
+          if (i % 8 == 7) {  // a count of zero or below with the array still present
+            for (const auto& fd : src_fmt.fields()) {
+              if (fd.kind != pbio::FieldKind::kDynArray) continue;
+              pbio::write_scalar_i64(src, *src_fmt.find_field(fd.length_field), -(i % 3));
+            }
+          }
+        }
+        std::string fused = testing::record_bytes(*chain.dst_format(), chain.apply(srcs[0], arena));
+        ASSERT_EQ(fused, testing::record_bytes(*chain.dst_format(),
+                                               chain.apply_hopwise(srcs[1], arena)))
+            << "iteration " << i << "\n" << chain.fused_source();
+        ASSERT_EQ(fused, testing::record_bytes(*oracle.dst_format(), oracle.apply(srcs[2], arena)))
+            << "iteration " << i;
+      }
     }
   }
 }

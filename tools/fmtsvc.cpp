@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "analysis/audit.hpp"
@@ -33,26 +34,23 @@
 #include "fmtsvc/server.hpp"
 #include "fmtsvc/store.hpp"
 #include "transport/stats_endpoint.hpp"
+#include "transport/tcp.hpp"
 
 using namespace morph;
 
 namespace {
 
-bool parse_endpoint(const char* arg, std::string& host, uint16_t& port) {
-  const char* colon = std::strrchr(arg, ':');
-  if (colon == nullptr || colon == arg) return false;
-  host.assign(arg, static_cast<size_t>(colon - arg));
-  char* end = nullptr;
-  unsigned long p = std::strtoul(colon + 1, &end, 10);
-  if (end == colon + 1 || *end != '\0' || p == 0 || p > 65535) return false;
-  port = static_cast<uint16_t>(p);
-  return true;
-}
-
-fmtsvc::ResolverOptions client_options(const std::string& host, uint16_t port) {
+/// Resolver options for a "HOST:PORT" argument; nullopt (reported) when
+/// it is not one.
+std::optional<fmtsvc::ResolverOptions> client_options(const char* endpoint) {
+  const auto ep = transport::parse_endpoint(endpoint);
+  if (!ep) {
+    std::fprintf(stderr, "fmtsvc: bad endpoint '%s' (want HOST:PORT)\n", endpoint);
+    return std::nullopt;
+  }
   fmtsvc::ResolverOptions opts;
-  opts.host = host;
-  opts.port = port;
+  opts.host = ep->first;
+  opts.port = ep->second;
   return opts;
 }
 
@@ -73,7 +71,13 @@ int serve(int argc, char** argv) {
   const char* spill = nullptr;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      opts.port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      const char* arg = argv[++i];
+      const auto port = transport::parse_port(arg);
+      if (!port) {
+        std::fprintf(stderr, "fmtsvc: bad port '%s'\n", arg);
+        return 2;
+      }
+      opts.port = *port;
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
       spill = argv[++i];
     } else if (std::strcmp(argv[i], "--lint") == 0 && i + 1 < argc) {
@@ -152,13 +156,9 @@ int serve(int argc, char** argv) {
 }
 
 int put(const char* endpoint) {
-  std::string host;
-  uint16_t port = 0;
-  if (!parse_endpoint(endpoint, host, port)) {
-    std::fprintf(stderr, "fmtsvc: bad endpoint '%s' (want HOST:PORT)\n", endpoint);
-    return 2;
-  }
-  fmtsvc::FormatResolver client(client_options(host, port));
+  const auto opts = client_options(endpoint);
+  if (!opts) return 2;
+  fmtsvc::FormatResolver client(*opts);
   auto v1 = echo::channel_open_response_v1_format();
   auto v2 = echo::channel_open_response_v2_format();
   int failures = 0;
@@ -175,19 +175,15 @@ int put(const char* endpoint) {
 }
 
 int get(const char* endpoint, const char* fp_hex) {
-  std::string host;
-  uint16_t port = 0;
-  if (!parse_endpoint(endpoint, host, port)) {
-    std::fprintf(stderr, "fmtsvc: bad endpoint '%s' (want HOST:PORT)\n", endpoint);
-    return 2;
-  }
+  const auto opts = client_options(endpoint);
+  if (!opts) return 2;
   char* end = nullptr;
   uint64_t fp = std::strtoull(fp_hex, &end, 16);
   if (end == fp_hex || *end != '\0') {
     std::fprintf(stderr, "fmtsvc: bad fingerprint '%s' (want hex)\n", fp_hex);
     return 2;
   }
-  fmtsvc::FormatResolver client(client_options(host, port));
+  fmtsvc::FormatResolver client(*opts);
   auto resolved = client.resolve(fp);
   if (!resolved) {
     std::fprintf(stderr, "fmtsvc: fingerprint %016llx not found\n",
@@ -199,13 +195,9 @@ int get(const char* endpoint, const char* fp_hex) {
 }
 
 int dump(const char* endpoint) {
-  std::string host;
-  uint16_t port = 0;
-  if (!parse_endpoint(endpoint, host, port)) {
-    std::fprintf(stderr, "fmtsvc: bad endpoint '%s' (want HOST:PORT)\n", endpoint);
-    return 2;
-  }
-  fmtsvc::FormatResolver client(client_options(host, port));
+  const auto opts = client_options(endpoint);
+  if (!opts) return 2;
+  fmtsvc::FormatResolver client(*opts);
   try {
     auto entries = client.list();
     std::printf("%zu entr%s\n", entries.size(), entries.size() == 1 ? "y" : "ies");

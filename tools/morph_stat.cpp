@@ -110,14 +110,9 @@ std::string read_file(const std::string& path) {
 
 /// Minimal HTTP/1.0 GET against a StatsServer; returns the body.
 std::string scrape(const std::string& target) {
-  size_t colon = target.rfind(':');
-  if (colon == std::string::npos) die("--scrape wants HOST:PORT");
-  std::string host = target.substr(0, colon);
-  const char* first = target.c_str() + colon + 1;
-  const char* last = target.c_str() + target.size();
-  uint16_t port = 0;
-  auto [end, ec] = std::from_chars(first, last, port);
-  if (ec != std::errc() || end != last || port == 0) die("bad port in " + target);
+  const auto ep = morph::transport::parse_endpoint(target);
+  if (!ep) die("--scrape wants HOST:PORT, got " + target);
+  const auto& [host, port] = *ep;
 
   auto link = morph::transport::TcpLink::connect(host, port);
   std::string request = "GET / HTTP/1.0\r\nHost: " + host + "\r\n\r\n";

@@ -70,16 +70,16 @@ namespace {
   std::exit(2);  // NOLINT(concurrency-mt-unsafe) — single-threaded CLI
 }
 
-uint16_t parse_port(const std::string& s) {
-  int p = std::atoi(s.c_str());
-  if (p <= 0 || p > 65535) die("bad port: " + s);
-  return static_cast<uint16_t>(p);
+uint16_t port_arg(const std::string& s) {
+  const auto port = transport::parse_port(s);
+  if (!port || *port == 0) die("bad port: " + s);
+  return *port;
 }
 
-std::pair<std::string, uint16_t> parse_endpoint(const std::string& target) {
-  size_t colon = target.rfind(':');
-  if (colon == std::string::npos) die("expected HOST:PORT, got " + target);
-  return {target.substr(0, colon), parse_port(target.substr(colon + 1))};
+std::pair<std::string, uint16_t> endpoint_arg(const std::string& target) {
+  auto ep = transport::parse_endpoint(target);
+  if (!ep) die("expected HOST:PORT, got " + target);
+  return *ep;
 }
 
 bool deadline_passed(std::chrono::steady_clock::time_point deadline) {
@@ -117,7 +117,7 @@ int cmd_serve(uint16_t port) {
 // --- dump ------------------------------------------------------------------
 
 int cmd_dump(const std::string& target, const std::optional<std::string>& json_path) {
-  auto [host, port] = parse_endpoint(target);
+  auto [host, port] = endpoint_arg(target);
   std::string json = transport::fetch_telemetry_dump(host, port);
   if (json_path) {
     std::ofstream out(*json_path, std::ios::binary);
@@ -473,7 +473,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = parse_port(argv[++i]);
+      port = port_arg(argv[++i]);
     } else if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
       events = std::atoi(argv[++i]);
       if (events <= 0 || events > 100000) die("bad --events");
@@ -494,14 +494,14 @@ int main(int argc, char** argv) {
     }
     if (cmd == "pipeline") return cmd_pipeline(argv[0], events, json_path);
     if (cmd == "_publisher" && argc == 6) {
-      return role_publisher(parse_port(argv[2]), parse_port(argv[3]), parse_port(argv[4]),
+      return role_publisher(port_arg(argv[2]), port_arg(argv[3]), port_arg(argv[4]),
                             std::atoi(argv[5]));
     }
     if (cmd == "_broker" && argc == 5) {
-      return role_broker(parse_port(argv[2]), parse_port(argv[3]), std::atoi(argv[4]));
+      return role_broker(port_arg(argv[2]), port_arg(argv[3]), std::atoi(argv[4]));
     }
     if (cmd == "_receiver" && argc == 5) {
-      return role_receiver(parse_port(argv[2]), parse_port(argv[3]), std::atoi(argv[4]));
+      return role_receiver(port_arg(argv[2]), port_arg(argv[3]), std::atoi(argv[4]));
     }
     die("unknown command: " + cmd);
   } catch (const std::exception& e) {
