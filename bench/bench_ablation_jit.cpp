@@ -18,8 +18,8 @@ void paper_table() {
   print_header("size", {"native-C++", "ecode-JIT", "ecode-VM", "VM/JIT"});
 
   auto spec = echo::response_v2_to_v1_spec();
-  core::MorphChain jit_chain({&spec}, ecode::ExecBackend::kJit);
-  core::MorphChain vm_chain({&spec}, ecode::ExecBackend::kInterpreter);
+  core::MorphChain jit_chain({&spec}, {.backend = ecode::ExecBackend::kJit});
+  core::MorphChain vm_chain({&spec}, {.backend = ecode::ExecBackend::kInterpreter});
 
   for (size_t size : paper_sizes()) {
     RecordArena arena;
@@ -50,7 +50,7 @@ void paper_table() {
 
 void bm_backend(benchmark::State& state, ecode::ExecBackend backend) {
   auto spec = echo::response_v2_to_v1_spec();
-  core::MorphChain chain({&spec}, backend);
+  core::MorphChain chain({&spec}, {.backend = backend});
   RecordArena arena;
   auto* rec = make_payload(static_cast<size_t>(state.range(0)), arena);
   RecordArena out;

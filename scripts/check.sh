@@ -22,10 +22,12 @@ cmake --build build
 echo "== tests =="
 ctest --test-dir build --output-on-failure
 
-echo "== chain fusion on the bytecode VM =="
-# Fused chains must agree with hop-wise execution on both backends; ctest
-# above ran them on the JIT.
-MORPH_DISABLE_JIT=1 ./build/tests/tests_core --gtest_filter='Fusion*'
+echo "== chain fusion and the trust boundary on the bytecode VM =="
+# Fused chains must agree with hop-wise execution on both backends, and peer
+# transforms the verifier refuses must be rejected on both; ctest above ran
+# them on the JIT.
+MORPH_DISABLE_JIT=1 ./build/tests/tests_core --gtest_filter='Fusion*:ReceiverVerify*'
+MORPH_DISABLE_JIT=1 ./build/tests/tests_middleware --gtest_filter='TrustBoundary*'
 
 echo "== evolution audit (vs examples/transforms/AUDIT_golden.json) =="
 # Static breaking-change gate over the committed corpus: new error-severity

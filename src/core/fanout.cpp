@@ -35,7 +35,7 @@ size_t GroupPlan::encode(const void* record, ByteBuffer& out) const {
   return encoder_->encode(record, out);
 }
 
-FanoutPlanner::FanoutPlanner(FanoutPlannerOptions options) : options_(options) {}
+FanoutPlanner::FanoutPlanner(bool fuse) : fuse_(fuse) {}
 
 FanoutPlanner::Shard& FanoutPlanner::shard_for(const PlanKey& key) {
   size_t h = PlanKeyHash{}(key);
@@ -106,7 +106,7 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::plan(const pbio::FormatPtr& sour
 
   // Bound the cache: recomputable, so overflow just flushes (the hostile
   // peer streaming fresh fingerprints costs time, not memory).
-  if (inserted && cached_plans() > options_.max_cached_plans) flush_cache();
+  if (inserted && cached_plans() > kMaxCachedPlans) flush_cache();
 
   return entry->plan;
 }
@@ -143,11 +143,9 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
   }
 
   ecode::CompileOptions copts;
-  copts.backend = options_.backend;
-  copts.verify = options_.verify;
-  copts.fuel_limit = options_.verify_fuel_limit;
+  copts.verify = true;
   try {
-    plan->chain_ = std::make_shared<MorphChain>(*specs, copts, options_.fuse);
+    plan->chain_ = std::make_shared<MorphChain>(*specs, copts, fuse_);
   } catch (const ecode::VerifyError& e) {
     stats_.inc(C::verify_rejected);
     std::ostringstream msg;

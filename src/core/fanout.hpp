@@ -33,21 +33,6 @@
 
 namespace morph::core {
 
-struct FanoutPlannerOptions {
-  ecode::ExecBackend backend = ecode::ExecBackend::kAuto;
-  /// Transform specs reach the planner from peers, so the same trust
-  /// boundary as ReceiverOptions::verify applies. A chain failing
-  /// enforcement makes its target unreachable (the caller falls back to
-  /// per-subscriber delivery); nothing is ever delivered un-verified.
-  VerifyPolicy verify = VerifyPolicy::kOff;
-  int64_t verify_fuel_limit = 1 << 20;
-  /// Fuse multi-hop chains into one compiled transform (ecode/fuse.hpp).
-  bool fuse = true;
-  /// Cache bound, same rationale as ReceiverOptions::max_cached_decisions:
-  /// plans are recomputable, so overflow flushes the whole cache.
-  size_t max_cached_plans = 1024;
-};
-
 /// The compiled pipeline for one fan-out group. Immutable after build;
 /// morph() and encode() are const and thread-safe (each call materializes
 /// into the caller's arena/buffer).
@@ -56,7 +41,7 @@ class GroupPlan {
   /// False when the target fingerprint has no learned format definition or
   /// no transform chain from the source — the caller must fall back to
   /// per-subscriber delivery for that group. Also false when the chain was
-  /// rejected by the static verifier under VerifyPolicy::kEnforce.
+  /// rejected by the static verifier.
   bool reachable() const { return reachable_; }
 
   /// True when target == source: no morph needed, the group can reuse the
@@ -115,7 +100,16 @@ struct FanoutPlannerStats {
 
 class FanoutPlanner {
  public:
-  explicit FanoutPlanner(FanoutPlannerOptions options = {});
+  /// Transform specs reach the planner from peers, so every chain compiles
+  /// under the static verifier, as in the receiver: a chain failing it makes
+  /// its target unreachable (the caller falls back to per-subscriber
+  /// delivery), and nothing is ever delivered unverified. `fuse` fuses
+  /// multi-hop chains into one compiled transform (ecode/fuse.hpp).
+  explicit FanoutPlanner(bool fuse = true);
+
+  /// Cache bound, same rationale as ReceiverOptions::max_cached_decisions:
+  /// plans are recomputable, so overflow flushes the whole cache.
+  static constexpr size_t kMaxCachedPlans = 1024;
 
   /// Learn a transform (typically a declared retro-transform). Flushes the
   /// plan cache: cached plans may be stale once new chains exist. The
@@ -161,7 +155,7 @@ class FanoutPlanner {
   std::shared_ptr<const GroupPlan> build_plan(const pbio::FormatPtr& source, uint64_t target_fp);
   void flush_cache();
 
-  FanoutPlannerOptions options_;
+  const bool fuse_;
   std::array<Shard, kShards> shards_;
   /// Shared for plan builds, exclusive for learn_transform — same
   /// config-vs-build locking as the receiver.

@@ -83,10 +83,12 @@ LintReport lint_format(const pbio::FormatDescriptor& fmt);
 LintReport lint_resolved(const pbio::FormatDescriptor& fmt,
                          const std::vector<TransformSpec>& transforms);
 
-/// What an ingest point does with lint findings, mirroring the receiver's
-/// VerifyPolicy: kOff skips the audit, kWarn logs findings and accepts,
-/// kEnforce rejects descriptors with error-severity findings (counted in a
-/// lint_rejected stat at each ingest point).
+/// What an ingest point does with lint findings: kOff skips the audit, kWarn
+/// logs findings and accepts, kEnforce rejects descriptors with
+/// error-severity findings (counted in a lint_rejected stat at each ingest
+/// point). Lint is advisory data-quality checking; the safety verifier on
+/// transform code has no such policy and always runs where peer code is
+/// compiled (core/receiver.hpp).
 enum class LintPolicy : uint8_t { kOff, kWarn, kEnforce };
 
 const char* lint_policy_name(LintPolicy p);

@@ -278,9 +278,7 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
       throw Error("receiver: transform chain vanished");
     }
     ecode::CompileOptions copts;
-    copts.backend = options_.backend;
-    copts.verify = options_.verify;
-    copts.fuel_limit = options_.verify_fuel_limit;
+    copts.verify = true;
     try {
       d.chain = std::make_shared<MorphChain>(*specs, copts, options_.fuse);
     } catch (const ecode::VerifyError& e) {

@@ -17,6 +17,11 @@
 //   morphed   decode to native -> compiled Ecode chain -> [reconcile]
 //   rejected  no admissible MaxMatch pair: default handler or drop
 //
+// Transform code comes from peers, so the receiver is a trust boundary:
+// every chain compiles under the static verifier (ecode/verify.hpp), and a
+// chain that fails it rejects its format (Outcome::kRejected, counted in
+// stats().verify_rejected) before any native code exists.
+//
 // Thread safety (see docs/CONCURRENCY.md for the full model):
 //   * process()/process_in_place() may be called from any number of
 //     threads concurrently, each with its own RecordArena. The decision
@@ -79,18 +84,6 @@ using DefaultHandler = std::function<void(const void* buf, size_t size)>;
 
 struct ReceiverOptions {
   MatchThresholds thresholds;
-  ecode::ExecBackend backend = ecode::ExecBackend::kAuto;
-  /// Static verification of peer-supplied transform code before it is
-  /// compiled to native code (the receiver's trust boundary):
-  ///   kOff      compile as-is (the historical behavior),
-  ///   kWarn     verify and log findings, never reject,
-  ///   kEnforce  reject the format (Outcome::kRejected, counted in
-  ///             stats().verify_rejected) when any hop fails verification.
-  VerifyPolicy verify = VerifyPolicy::kOff;
-  /// In enforce mode, loops without a termination certificate are rewritten
-  /// to stop after this many iterations instead of being rejected outright;
-  /// 0 rejects them.
-  int64_t verify_fuel_limit = 1 << 20;
   /// Upper bound on cached per-format decisions. A hostile peer could
   /// otherwise stream endless fresh formats and grow the cache without
   /// limit; on overflow the whole cache is flushed (decisions are

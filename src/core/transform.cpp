@@ -96,13 +96,6 @@ std::optional<std::vector<const TransformSpec*>> TransformCatalog::chain(uint64_
   return std::nullopt;
 }
 
-MorphChain::MorphChain(const std::vector<const TransformSpec*>& specs, ecode::ExecBackend backend)
-    : MorphChain(specs, [&] {
-        ecode::CompileOptions o;
-        o.backend = backend;
-        return o;
-      }()) {}
-
 MorphChain::MorphChain(const std::vector<const TransformSpec*>& specs,
                        const ecode::CompileOptions& options, bool fuse) {
   if (specs.empty()) throw Error("MorphChain: empty spec list");

@@ -55,11 +55,6 @@ class TransformCatalog {
   std::unordered_map<uint64_t, std::vector<const TransformSpec*>> by_src_;
 };
 
-/// Verification policy for code arriving from peers (see ecode/verify.hpp).
-/// Receivers compile transform specs that traveled over the network, so this
-/// is the trust boundary the static verifier exists for.
-using VerifyPolicy = ecode::VerifyMode;
-
 /// A compiled retro-transformation chain. Each hop is compiled against
 /// host-native relayouts of the spec formats (the specs themselves may
 /// carry a foreign sender's layouts), so the chain maps a native record of
@@ -74,17 +69,14 @@ using VerifyPolicy = ecode::VerifyMode;
 /// as the correctness oracle.
 class MorphChain {
  public:
-  MorphChain(const std::vector<const TransformSpec*>& specs,
-             ecode::ExecBackend backend = ecode::ExecBackend::kAuto);
-
-  /// Compile with full options: each hop is verified per `options.verify`
-  /// (the hop's destination record is always verify parameter 0). In
-  /// enforce mode a hop that fails verification throws ecode::VerifyError
-  /// before any native code for the chain is installed. `fuse` gates the
-  /// fused-execution attempt; a fused program that fails to compile or
-  /// verify silently falls back to hop-wise execution.
-  MorphChain(const std::vector<const TransformSpec*>& specs,
-             const ecode::CompileOptions& options, bool fuse = true);
+  /// Compile every hop under `options`. With options.verify each hop is
+  /// verified (its destination record is always verify parameter 0), and a
+  /// hop that fails throws ecode::VerifyError before any native code for the
+  /// chain is installed. `fuse` gates the fused-execution attempt; a fused
+  /// program that fails to compile or verify silently falls back to hop-wise
+  /// execution.
+  explicit MorphChain(const std::vector<const TransformSpec*>& specs,
+                      const ecode::CompileOptions& options = {}, bool fuse = true);
 
   const pbio::FormatPtr& src_format() const { return src_fmt_; }
   const pbio::FormatPtr& dst_format() const { return dst_fmt_; }
@@ -109,8 +101,8 @@ class MorphChain {
   /// The fused Ecode program (empty unless fused()); diagnostics only.
   const std::string& fused_source() const { return fused_source_; }
 
-  /// Verifier findings across all hops, in hop order (empty when compiled
-  /// with VerifyPolicy kOff). Collected once at compile time.
+  /// Verifier warnings across all hops, in hop order (empty when compiled
+  /// without verification). Collected once at compile time.
   const std::vector<ecode::VerifyFinding>& verify_findings() const { return verify_findings_; }
 
   /// True when any hop had an uncertifiable loop rewritten with a fuel guard.

@@ -20,15 +20,6 @@ using transport::MessagePort;
 namespace {
 using C = EchoProcess::ProcessStats::Id;
 
-core::FanoutPlannerOptions planner_options(const core::ReceiverOptions& rx) {
-  core::FanoutPlannerOptions o;
-  o.backend = rx.backend;
-  o.verify = rx.verify;
-  o.verify_fuel_limit = rx.verify_fuel_limit;
-  o.fuse = rx.fuse;
-  return o;
-}
-
 /// Hex round-trip for fingerprints in EVTSUB control frames.
 std::string fp_to_hex(uint64_t fp) {
   std::ostringstream os;
@@ -46,7 +37,7 @@ bool is_fp_hex(const std::string& s) {
 /// Upper bound on distinct (channel, format-name) EVTSUB entries per peer.
 /// Announcements are peer-controlled input; without a cap a hostile peer
 /// streaming fresh names could grow broker memory without bound (the
-/// max_cached_plans rationale, applied to the subscription map).
+/// FanoutPlanner::kMaxCachedPlans rationale, applied to the subscription map).
 constexpr size_t kMaxEventSubsPerPeer = 4096;
 }  // namespace
 
@@ -72,7 +63,7 @@ EchoProcess::EchoProcess(std::string contact, EchoVersion version,
     : contact_(std::move(contact)),
       version_(version),
       rx_options_(receiver_options),
-      planner_(planner_options(receiver_options)),
+      planner_(receiver_options.fuse),
       publisher_(planner_) {}
 
 EchoProcess::~EchoProcess() = default;

@@ -64,18 +64,18 @@ Transform Transform::compile(const std::string& source, std::vector<RecordParam>
   t.params_ = std::move(params);
   em().compile_ns.record(obs::monotonic_ns() - t0);
 
-  if (options.verify != VerifyMode::kOff) {
+  if (options.verify) {
     obs::TraceSpan verify_span("ecode.verify", &em().verify_ns);
     VerifyOptions vo;
     vo.dst_params = options.dst_params;
     vo.require_full_assignment = options.require_full_assignment;
     VerifyResult result = verify(t.chunk_, t.params_, vo);
 
-    // In enforce mode an uncertifiable loop is repaired, not rejected: the
-    // offending back-edges are routed through fuel guards and the chunk is
-    // re-verified, which must discharge exactly those findings.
-    if (options.verify == VerifyMode::kEnforce && !result.ok() && options.fuel_limit > 0 &&
-        !result.unbounded_backedges.empty()) {
+    // An uncertifiable loop is repaired, not rejected: when every error is
+    // an unbounded loop, the offending back-edges are routed through fuel
+    // guards and the chunk is re-verified, which must discharge exactly
+    // those findings.
+    if (!result.ok() && options.fuel_limit > 0 && !result.unbounded_backedges.empty()) {
       bool only_loops = true;
       for (const auto& f : result.findings) {
         if (f.severity == VerifySeverity::kError && f.check != VerifyCheck::kUnboundedLoop) {
@@ -83,27 +83,18 @@ Transform Transform::compile(const std::string& source, std::vector<RecordParam>
           break;
         }
       }
-      if (only_loops) {
-        size_t loop_errors = 0;
-        for (const auto& f : result.findings) {
-          if (f.severity == VerifySeverity::kError) ++loop_errors;
-        }
-        if (loop_errors == result.unbounded_backedges.size()) {
-          Chunk guarded =
-              instrument_fuel(t.chunk_, options.fuel_limit, result.unbounded_backedges);
-          VerifyResult reverified = verify(guarded, t.params_, vo);
-          if (reverified.ok()) {
-            t.chunk_ = std::move(guarded);
-            t.fuel_instrumented_ = true;
-            result = std::move(reverified);
-          }
+      if (only_loops && result.error_count() == result.unbounded_backedges.size()) {
+        Chunk guarded = instrument_fuel(t.chunk_, options.fuel_limit, result.unbounded_backedges);
+        VerifyResult reverified = verify(guarded, t.params_, vo);
+        if (reverified.ok()) {
+          t.chunk_ = std::move(guarded);
+          t.fuel_instrumented_ = true;
+          result = std::move(reverified);
         }
       }
     }
 
-    if (options.verify == VerifyMode::kEnforce && !result.ok()) {
-      throw VerifyError(std::move(result));
-    }
+    if (!result.ok()) throw VerifyError(std::move(result));
     t.verify_findings_ = std::move(result.findings);
   }
 

@@ -48,19 +48,15 @@ enum class ExecBackend {
 /// not disabled via MORPH_DISABLE_JIT=1).
 bool jit_supported();
 
-/// What to do with the static verifier's findings (see ecode/verify.hpp).
-enum class VerifyMode {
-  kOff,      // skip verification entirely (the pre-verifier behavior)
-  kWarn,     // verify, keep findings for inspection, never reject
-  kEnforce,  // throw VerifyError on any error-severity finding
-};
-
 struct CompileOptions {
   ExecBackend backend = ExecBackend::kAuto;
-  VerifyMode verify = VerifyMode::kOff;
-  /// In kEnforce mode, loops without a termination certificate are rewritten
-  /// to give up after this many back-edge traversals instead of being
-  /// rejected. 0 disables instrumentation (unbounded loops become errors).
+  /// Run the static verifier (ecode/verify.hpp) and throw VerifyError on any
+  /// error-severity finding. Code from peers is always verified (the
+  /// receiver and the fan-out planner set this); off is for local code.
+  bool verify = false;
+  /// Under verification, loops without a termination certificate are
+  /// rewritten to give up after this many back-edge traversals instead of
+  /// being rejected. 0 disables instrumentation (unbounded loops are errors).
   int64_t fuel_limit = 1 << 20;
   /// Escalate never-assigned destination fields from warning to error.
   bool require_full_assignment = false;
@@ -77,10 +73,10 @@ class Transform {
   static Transform compile(const std::string& source, std::vector<RecordParam> params,
                            ExecBackend backend = ExecBackend::kAuto);
 
-  /// Compile with explicit options. With options.verify != kOff the static
-  /// verifier runs between bytecode generation and native code emission;
-  /// kEnforce throws VerifyError (carrying structured findings) before any
-  /// executable artifact exists for a rejected program.
+  /// Compile with explicit options. With options.verify the static verifier
+  /// runs between bytecode generation and native code emission and throws
+  /// VerifyError (carrying structured findings) before any executable
+  /// artifact exists for a rejected program.
   static Transform compile(const std::string& source, std::vector<RecordParam> params,
                            const CompileOptions& options);
 
@@ -102,9 +98,8 @@ class Transform {
   const Chunk& chunk() const { return chunk_; }
   const std::vector<RecordParam>& params() const { return params_; }
 
-  /// Findings from the last verification run (empty when compiled with
-  /// VerifyMode::kOff). In kWarn mode this includes error-severity findings
-  /// that kEnforce would have rejected.
+  /// Warning-severity findings from verification (empty when compiled
+  /// without it; a program with error findings never compiles).
   const std::vector<VerifyFinding>& verify_findings() const { return verify_findings_; }
 
   /// True when the verifier rewrote an uncertifiable loop with a fuel guard.

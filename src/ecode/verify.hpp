@@ -112,8 +112,8 @@ VerifyResult verify(const Chunk& chunk, const std::vector<RecordParam>& params,
 /// such edges in VerifyResult::unbounded_backedges.
 Chunk instrument_fuel(const Chunk& chunk, int64_t fuel_limit, const std::vector<int>& backedges);
 
-/// Thrown by enforcing callers (Transform::compile with VerifyMode::
-/// kEnforce) when verification fails; carries the structured findings.
+/// Thrown by Transform::compile with CompileOptions::verify set when
+/// verification fails; carries the structured findings.
 class VerifyError : public EcodeError {
  public:
   explicit VerifyError(VerifyResult result)

@@ -60,9 +60,9 @@ struct ResolverOptions {
   uint64_t deadline_ms = 2'000;    // overall budget per resolve()
   int io_timeout_ms = 500;         // per-attempt socket wait
 
-  /// Audit fetched descriptors before they are handed to a receiver
-  /// (mirrors the receiver's VerifyPolicy for transform code). kEnforce
-  /// treats a descriptor with error-severity findings like a not-found.
+  /// Audit fetched descriptors before they are handed to a receiver (the
+  /// receiver itself always verifies transform code). kEnforce treats a
+  /// descriptor with error-severity findings like a not-found.
   core::LintPolicy lint = core::LintPolicy::kWarn;
 };
 

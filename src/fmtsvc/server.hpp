@@ -9,10 +9,10 @@
 //
 // Failure containment: a malformed frame or request kills only its own
 // connection (counted in bad_frames); every other connection keeps
-// serving. Lint policy mirrors the receiver's VerifyPolicy: under kEnforce
-// a REGISTER whose descriptor has error-severity lint findings is answered
-// with Status::kRejected (counted in
-// morph_fmtsvc_server_lint_rejected_total) and nothing enters the store.
+// serving. Under LintPolicy::kEnforce a REGISTER whose descriptor has
+// error-severity lint findings is answered with Status::kRejected (counted
+// in morph_fmtsvc_server_lint_rejected_total) and nothing enters the store.
+// Transform code itself is always verified where a receiver compiles it.
 //
 // Beyond the per-entry lint, the service can run the fleet-wide evolution
 // audit (analysis/audit.hpp) on every REGISTER: the candidate revision is

@@ -1,6 +1,6 @@
 // Static verifier (verify.hpp): table-driven negative suite over source
 // programs, accepted near-misses, hand-crafted structural chunks, fuel
-// instrumentation semantics on both backends, and the enforce-mode
+// instrumentation semantics on both backends, and the verifying
 // compile gate.
 #include <gtest/gtest.h>
 
@@ -43,15 +43,19 @@ FormatPtr scratch_format() {
   return fmt;
 }
 
-/// Compile `code` (dst, src over the scratch format) and return the
-/// verifier's findings without enforcing them.
+/// Compile `code` (dst, src over the scratch format) under verification and
+/// return the verifier's findings, whether or not it rejected the program.
 std::vector<VerifyFinding> findings_for(const std::string& code) {
   CompileOptions o;
   o.backend = ExecBackend::kInterpreter;
-  o.verify = VerifyMode::kWarn;
+  o.verify = true;
   o.fuel_limit = 0;  // report unbounded loops instead of repairing them
-  auto t = Transform::compile(code, {{"dst", scratch_format()}, {"src", scratch_format()}}, o);
-  return t.verify_findings();
+  try {
+    auto t = Transform::compile(code, {{"dst", scratch_format()}, {"src", scratch_format()}}, o);
+    return t.verify_findings();
+  } catch (const VerifyError& e) {
+    return e.result().findings;
+  }
 }
 
 /// First error-severity finding, or nullptr.
@@ -183,7 +187,7 @@ TEST(VerifyAssignment, UnassignedFieldsAreWarningsByDefault) {
 TEST(VerifyAssignment, RequireFullAssignmentEscalatesToError) {
   CompileOptions o;
   o.backend = ExecBackend::kInterpreter;
-  o.verify = VerifyMode::kEnforce;
+  o.verify = true;
   o.require_full_assignment = true;
   EXPECT_THROW(Transform::compile("dst.i32 = 1;",
                                   {{"dst", scratch_format()}, {"src", scratch_format()}}, o),
@@ -193,7 +197,7 @@ TEST(VerifyAssignment, RequireFullAssignmentEscalatesToError) {
 TEST(VerifyAssignment, FullAssignmentSatisfiesStrictMode) {
   CompileOptions o;
   o.backend = ExecBackend::kInterpreter;
-  o.verify = VerifyMode::kEnforce;
+  o.verify = true;
   o.require_full_assignment = true;
   auto t = Transform::compile(
       "dst.i16 = 0; dst.i32 = src.i32; dst.s = src.s; dst.count = src.count;\n"
@@ -381,7 +385,7 @@ TEST(VerifyCopyLoop, LargeMorphFusedChainVerifiesUnderEnforce) {
   FuseResult fused = fuse_chain(hops, *revs[4]);
   ASSERT_TRUE(fused.ok) << fused.bailout;
   CompileOptions o;
-  o.verify = VerifyMode::kEnforce;
+  o.verify = true;
   o.require_full_assignment = true;
   auto t = Transform::compile(fused.source, {{"old", revs[0]}, {"new", revs[4]}}, o);
   EXPECT_FALSE(t.fuel_instrumented());
@@ -396,7 +400,7 @@ TEST(VerifyCopyLoop, LargeMorphFusedChainVerifiesUnderEnforce) {
 }
 
 TEST(VerifyCopyLoop, CorpusVerifiesUnderEnforceAsBefore) {
-  // Per bundle, which hops compile under kEnforce ("+copy": with a
+  // Per bundle, which hops compile under verification ("+copy": with a
   // kCopyLoop op): every hop did before element-copy loops ran as one op.
   // None is a pure copy loop; each loop computes or branches per element.
   const std::map<std::string, std::string> expected = {
@@ -412,7 +416,7 @@ TEST(VerifyCopyLoop, CorpusVerifiesUnderEnforceAsBefore) {
     std::string verdicts;
     for (const auto& spec : tools::read_bundle(entry.path().string())) {
       CompileOptions o;
-      o.verify = VerifyMode::kEnforce;
+      o.verify = true;
       try {
         auto t = Transform::compile(spec.code, {{spec.dst_param, pbio::relayout(*spec.dst)},
                                                 {spec.src_param, pbio::relayout(*spec.src)}},
@@ -437,10 +441,10 @@ TEST_P(VerifyFuel, UncertifiableLoopIsRepairedAndTerminates) {
   if (GetParam() == ExecBackend::kJit && !jit_supported()) GTEST_SKIP();
   CompileOptions o;
   o.backend = GetParam();
-  o.verify = VerifyMode::kEnforce;
+  o.verify = true;
   o.fuel_limit = 1000;
   // The condition never mentions a loop local: no termination certificate,
-  // and with src.i32 == 0 the loop really is infinite. Enforce mode must
+  // and with src.i32 == 0 the loop really is infinite. Verification must
   // repair it with a fuel guard instead of rejecting it.
   auto t = Transform::compile(
       "dst.i16 = 0; dst.i32 = 0; dst.s = src.s; dst.count = 0;\n"
@@ -461,7 +465,7 @@ TEST_P(VerifyFuel, FuelGuardLeavesTerminatingLoopsAlone) {
   if (GetParam() == ExecBackend::kJit && !jit_supported()) GTEST_SKIP();
   CompileOptions o;
   o.backend = GetParam();
-  o.verify = VerifyMode::kEnforce;
+  o.verify = true;
   o.fuel_limit = 1000;
   auto t = Transform::compile("dst.i32 = 0;\nfor (int i = 0; i < 10; i++) { dst.i32 = dst.i32 + i; }",
                               two_params(), o);
@@ -483,7 +487,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, VerifyFuel,
 
 TEST(VerifyEnforce, RejectsBeforeAnyExecutableExists) {
   CompileOptions o;
-  o.verify = VerifyMode::kEnforce;
+  o.verify = true;
   try {
     Transform::compile("dst.i32 = src.items[0].v;", two_params(), o);
     FAIL() << "expected VerifyError";
@@ -494,14 +498,6 @@ TEST(VerifyEnforce, RejectsBeforeAnyExecutableExists) {
     EXPECT_EQ(err->check, VerifyCheck::kOobAccess);
     EXPECT_EQ(e.line(), err->line);
   }
-}
-
-TEST(VerifyEnforce, WarnModeStillCompilesRejectedPrograms) {
-  CompileOptions o;
-  o.backend = ExecBackend::kInterpreter;
-  o.verify = VerifyMode::kWarn;
-  auto t = Transform::compile("dst.i32 = dst.i16;", two_params(), o);
-  EXPECT_NE(first_error(t.verify_findings()), nullptr);
 }
 
 }  // namespace

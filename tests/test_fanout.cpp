@@ -99,9 +99,7 @@ TEST(FanoutDifferential, CorpusGroupedMatchesPerSubscriber) {
 
     for (bool fuse : {true, false}) {
       SCOPED_TRACE(fuse ? "fused" : "hop-wise");
-      FanoutPlannerOptions popts;
-      popts.fuse = fuse;
-      FanoutPlanner planner(popts);
+      FanoutPlanner planner(fuse);
       for (const auto& s : specs) planner.learn_transform(s);
 
       for (size_t hops = 1; hops <= specs.size(); ++hops) {
@@ -200,6 +198,39 @@ TEST(FanoutPlanner2, IdentityUnreachableAndCacheBehavior) {
   auto stats = planner.stats();
   EXPECT_GE(stats.cache_hits, 1u);
   EXPECT_GE(stats.cache_flushes, 1u);
+}
+
+TEST(FanoutPlanner2, CacheFlushesPastItsBound) {
+  // A peer streaming fresh target fingerprints costs time, not memory: the
+  // plan cache flushes once it holds more than kMaxCachedPlans entries.
+  auto a = FormatBuilder("A").add_int("x", 8).build();
+  FanoutPlanner planner;
+  for (uint64_t fp = 1; fp <= FanoutPlanner::kMaxCachedPlans; ++fp) {
+    EXPECT_FALSE(planner.plan(a, fp)->reachable());
+  }
+  EXPECT_EQ(planner.cached_plans(), FanoutPlanner::kMaxCachedPlans);
+  EXPECT_EQ(planner.stats().cache_flushes, 0u);
+
+  EXPECT_FALSE(planner.plan(a, FanoutPlanner::kMaxCachedPlans + 1)->reachable());
+  EXPECT_EQ(planner.stats().cache_flushes, 1u);
+  EXPECT_EQ(planner.cached_plans(), 0u);
+  EXPECT_EQ(planner.stats().unreachable, FanoutPlanner::kMaxCachedPlans + 1);
+}
+
+TEST(FanoutPlanner2, UnverifiableChainIsUnreachable) {
+  // Planner chains come from peers too: one the verifier refuses leaves its
+  // target unreachable (per-subscriber fallback) instead of compiling it.
+  auto a =
+      FormatBuilder("A").add_int("n", 4).add_dyn_array("xs", pbio::FieldKind::kInt, 4, "n").build();
+  auto b = FormatBuilder("A").add_int("x", 4).build();
+  TransformSpec spec;
+  spec.src = a;
+  spec.dst = b;
+  spec.code = "old.x = new.xs[3];";  // no guard against n
+  FanoutPlanner planner;
+  planner.learn_transform(spec);
+  EXPECT_FALSE(planner.plan(a, b->fingerprint())->reachable());
+  EXPECT_EQ(planner.stats().verify_rejected, 1u);
 }
 
 // --- registry unit behavior --------------------------------------------------

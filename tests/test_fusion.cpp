@@ -40,7 +40,7 @@ TransformSpec spec_of(FormatPtr src, FormatPtr dst, std::string code) {
 }
 
 MorphChain make_chain(const std::vector<TransformSpec>& specs, bool fuse = true,
-                      ecode::VerifyMode verify = ecode::VerifyMode::kOff,
+                      bool verify = false,
                       ecode::ExecBackend backend = ecode::ExecBackend::kAuto) {
   std::vector<const TransformSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
@@ -292,7 +292,7 @@ TEST(Fusion, ThreeHopsWithEnforcedVerification) {
   auto chain = make_chain({spec_of(a, b, "old.x = new.x + 1;"),
                            spec_of(b, c, "old.x = new.x * 3;"),
                            spec_of(c, d, "old.x = new.x - 7;")},
-                          /*fuse=*/true, ecode::VerifyMode::kEnforce);
+                          /*fuse=*/true, /*verify=*/true);
   ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
   EXPECT_EQ(chain.hops(), 3u);
   expect_differential(chain, 64, 6);
@@ -301,7 +301,7 @@ TEST(Fusion, ThreeHopsWithEnforcedVerification) {
 TEST(Fusion, VerifyFindingsReturnsStableReference) {
   auto a = FormatBuilder("M").add_int("x", 8).build();
   auto b = FormatBuilder("N").add_int("x", 8).add_int("y", 8).build();
-  auto chain = make_chain({spec_of(a, b, "old.x = new.x;")}, true, ecode::VerifyMode::kWarn);
+  auto chain = make_chain({spec_of(a, b, "old.x = new.x;")}, true, /*verify=*/true);
   const auto& first = chain.verify_findings();
   const auto& second = chain.verify_findings();
   EXPECT_EQ(&first, &second);
@@ -412,9 +412,9 @@ std::vector<TransformSpec> notes_ladder(bool as_while = false) {
 
 TEST(FusionWorkload, ScanLadderFusesIntoOneCopyPass) {
   auto specs = scan_ladder();
-  for (auto verify : {ecode::VerifyMode::kOff, ecode::VerifyMode::kEnforce}) {
+  for (bool verify : {false, true}) {
     for (auto backend : backends()) {
-      SCOPED_TRACE(::testing::Message() << "verify " << static_cast<int>(verify) << " backend "
+      SCOPED_TRACE(::testing::Message() << "verify " << verify << " backend "
                                         << static_cast<int>(backend));
       auto chain = make_chain(specs, true, verify, backend);
       ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
@@ -431,9 +431,9 @@ TEST(FusionWorkload, ScanLadderFusesIntoOneCopyPass) {
 
 TEST(FusionWorkload, TickLadderFusesWithNarrowedStation) {
   auto specs = tick_ladder();
-  for (auto verify : {ecode::VerifyMode::kOff, ecode::VerifyMode::kEnforce}) {
+  for (bool verify : {false, true}) {
     for (auto backend : backends()) {
-      SCOPED_TRACE(::testing::Message() << "verify " << static_cast<int>(verify) << " backend "
+      SCOPED_TRACE(::testing::Message() << "verify " << verify << " backend "
                                         << static_cast<int>(backend));
       auto chain = make_chain(specs, true, verify, backend);
       ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
@@ -473,8 +473,8 @@ TEST(FusionCopyLoop, FusedHopwiseAndElementwiseAreByteIdentical) {
     auto oracle_specs = l.make(true);
     for (auto backend : backends()) {
       SCOPED_TRACE(::testing::Message() << l.name << " backend " << static_cast<int>(backend));
-      auto chain = make_chain(specs, true, ecode::VerifyMode::kEnforce, backend);
-      auto oracle = make_chain(oracle_specs, true, ecode::VerifyMode::kOff, backend);
+      auto chain = make_chain(specs, true, /*verify=*/true, backend);
+      auto oracle = make_chain(oracle_specs, true, /*verify=*/false, backend);
       ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
       EXPECT_FALSE(oracle.fused());
       EXPECT_EQ(fused_copy_loops(chain, specs), l.copy_loops) << chain.fused_source();
@@ -733,7 +733,7 @@ TEST(FusionCorpus, EveryBundleRunsFusedAgainstHopwise) {
 
 TEST(FusionCorpus, SensorChainFusesUnderEnforcedVerification) {
   auto specs = read_bundle(std::filesystem::path(MORPH_TRANSFORMS_DIR) / "sensor_fusion_chain.eco");
-  auto chain = make_chain(specs, true, ecode::VerifyMode::kEnforce);
+  auto chain = make_chain(specs, true, /*verify=*/true);
   ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
   EXPECT_EQ(chain.hops(), 3u);
   expect_differential(chain, 96, 7);

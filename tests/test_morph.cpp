@@ -154,7 +154,7 @@ TEST_P(Figure5Test, MatchesHandwrittenReference) {
       auto* expect = echo::transform_v2_to_v1_reference(*v2, arena);
 
       auto spec = echo::response_v2_to_v1_spec();
-      MorphChain chain({&spec}, GetParam());
+      MorphChain chain({&spec}, {.backend = GetParam()});
       // The chain's source format is a relayout of v2 with identical
       // natural layout (the structs are already naturally laid out).
       ASSERT_EQ(chain.src_format()->struct_size(),

@@ -2,7 +2,8 @@
 // (batched reads, write backpressure, idle timeouts, admission caps,
 // accepting at the fd limit), the byte-identity differential against a
 // blocking TcpLink server, the EchoTcpNode serving shell (checked against
-// its golden reply stream), and one thread per reactor-served server.
+// its golden reply stream), verification of peer transforms at a node's
+// port, and one thread per reactor-served server.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -1096,6 +1097,128 @@ TEST(EchoNode, ScrapeDuringTrafficIsRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   scraper.join();
   EXPECT_EQ(received, kEvents);
+}
+
+// ---------------------------------------------------------------------------
+// The trust boundary at the port: Ecode a peer ships with its format
+// definitions is verified before a process with default receiver options
+// compiles it, on the JIT and on the VM (MORPH_DISABLE_JIT=1) alike.
+
+FormatPtr tick_rev(int rev) {
+  FormatBuilder b("Tick");
+  b.add_int("seq", rev == 0 ? 4 : 8).add_float("v", 8);
+  if (rev >= 1) b.add_int("extra1", 4);
+  return b.build();
+}
+
+/// A v1 node subscribed to Tick rev0 events, and a peer publishing to it
+/// over TCP through a bare port (no channel protocol).
+struct UntrustedPeer {
+  std::vector<std::pair<int64_t, double>> events;  // loop thread only; outlives the node
+  EchoTcpNode node{"node", [] {
+                     NodeOptions o;
+                     o.version = EchoVersion::kV1;
+                     return o;
+                   }()};
+  std::unique_ptr<transport::TcpLink> link = transport::TcpLink::connect("127.0.0.1", node.port());
+  transport::MessagePort port{*link, nullptr};
+
+  UntrustedPeer() {
+    node.with_process([this](EchoProcess& p) {
+      p.on_event("ticks", tick_rev(0), [this](const Event& ev) {
+        pbio::RecordRef r(ev.delivery->record, ev.delivery->format);
+        events.emplace_back(r.get_int("seq"), r.get_float("v"));
+      });
+    });
+  }
+
+  /// Run `fn` on the node's loop until it returns true or ~3s elapse.
+  bool wait_for(const std::function<bool(EchoProcess&)>& fn) {
+    const auto deadline = std::chrono::steady_clock::now() + 3s;
+    for (;;) {
+      bool done = false;
+      node.with_process([&](EchoProcess& p) { done = fn(p); });
+      if (done) return true;
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(2ms);
+    }
+  }
+
+  void send_tick(int rev, int64_t seq) {
+    FormatPtr fmt = tick_rev(rev);
+    RecordArena arena;
+    void* rec = pbio::alloc_record(*fmt, arena);
+    pbio::RecordRef r(rec, fmt);
+    r.set_int("seq", seq);
+    r.set_float("v", 0.5);
+    if (rev >= 1) r.set_int("extra1", 0);
+    port.send_record(fmt, rec);
+  }
+};
+
+TEST(TrustBoundary, PortRejectsOutOfRangeTransformAndKeepsDelivering) {
+  UntrustedPeer peer;
+  auto& verify_rejected = obs::metrics().counter("morph_rx_verify_rejected_total");
+  const uint64_t rejected_before = verify_rejected.value();
+
+  // ChannelOpenResponse v2 -> v1 whose only statement reads far past the
+  // member list. Compiled unverified, the morph of the first response
+  // faults inside the receiver.
+  core::TransformSpec hostile = response_v2_to_v1_spec();
+  hostile.code = "old.member_count = new.member_list[100000000].ID;";
+  peer.port.declare_transform(hostile);
+
+  RecordArena arena;
+  auto resp_fmt = channel_open_response_v2_format();
+  auto* resp = static_cast<ChannelOpenResponseV2*>(pbio::alloc_record(*resp_fmt, arena));
+  resp->channel = arena.copy_string("ticks");
+  resp->member_count = 1;
+  resp->member_list = static_cast<MemberEntryV2*>(
+      pbio::alloc_dyn_array(arena, sizeof(MemberEntryV2), 1));
+  resp->member_list[0].info = arena.copy_string("peer");
+  resp->member_list[0].id = 1;
+  peer.port.send_record(resp_fmt, resp);
+
+  ASSERT_TRUE(peer.wait_for([](EchoProcess& p) { return p.receiver_totals().rejected == 1; }));
+  peer.node.with_process([](EchoProcess& p) {
+    EXPECT_EQ(p.receiver_totals().verify_rejected, 1u);
+    EXPECT_EQ(p.receiver_totals().morphed, 0u);
+    EXPECT_EQ(p.stats().responses_morphed, 0u);
+  });
+  EXPECT_EQ(verify_rejected.value() - rejected_before, 1u);
+
+  // The rejection cost only that format: a later valid event is delivered.
+  peer.send_tick(0, 7);
+  ASSERT_TRUE(peer.wait_for([&](EchoProcess&) { return !peer.events.empty(); }));
+  peer.node.with_process([&](EchoProcess& p) {
+    EXPECT_EQ(peer.events, (std::vector<std::pair<int64_t, double>>{{7, 0.5}}));
+    EXPECT_EQ(p.receiver_totals().verify_rejected, 1u);
+  });
+}
+
+TEST(TrustBoundary, PortRunsUncertifiedLoopUnderFuel) {
+  UntrustedPeer peer;
+  // No termination certificate, and with extra1 == 0 the loop never ends
+  // on its own: the verifier guards it with fuel, so the morph returns a
+  // truncated record instead of hanging the node's only thread.
+  core::TransformSpec spin;
+  spin.src = tick_rev(1);
+  spin.dst = tick_rev(0);
+  spin.code =
+      "old.seq = new.seq; old.v = 0;\n"
+      "while (new.extra1 == 0) { old.v = old.v + 1; }";
+  peer.port.declare_transform(spin);
+  peer.send_tick(1, 9);
+
+  ASSERT_TRUE(peer.wait_for([&](EchoProcess&) { return !peer.events.empty(); }));
+  peer.node.with_process([&](EchoProcess& p) {
+    ASSERT_EQ(peer.events.size(), 1u);
+    EXPECT_EQ(peer.events[0].first, 9);
+    EXPECT_GT(peer.events[0].second, 0.0);
+    EXPECT_LE(peer.events[0].second, static_cast<double>(ecode::CompileOptions{}.fuel_limit));
+    EXPECT_EQ(p.receiver_totals().morphed, 1u);
+    EXPECT_EQ(p.receiver_totals().verify_rejected, 0u);
+  });
 }
 
 // Every reactor-served server is one loop on one thread: constructing it

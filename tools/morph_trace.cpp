@@ -199,8 +199,7 @@ int role_broker(uint16_t collector_port, uint16_t fmtsvc_port, int events) {
   auto pub_conn = listener.accept(10000);
   if (pub_conn == nullptr) die("broker: publisher never connected");
 
-  core::FanoutPlannerOptions po;
-  core::FanoutPlanner planner(po);
+  core::FanoutPlanner planner;
   echo::GroupPublisher group_pub(planner);
   const pbio::FormatPtr v1 = echo::channel_open_response_v1_format();
   planner.learn_format(v1);
