@@ -80,9 +80,13 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
 
   echo "== pbuf round-trip differential (proto corpus) =="
   # Replays the committed examples/proto corpus through the bridge: encode
-  # to protobuf wire, decode back, assert value-identical records. Fast and
-  # deterministic, so it rides in the bench-smoke lane as the interop gate.
-  ./build/tests/tests_pbuf --gtest_filter='PbufBridge.*RoundTrip*' >/dev/null
+  # to protobuf wire, decode back, assert value-identical records. The
+  # golden suite pins the encoder's bytes to tests/golden/pbuf_*.hex and
+  # decodes them back; the bulk suite feeds hostile packed runs to the
+  # one-copy path. Fast and deterministic, so it rides in the bench-smoke
+  # lane as the interop gate.
+  ./build/tests/tests_pbuf \
+    --gtest_filter='PbufBridge.*RoundTrip*:PbufGolden*:PbufBulk*' >/dev/null
   echo "pbuf round-trip differential OK"
 
   echo "== fused vs hop-wise A/B dump =="

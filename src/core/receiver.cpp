@@ -299,8 +299,14 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
       d.outcome = Outcome::kRejected;
       return;
     }
-    for (const auto& f : d.chain->verify_findings()) {
-      MORPH_LOG_WARN("receiver") << "transform verifier: " << f.to_string();
+    if (const auto& findings = d.chain->verify_findings(); !findings.empty()) {
+      // One log entry per decision build, however many findings: a chain
+      // leaving many destination fields unassigned must not flood the log.
+      std::ostringstream msg;
+      msg << "transform chain for fingerprint " << fingerprint
+          << " passed the static verifier with " << findings.size() << " finding(s):";
+      for (const auto& f : findings) msg << "\n  " << f.to_string();
+      MORPH_LOG_WARN("receiver") << msg.str();
     }
     stats_.add(C::transforms_compiled, d.chain->hops());
     // Fusion happened (or bailed) inside the chain compile above — i.e.

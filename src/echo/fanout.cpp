@@ -219,10 +219,8 @@ PublisherStats GroupPublisher::publish(const pbio::FormatPtr& fmt, const void* r
 
     transport::SharedPayload frame;
     if (pbuf_plan != nullptr) {
-      scratch_.clear();
-      pbuf_plan->encode(plan->identity() ? record : morphed, scratch_);
-      frame = transport::make_shared_pbuf_frame(send_fmt->fingerprint(), scratch_.data(),
-                                                scratch_.size(), trace_id);
+      frame = transport::make_shared_pbuf_frame(*pbuf_plan, plan->identity() ? record : morphed,
+                                                trace_id);
       ++out.fanout_pbuf_encodes;
     } else if (plan->identity()) {
       frame = transport::make_shared_frame(wire_.data(), wire_.size(), trace_id);

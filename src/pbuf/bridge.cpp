@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -31,155 +33,224 @@ BridgeMetrics& bridge_metrics() {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch table: per message, field number -> precompiled entry.
+// The compiled plan: one field table per message, shared by both directions.
 // ---------------------------------------------------------------------------
 
 namespace detail {
 
-struct MessageTable {
-  FormatPtr fmt;
+/// How one scalar — a field, or one element of a repeated field — sits on
+/// the wire.
+enum class ScalarEnc : uint8_t {
+  kVarint,   // int/uint/enum/bool/char, two's complement widened to 64 bits
+  kZigzag,   // sint32/sint64
+  kFixed32,  // fixed32/sfixed32, and kPbFixed ints narrower than 8 bytes
+  kFixed64,  // fixed64/sfixed64
+  kFloat,    // float, converted through double exactly as pbio's accessors do
+  kDouble,   // double, bit for bit
+};
 
-  struct Entry {
-    uint32_t number = 0;
-    const FieldDescriptor* fd = nullptr;  // owned by fmt (shared_ptr above)
-    FieldDescriptor elem;                 // synthesized, scalar/string arrays
-    const FieldDescriptor* length_fd = nullptr;  // kDynArray only
-    std::shared_ptr<const MessageTable> sub;     // kStruct / struct arrays
-  };
-  std::vector<Entry> entries;  // sorted by number
+enum class Shape : uint8_t { kScalar, kString, kMessage, kScalars, kStrings, kMessages };
 
-  const Entry* find(uint32_t number) const {
-    auto it = std::lower_bound(entries.begin(), entries.end(), number,
-                               [](const Entry& e, uint32_t n) { return e.number < n; });
-    return it != entries.end() && it->number == number ? &*it : nullptr;
+struct MessagePlan;
+
+struct FieldPlan {
+  Shape shape = Shape::kScalar;
+  ScalarEnc enc = ScalarEnc::kVarint;  // kScalar, and the elements of kScalars
+  WireType wt = WireType::kVarint;     // wire type of one scalar value
+  uint8_t size = 0;                    // in-memory bytes of that scalar
+  bool is_signed = false;              // sign-extend it when widening
+  bool copy_run = false;               // kScalars: a packed run is the array's bytes
+  uint8_t tag_len = 0;
+  uint8_t tag[5] = {};                 // the encoded tag the encoder emits
+  uint32_t number = 0;
+  uint32_t offset = 0;
+  uint32_t stride = 0;                 // repeated shapes: element stride
+  const FieldDescriptor* fd = nullptr;         // owned by the plan's format
+  const FieldDescriptor* length_fd = nullptr;  // repeated shapes: the count field
+  std::shared_ptr<const MessagePlan> sub;      // kMessage / kMessages
+};
+
+struct MessagePlan {
+  FormatPtr fmt;                     // keeps every FieldPlan::fd alive
+  std::vector<FieldPlan> fields;     // declaration order, which is encode order
+  std::vector<std::pair<uint32_t, uint32_t>> by_number;  // (number, index), sorted
+  bool has_defaults = false;         // some field here or in a nested struct has one
+
+  /// The field numbered `number`, or null. `next` is the index after the
+  /// last field found: encoders emit fields in declaration order, so it is
+  /// the usual answer and saves the search.
+  const FieldPlan* find(uint32_t number, size_t& next) const {
+    if (next < fields.size() && fields[next].number == number) return &fields[next++];
+    auto it = std::lower_bound(by_number.begin(), by_number.end(), number,
+                               [](const auto& e, uint32_t n) { return e.first < n; });
+    if (it == by_number.end() || it->first != number) return nullptr;
+    next = it->second + 1;
+    return &fields[it->second];
   }
 
-  static std::shared_ptr<const MessageTable> build(const FormatPtr& fmt);
+  static std::shared_ptr<const MessagePlan> build(const FormatPtr& fmt);
 };
 
 }  // namespace detail
 
-using detail::MessageTable;
+using detail::FieldPlan;
+using detail::MessagePlan;
+using detail::ScalarEnc;
+using detail::Shape;
 
 namespace {
 
-/// Synthesized descriptor for one element of a scalar/string array: same
-/// kind/size as the elements, offset 0 (callers pass the slot base).
-FieldDescriptor element_descriptor(const FieldDescriptor& array_fd) {
-  FieldDescriptor efd;
-  efd.name = array_fd.name + "[]";
-  efd.kind = array_fd.element_kind;
-  efd.size = array_fd.element_kind == FieldKind::kString ? 8 : array_fd.element_size;
-  efd.offset = 0;
-  return efd;
+void compile_scalar(FieldPlan& f, FieldKind kind, uint32_t size, uint32_t pb_flags) {
+  f.size = static_cast<uint8_t>(size);
+  f.is_signed = kind == FieldKind::kInt || kind == FieldKind::kEnum;
+  if (kind == FieldKind::kFloat) {
+    f.enc = size == 8 ? ScalarEnc::kDouble : ScalarEnc::kFloat;
+  } else if ((pb_flags & pbio::kPbFixed) != 0) {
+    f.enc = size == 8 ? ScalarEnc::kFixed64 : ScalarEnc::kFixed32;
+  } else if ((pb_flags & pbio::kPbZigzag) != 0) {
+    f.enc = ScalarEnc::kZigzag;
+  } else {
+    f.enc = ScalarEnc::kVarint;
+  }
+  switch (f.enc) {
+    case ScalarEnc::kVarint:
+    case ScalarEnc::kZigzag:
+      f.wt = WireType::kVarint;
+      break;
+    case ScalarEnc::kFixed32:
+    case ScalarEnc::kFloat:
+      f.wt = WireType::kFixed32;
+      break;
+    case ScalarEnc::kFixed64:
+    case ScalarEnc::kDouble:
+      f.wt = WireType::kFixed64;
+      break;
+  }
+}
+
+/// True when a packed run of `f`'s elements is byte-identical to the
+/// array's memory: a little-endian host, elements packed without padding,
+/// and a kind whose wire bytes are its memory bytes. float stays element by
+/// element: its float -> double -> float conversion quiets a signalling
+/// NaN, and the bulk copy would not.
+bool run_is_copy(const FieldPlan& f) {
+  if constexpr (std::endian::native != std::endian::little) return false;
+  if (f.stride != f.size) return false;
+  return f.enc == ScalarEnc::kDouble || f.enc == ScalarEnc::kFixed64 ||
+         (f.enc == ScalarEnc::kFixed32 && f.size == 4);
 }
 
 }  // namespace
 
-std::shared_ptr<const MessageTable> MessageTable::build(const FormatPtr& fmt) {
-  auto t = std::make_shared<MessageTable>();
-  t->fmt = fmt;
+std::shared_ptr<const MessagePlan> MessagePlan::build(const FormatPtr& fmt) {
+  auto p = std::make_shared<MessagePlan>();
+  p->fmt = fmt;
   for (const auto& fd : fmt->fields()) {
     if (fd.pb_field == 0) continue;  // implied length fields
-    Entry e;
-    e.number = fd.pb_number();
-    e.fd = &fd;
-    if (fd.kind == FieldKind::kDynArray) {
-      e.length_fd = fmt->find_field(fd.length_field);
-      if (fd.element_format) {
-        e.sub = build(fd.element_format);
-      } else {
-        e.elem = element_descriptor(fd);
-      }
-    } else if (fd.kind == FieldKind::kStruct) {
-      e.sub = build(fd.element_format);
+    FieldPlan f;
+    f.number = fd.pb_number();
+    f.offset = fd.offset;
+    f.fd = &fd;
+    WireType tag_wt = WireType::kLengthDelimited;
+    switch (fd.kind) {
+      case FieldKind::kString:
+        f.shape = Shape::kString;
+        break;
+      case FieldKind::kStruct:
+        f.shape = Shape::kMessage;
+        f.sub = build(fd.element_format);
+        p->has_defaults |= f.sub->has_defaults;
+        break;
+      case FieldKind::kDynArray:
+        f.length_fd = fmt->find_field(fd.length_field);
+        f.stride = fd.element_stride();
+        if (fd.element_format) {
+          f.shape = Shape::kMessages;
+          f.sub = build(fd.element_format);
+        } else if (fd.element_kind == FieldKind::kString) {
+          f.shape = Shape::kStrings;
+        } else {
+          f.shape = Shape::kScalars;
+          compile_scalar(f, fd.element_kind, fd.element_size, fd.pb_field);
+          f.copy_run = run_is_copy(f);
+        }
+        break;
+      default:
+        f.shape = Shape::kScalar;
+        compile_scalar(f, fd.kind, fd.size, fd.pb_field);
+        tag_wt = f.wt;
+        break;
     }
-    t->entries.push_back(std::move(e));
+    uint64_t tag = (static_cast<uint64_t>(f.number) << 3) | static_cast<uint64_t>(tag_wt);
+    f.tag_len = static_cast<uint8_t>(write_varint(f.tag, tag) - f.tag);
+    p->has_defaults |= fd.default_int || fd.default_float || fd.default_string;
+    p->fields.push_back(std::move(f));
   }
-  std::sort(t->entries.begin(), t->entries.end(),
-            [](const Entry& a, const Entry& b) { return a.number < b.number; });
-  return t;
+  for (uint32_t i = 0; i < p->fields.size(); ++i) p->by_number.emplace_back(p->fields[i].number, i);
+  std::sort(p->by_number.begin(), p->by_number.end());
+  return p;
 }
 
 // ---------------------------------------------------------------------------
-// Shared scalar helpers
+// Scalars in memory
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Wire type a scalar (kind, size, pb flags) uses on the wire.
-WireType scalar_wire_type(FieldKind kind, uint32_t size, uint32_t pb_flags) {
-  if (kind == FieldKind::kFloat || (pb_flags & pbio::kPbFixed) != 0) {
-    return size == 8 ? WireType::kFixed64 : WireType::kFixed32;
-  }
-  return WireType::kVarint;
+/// A 4-byte float at offset 0. Floats pass through pbio's double-typed
+/// accessors, so their bits (a quieted signalling NaN included) are what
+/// every other PBIO path produces.
+const FieldDescriptor& float_at_zero() {
+  static const FieldDescriptor fd = [] {
+    FieldDescriptor d;
+    d.kind = FieldKind::kFloat;
+    d.size = 4;
+    return d;
+  }();
+  return fd;
 }
 
-/// Decode one scalar wire value into `target` at efd's offset. `pb_flags`
-/// carries the zigzag/fixed bits (for array elements they live on the
-/// array's descriptor, so they are passed separately).
-void decode_scalar_value(PbReader& in, WireType wt, const FieldDescriptor& efd,
-                         uint32_t pb_flags, void* target) {
-  WireType expected = scalar_wire_type(efd.kind, efd.size, pb_flags);
-  if (wt != expected) {
-    throw DecodeError("wire type mismatch on field '" + efd.name + "'");
-  }
-  if (efd.kind == FieldKind::kFloat) {
-    if (efd.size == 4) {
-      pbio::write_scalar_f64(target, efd, std::bit_cast<float>(in.fixed32()));
-    } else {
-      pbio::write_scalar_f64(target, efd, std::bit_cast<double>(in.fixed64()));
+int64_t load_int(const uint8_t* p, const FieldPlan& f) {
+  switch (f.size) {
+    case 1:
+      return f.is_signed ? static_cast<int8_t>(p[0]) : static_cast<int64_t>(p[0]);
+    case 2: {
+      uint16_t v;
+      std::memcpy(&v, p, 2);
+      return f.is_signed ? static_cast<int16_t>(v) : static_cast<int64_t>(v);
     }
-    return;
-  }
-  int64_t v;
-  switch (expected) {
-    case WireType::kVarint: {
-      uint64_t raw = in.varint();
-      v = (pb_flags & pbio::kPbZigzag) != 0 ? zigzag_decode(raw) : static_cast<int64_t>(raw);
-      break;
+    case 4: {
+      uint32_t v;
+      std::memcpy(&v, p, 4);
+      return f.is_signed ? static_cast<int32_t>(v) : static_cast<int64_t>(v);
     }
-    case WireType::kFixed32: {
-      uint32_t raw = in.fixed32();
-      v = efd.kind == FieldKind::kInt ? static_cast<int64_t>(static_cast<int32_t>(raw))
-                                      : static_cast<int64_t>(raw);
-      break;
-    }
-    default: {  // kFixed64
-      v = static_cast<int64_t>(in.fixed64());
-      break;
+    default: {
+      int64_t v;
+      std::memcpy(&v, p, 8);
+      return v;
     }
   }
-  pbio::write_scalar_i64(target, efd, v);
 }
 
-/// Encode one scalar value from `source` at efd's offset (payload only).
-void encode_scalar_payload(const void* source, const FieldDescriptor& efd, uint32_t pb_flags,
-                           ByteBuffer& out) {
-  if (efd.kind == FieldKind::kFloat) {
-    double f = pbio::read_scalar_f64(source, efd);
-    if (efd.size == 4) {
-      put_fixed32(out, std::bit_cast<uint32_t>(static_cast<float>(f)));
-    } else {
-      put_fixed64(out, std::bit_cast<uint64_t>(f));
+void store_int(uint8_t* p, uint8_t size, uint64_t v) {
+  switch (size) {
+    case 1:
+      p[0] = static_cast<uint8_t>(v);
+      break;
+    case 2: {
+      auto n = static_cast<uint16_t>(v);
+      std::memcpy(p, &n, 2);
+      break;
     }
-    return;
-  }
-  int64_t v = pbio::read_scalar_i64(source, efd);
-  if ((pb_flags & pbio::kPbFixed) != 0) {
-    if (efd.size == 8) {
-      put_fixed64(out, static_cast<uint64_t>(v));
-    } else {
-      put_fixed32(out, static_cast<uint32_t>(v));
+    case 4: {
+      auto n = static_cast<uint32_t>(v);
+      std::memcpy(p, &n, 4);
+      break;
     }
-    return;
+    default:
+      std::memcpy(p, &v, 8);
+      break;
   }
-  put_varint(out, (pb_flags & pbio::kPbZigzag) != 0 ? zigzag_encode(v)
-                                                    : static_cast<uint64_t>(v));
-}
-
-std::string_view ld_view(const PbReader& sub) {
-  return {reinterpret_cast<const char*>(sub.cursor()), sub.remaining()};
 }
 
 // ---------------------------------------------------------------------------
@@ -213,20 +284,123 @@ struct DecodeBudget {
   }
 };
 
-void decode_message_impl(PbReader& in, const MessageTable& table, void* record,
-                         RecordArena& arena, DecodeBudget& budget, int depth);
+/// Decode one scalar of wire type f.wt (already checked) into `dst`.
+void read_scalar(PbReader& in, const FieldPlan& f, uint8_t* dst) {
+  switch (f.enc) {
+    case ScalarEnc::kVarint:
+      store_int(dst, f.size, in.varint());
+      break;
+    case ScalarEnc::kZigzag:
+      store_int(dst, f.size, static_cast<uint64_t>(zigzag_decode(in.varint())));
+      break;
+    case ScalarEnc::kFixed32:
+      store_int(dst, f.size, in.fixed32());
+      break;
+    case ScalarEnc::kFixed64:
+      store_int(dst, 8, in.fixed64());
+      break;
+    case ScalarEnc::kFloat:
+      pbio::write_scalar_f64(dst, float_at_zero(), std::bit_cast<float>(in.fixed32()));
+      break;
+    case ScalarEnc::kDouble: {
+      uint64_t bits = in.fixed64();
+      std::memcpy(dst, &bits, 8);
+      break;
+    }
+  }
+}
+
+void expect_wire_type(WireType got, WireType want, const char* what, const FieldPlan& f) {
+  if (got != want) {
+    throw DecodeError(std::string("wire type mismatch on ") + what + "'" + f.fd->name + "'");
+  }
+}
+
+/// A length-delimited string payload; PBIO strings are NUL-terminated, so
+/// an embedded NUL is malformed input.
+std::string_view read_string(PbReader& in, const FieldPlan& f) {
+  PbReader sub = in.length_delimited();
+  std::string_view s(reinterpret_cast<const char*>(sub.cursor()), sub.remaining());
+  if (s.find('\0') != std::string_view::npos) {
+    throw DecodeError("embedded NUL in string field '" + f.fd->name + "'");
+  }
+  return s;
+}
+
+void store_string(uint8_t* slot, std::string_view s, RecordArena& arena) {
+  char* copy = arena.copy_string(s);
+  std::memcpy(slot, &copy, sizeof copy);
+}
+
+/// Make room for `n` more elements of a repeated field and bump its count;
+/// returns the first new slot. Growth goes to at least the new count and
+/// at least double the old capacity (so one-at-a-time appends stay
+/// amortized), and is charged to the budget before the arena allocates.
+uint8_t* append_elements(uint8_t* record, const FieldPlan& f, uint64_t n, RecordArena& arena,
+                         DecodeBudget& budget) {
+  auto count = static_cast<uint64_t>(pbio::read_scalar_i64(record, *f.length_fd));
+  uint8_t* slot = record + f.offset;
+  void* elems;
+  std::memcpy(&elems, slot, sizeof elems);
+  uint64_t cap = pbio::dyn_array_capacity(elems);
+  if (count + n > cap) {
+    uint64_t grown = std::max(count + n, pbio::dyn_array_grown_capacity(cap, cap));
+    budget.charge((grown - cap) * f.stride, *f.fd);
+    elems = pbio::reserve_dyn_array(slot, f.stride, grown, arena);
+  }
+  pbio::write_scalar_i64(record, *f.length_fd, static_cast<int64_t>(count + n));
+  return static_cast<uint8_t*>(elems) + count * f.stride;
+}
+
+/// Repeated scalars: packed (one length-delimited run) or unpacked (one
+/// occurrence per element); both are accepted, as required of proto3
+/// decoders. A packed run is measured first and its array grown once.
+void decode_scalars(PbReader& in, WireType wt, const FieldPlan& f, uint8_t* record,
+                    RecordArena& arena, DecodeBudget& budget) {
+  if (wt != WireType::kLengthDelimited) {
+    expect_wire_type(wt, f.wt, "repeated field ", f);
+    read_scalar(in, f, append_elements(record, f, 1, arena, budget));
+    return;
+  }
+  PbReader run = in.length_delimited();
+  const uint8_t* p = run.cursor();
+  const size_t len = run.remaining();
+  uint64_t n;
+  if (f.wt == WireType::kVarint) {
+    // One element per byte without the continuation bit; a run whose last
+    // byte has it set ends inside an element.
+    if (len > 0 && (p[len - 1] & 0x80) != 0) {
+      throw DecodeError("packed field '" + f.fd->name + "' ends inside a varint");
+    }
+    n = static_cast<uint64_t>(std::count_if(p, p + len, [](uint8_t b) { return b < 0x80; }));
+  } else {
+    const size_t width = f.wt == WireType::kFixed32 ? 4 : 8;
+    if (len % width != 0) {
+      throw DecodeError("packed field '" + f.fd->name + "' is not a whole number of elements");
+    }
+    n = len / width;
+  }
+  if (n == 0) return;
+  uint8_t* dst = append_elements(record, f, n, arena, budget);
+  if (f.copy_run) {
+    std::memcpy(dst, p, len);
+    return;
+  }
+  for (uint64_t i = 0; i < n; ++i) read_scalar(run, f, dst + i * f.stride);
+}
 
 /// Fill declared defaults into a fresh (zeroed) record, recursively.
 /// Implied length fields carry no pb number and no defaults, so they stay
 /// zero — repeated-field decode counts up from there. `budget` is null for
 /// the top-level record (its default footprint is fixed per frame) and set
 /// for repeated elements, whose count the wire controls.
-void apply_defaults(void* record, const MessageTable& table, RecordArena& arena,
+void apply_defaults(uint8_t* record, const MessagePlan& plan, RecordArena& arena,
                     DecodeBudget* budget) {
-  for (const auto& e : table.entries) {
-    const FieldDescriptor& fd = *e.fd;
-    if (fd.kind == FieldKind::kStruct) {
-      apply_defaults(static_cast<uint8_t*>(record) + fd.offset, *e.sub, arena, budget);
+  if (!plan.has_defaults) return;
+  for (const FieldPlan& f : plan.fields) {
+    const FieldDescriptor& fd = *f.fd;
+    if (f.shape == Shape::kMessage) {
+      apply_defaults(record + f.offset, *f.sub, arena, budget);
       continue;
     }
     if (fd.default_int) pbio::write_scalar_i64(record, fd, *fd.default_int);
@@ -238,116 +412,57 @@ void apply_defaults(void* record, const MessageTable& table, RecordArena& arena,
   }
 }
 
-/// Append one element slot to a dynamic array; returns the slot pointer
-/// and bumps the length field. Growth is charged against the budget before
-/// the allocation happens.
-void* append_element(void* record, const MessageTable::Entry& e, RecordArena& arena,
-                     DecodeBudget& budget) {
-  const FieldDescriptor& fd = *e.fd;
-  auto count = static_cast<uint64_t>(pbio::read_scalar_i64(record, *e.length_fd));
-  uint64_t cap = pbio::dyn_array_capacity(pbio::read_pointer(record, fd));
-  uint64_t grown = pbio::dyn_array_grown_capacity(cap, count);
-  if (grown != cap) budget.charge((grown - cap) * fd.element_stride(), fd);
-  void* base = pbio::grow_dyn_array(record, fd, arena, count);
-  pbio::write_scalar_i64(record, *e.length_fd, static_cast<int64_t>(count + 1));
-  return static_cast<uint8_t*>(base) + count * fd.element_stride();
-}
-
-void decode_repeated(PbReader& in, WireType wt, const MessageTable::Entry& e, void* record,
-                     RecordArena& arena, DecodeBudget& budget, int depth) {
-  const FieldDescriptor& fd = *e.fd;
-  if (fd.element_format) {
-    // Repeated message: one length-delimited occurrence per element.
-    if (wt != WireType::kLengthDelimited) {
-      throw DecodeError("wire type mismatch on repeated message '" + fd.name + "'");
-    }
-    PbReader sub = in.length_delimited();
-    void* elem = append_element(record, e, arena, budget);
-    std::memset(elem, 0, fd.element_stride());
-    apply_defaults(elem, *e.sub, arena, &budget);
-    decode_message_impl(sub, *e.sub, elem, arena, budget, depth + 1);
-    return;
-  }
-  if (fd.element_kind == FieldKind::kString) {
-    // Repeated string: one occurrence per element, never packed.
-    if (wt != WireType::kLengthDelimited) {
-      throw DecodeError("wire type mismatch on repeated string '" + fd.name + "'");
-    }
-    PbReader sub = in.length_delimited();
-    std::string_view s = ld_view(sub);
-    if (s.find('\0') != std::string_view::npos) {
-      throw DecodeError("embedded NUL in string field '" + fd.name + "'");
-    }
-    void* elem = append_element(record, e, arena, budget);
-    pbio::write_string_field(elem, e.elem, s, arena);
-    return;
-  }
-  // Repeated scalar: packed (one length-delimited run) or unpacked (one
-  // occurrence per element); both are accepted, as required of proto3
-  // decoders.
-  WireType elem_wt = scalar_wire_type(e.elem.kind, e.elem.size, fd.pb_field);
-  if (wt == WireType::kLengthDelimited) {
-    PbReader sub = in.length_delimited();
-    while (!sub.at_end()) {
-      void* elem = append_element(record, e, arena, budget);
-      decode_scalar_value(sub, elem_wt, e.elem, fd.pb_field, elem);
-    }
-    return;
-  }
-  if (wt != elem_wt) {
-    throw DecodeError("wire type mismatch on repeated field '" + fd.name + "'");
-  }
-  void* elem = append_element(record, e, arena, budget);
-  decode_scalar_value(in, wt, e.elem, fd.pb_field, elem);
-}
-
-void decode_message_impl(PbReader& in, const MessageTable& table, void* record,
-                         RecordArena& arena, DecodeBudget& budget, int depth) {
+void decode_message(PbReader& in, const MessagePlan& plan, uint8_t* record, RecordArena& arena,
+                    DecodeBudget& budget, int depth) {
   if (depth > static_cast<int>(FormatDescriptor::kMaxNesting)) {
     throw DecodeError("pb message nesting exceeds depth cap");
   }
-  BridgeMetrics& m = bridge_metrics();
+  size_t next = 0;
   while (!in.at_end()) {
     PbReader::Tag tag = in.tag();
-    const MessageTable::Entry* e = table.find(tag.field);
-    if (e == nullptr) {
+    const FieldPlan* f = plan.find(tag.field, next);
+    if (f == nullptr) {
       // Unknown field number: skipped deterministically (never delivered,
       // never retained), counted so operators can see schema drift.
       in.skip(tag.wt);
-      m.unknown_fields.inc();
+      bridge_metrics().unknown_fields.inc();
       continue;
     }
-    const FieldDescriptor& fd = *e->fd;
-    switch (fd.kind) {
-      case FieldKind::kString: {
-        if (tag.wt != WireType::kLengthDelimited) {
-          throw DecodeError("wire type mismatch on field '" + fd.name + "'");
-        }
-        PbReader sub = in.length_delimited();
-        std::string_view s = ld_view(sub);
-        if (s.find('\0') != std::string_view::npos) {
-          throw DecodeError("embedded NUL in string field '" + fd.name + "'");
-        }
-        pbio::write_string_field(record, fd, s, arena);
+    switch (f->shape) {
+      case Shape::kScalar:
+        expect_wire_type(tag.wt, f->wt, "field ", *f);
+        read_scalar(in, *f, record + f->offset);
         break;
-      }
-      case FieldKind::kStruct: {
-        if (tag.wt != WireType::kLengthDelimited) {
-          throw DecodeError("wire type mismatch on field '" + fd.name + "'");
-        }
+      case Shape::kString:
+        expect_wire_type(tag.wt, WireType::kLengthDelimited, "field ", *f);
+        store_string(record + f->offset, read_string(in, *f), arena);
+        break;
+      case Shape::kMessage: {
+        expect_wire_type(tag.wt, WireType::kLengthDelimited, "field ", *f);
         PbReader sub = in.length_delimited();
         // Proto merge semantics degrade to last-one-wins per leaf: a second
         // occurrence decodes into the same struct without re-zeroing.
-        decode_message_impl(sub, *e->sub, static_cast<uint8_t*>(record) + fd.offset, arena,
-                            budget, depth + 1);
+        decode_message(sub, *f->sub, record + f->offset, arena, budget, depth + 1);
         break;
       }
-      case FieldKind::kDynArray: {
-        decode_repeated(in, tag.wt, *e, record, arena, budget, depth);
+      case Shape::kScalars:
+        decode_scalars(in, tag.wt, *f, record, arena, budget);
+        break;
+      case Shape::kStrings: {
+        // Repeated string: one occurrence per element, never packed.
+        expect_wire_type(tag.wt, WireType::kLengthDelimited, "repeated string ", *f);
+        std::string_view s = read_string(in, *f);
+        store_string(append_elements(record, *f, 1, arena, budget), s, arena);
         break;
       }
-      default: {
-        decode_scalar_value(in, tag.wt, fd, fd.pb_field, record);
+      case Shape::kMessages: {
+        // Repeated message: one length-delimited occurrence per element.
+        expect_wire_type(tag.wt, WireType::kLengthDelimited, "repeated message ", *f);
+        PbReader sub = in.length_delimited();
+        uint8_t* elem = append_elements(record, *f, 1, arena, budget);
+        std::memset(elem, 0, f->stride);
+        apply_defaults(elem, *f->sub, arena, &budget);
+        decode_message(sub, *f->sub, elem, arena, budget, depth + 1);
         break;
       }
     }
@@ -355,99 +470,230 @@ void decode_message_impl(PbReader& in, const MessageTable& table, void* record,
 }
 
 // ---------------------------------------------------------------------------
-// Encode
+// Encode: a size pass, then one write into space reserved up front
 // ---------------------------------------------------------------------------
 
-void encode_message_impl(const void* record, const FormatDescriptor& fmt, ByteBuffer& out,
-                         int depth);
-
-void encode_repeated(const void* record, const FormatDescriptor& fmt,
-                     const FieldDescriptor& fd, ByteBuffer& out, int depth) {
-  const FieldDescriptor* length_fd = fmt.find_field(fd.length_field);
-  auto count = static_cast<uint64_t>(pbio::read_scalar_i64(record, *length_fd));
-  if (count == 0) return;  // proto3: empty repeated field omitted
-  const auto* base = static_cast<const uint8_t*>(pbio::read_pointer(record, fd));
-  if (base == nullptr) {
-    throw FormatError("dynamic array '" + fd.name + "' is null but count is " +
-                      std::to_string(count));
-  }
-  uint32_t number = fd.pb_number();
-  uint32_t stride = fd.element_stride();
-  if (fd.element_format) {
-    // Every element is emitted, empty payloads included: the occurrence
-    // count is the element count on the wire.
-    for (uint64_t i = 0; i < count; ++i) {
-      ByteBuffer scratch;
-      encode_message_impl(base + i * stride, *fd.element_format, scratch, depth + 1);
-      put_tag(out, number, WireType::kLengthDelimited);
-      put_varint(out, scratch.size());
-      out.append(scratch.data(), scratch.size());
+/// Proto3 omits zero scalars; for floats that is ±0.0.
+bool is_zero(const uint8_t* p, const FieldPlan& f) {
+  switch (f.enc) {
+    case ScalarEnc::kFloat:
+      return pbio::read_scalar_f64(p, float_at_zero()) == 0.0;
+    case ScalarEnc::kDouble: {
+      double d;
+      std::memcpy(&d, p, 8);
+      return d == 0.0;
     }
-    return;
+    default:
+      return load_int(p, f) == 0;
   }
-  FieldDescriptor efd = element_descriptor(fd);
-  if (fd.element_kind == FieldKind::kString) {
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string_view s = pbio::read_string_field(base + i * stride, efd);
-      put_tag(out, number, WireType::kLengthDelimited);
-      put_varint(out, s.size());
-      out.append(s.data(), s.size());
-    }
-    return;
-  }
-  // Packed scalars: one length-delimited run holding every element.
-  ByteBuffer scratch;
-  for (uint64_t i = 0; i < count; ++i) {
-    encode_scalar_payload(base + i * stride, efd, fd.pb_field, scratch);
-  }
-  put_tag(out, number, WireType::kLengthDelimited);
-  put_varint(out, scratch.size());
-  out.append(scratch.data(), scratch.size());
 }
 
-void encode_message_impl(const void* record, const FormatDescriptor& fmt, ByteBuffer& out,
-                         int depth) {
+/// The scalar at `p` as it goes on the wire: the (zigzagged) varint value,
+/// or the fixed-width bits.
+uint64_t wire_value(const uint8_t* p, const FieldPlan& f) {
+  switch (f.enc) {
+    case ScalarEnc::kVarint:
+      return static_cast<uint64_t>(load_int(p, f));
+    case ScalarEnc::kZigzag:
+      return zigzag_encode(load_int(p, f));
+    case ScalarEnc::kFixed32:
+      return static_cast<uint32_t>(load_int(p, f));
+    case ScalarEnc::kFixed64:
+      return static_cast<uint64_t>(load_int(p, f));
+    case ScalarEnc::kFloat:
+      return std::bit_cast<uint32_t>(
+          static_cast<float>(pbio::read_scalar_f64(p, float_at_zero())));
+    case ScalarEnc::kDouble: {
+      uint64_t bits;
+      std::memcpy(&bits, p, 8);
+      return bits;
+    }
+  }
+  return 0;
+}
+
+size_t wire_value_size(uint64_t v, const FieldPlan& f) {
+  switch (f.wt) {
+    case WireType::kVarint:
+      return varint_size(v);
+    case WireType::kFixed32:
+      return 4;
+    default:
+      return 8;
+  }
+}
+
+uint8_t* write_wire_value(uint8_t* out, uint64_t v, const FieldPlan& f) {
+  switch (f.wt) {
+    case WireType::kVarint:
+      return write_varint(out, v);
+    case WireType::kFixed32: {
+      auto n = static_cast<uint32_t>(v);
+      std::memcpy(out, &n, 4);
+      return out + 4;
+    }
+    default:
+      std::memcpy(out, &v, 8);
+      return out + 8;
+  }
+}
+
+uint8_t* write_tag(uint8_t* out, const FieldPlan& f) {
+  std::memcpy(out, f.tag, f.tag_len);
+  return out + f.tag_len;
+}
+
+std::string_view load_string(const uint8_t* slot) {
+  const char* s;
+  std::memcpy(&s, slot, sizeof s);
+  return s == nullptr ? std::string_view{} : std::string_view(s);
+}
+
+struct Elements {
+  const uint8_t* base = nullptr;
+  uint64_t count = 0;
+};
+
+Elements elements_of(const uint8_t* record, const FieldPlan& f) {
+  Elements e;
+  e.count = static_cast<uint64_t>(pbio::read_scalar_i64(record, *f.length_fd));
+  if (e.count == 0) return e;  // proto3: empty repeated field omitted
+  std::memcpy(&e.base, record + f.offset, sizeof e.base);
+  if (e.base == nullptr) {
+    throw FormatError("dynamic array '" + f.fd->name + "' is null but count is " +
+                      std::to_string(e.count));
+  }
+  return e;
+}
+
+/// Payload bytes of the packed run holding `e`.
+size_t packed_size(const Elements& e, const FieldPlan& f) {
+  if (f.wt != WireType::kVarint) return e.count * (f.wt == WireType::kFixed32 ? 4 : 8);
+  size_t n = 0;
+  for (uint64_t i = 0; i < e.count; ++i) n += varint_size(wire_value(e.base + i * f.stride, f));
+  return n;
+}
+
+/// Bytes of one length-delimited occurrence with a `len`-byte payload.
+size_t delimited_size(const FieldPlan& f, size_t len) {
+  return f.tag_len + varint_size(len) + len;
+}
+
+size_t message_size(const uint8_t* record, const MessagePlan& plan, int depth) {
   if (depth > static_cast<int>(FormatDescriptor::kMaxNesting)) {
     throw FormatError("pb message nesting exceeds depth cap");
   }
-  for (const auto& fd : fmt.fields()) {
-    if (fd.pb_field == 0) continue;  // implied length fields
-    uint32_t number = fd.pb_number();
-    switch (fd.kind) {
-      case FieldKind::kString: {
-        std::string_view s = pbio::read_string_field(record, fd);
-        if (s.empty()) break;  // proto3: empty string omitted
-        put_tag(out, number, WireType::kLengthDelimited);
-        put_varint(out, s.size());
-        out.append(s.data(), s.size());
+  size_t n = 0;
+  for (const FieldPlan& f : plan.fields) {
+    const uint8_t* at = record + f.offset;
+    switch (f.shape) {
+      case Shape::kScalar:
+        if (!is_zero(at, f)) n += f.tag_len + wire_value_size(wire_value(at, f), f);
+        break;
+      case Shape::kString: {
+        size_t len = load_string(at).size();
+        if (len != 0) n += delimited_size(f, len);  // proto3: empty string omitted
         break;
       }
-      case FieldKind::kStruct: {
-        ByteBuffer scratch;
-        encode_message_impl(static_cast<const uint8_t*>(record) + fd.offset,
-                            *fd.element_format, scratch, depth + 1);
-        if (scratch.empty()) break;  // proto3: all-default submessage omitted
-        put_tag(out, number, WireType::kLengthDelimited);
-        put_varint(out, scratch.size());
-        out.append(scratch.data(), scratch.size());
+      case Shape::kMessage: {
+        size_t len = message_size(at, *f.sub, depth + 1);
+        if (len != 0) n += delimited_size(f, len);  // proto3: all-default submessage omitted
         break;
       }
-      case FieldKind::kDynArray: {
-        encode_repeated(record, fmt, fd, out, depth);
+      case Shape::kScalars: {
+        Elements e = elements_of(record, f);
+        if (e.count != 0) n += delimited_size(f, packed_size(e, f));
         break;
       }
-      default: {
-        if (fd.kind == FieldKind::kFloat) {
-          if (pbio::read_scalar_f64(record, fd) == 0.0) break;  // proto3 zero omitted
-        } else {
-          if (pbio::read_scalar_i64(record, fd) == 0) break;
+      case Shape::kStrings: {
+        Elements e = elements_of(record, f);
+        for (uint64_t i = 0; i < e.count; ++i) {
+          n += delimited_size(f, load_string(e.base + i * f.stride).size());
         }
-        put_tag(out, number, scalar_wire_type(fd.kind, fd.size, fd.pb_field));
-        encode_scalar_payload(record, fd, fd.pb_field, out);
+        break;
+      }
+      case Shape::kMessages: {
+        // Every element is emitted, empty payloads included: the occurrence
+        // count is the element count on the wire.
+        Elements e = elements_of(record, f);
+        for (uint64_t i = 0; i < e.count; ++i) {
+          n += delimited_size(f, message_size(e.base + i * f.stride, *f.sub, depth + 1));
+        }
         break;
       }
     }
   }
+  return n;
+}
+
+uint8_t* write_delimited(uint8_t* out, const FieldPlan& f, std::string_view bytes) {
+  out = write_varint(write_tag(out, f), bytes.size());
+  std::memcpy(out, bytes.data(), bytes.size());
+  return out + bytes.size();
+}
+
+/// Write what message_size() measured; nested lengths are measured again,
+/// which costs one extra size pass per nesting level.
+uint8_t* write_message(const uint8_t* record, const MessagePlan& plan, uint8_t* out, int depth) {
+  for (const FieldPlan& f : plan.fields) {
+    const uint8_t* at = record + f.offset;
+    switch (f.shape) {
+      case Shape::kScalar:
+        if (!is_zero(at, f)) out = write_wire_value(write_tag(out, f), wire_value(at, f), f);
+        break;
+      case Shape::kString: {
+        std::string_view s = load_string(at);
+        if (!s.empty()) out = write_delimited(out, f, s);
+        break;
+      }
+      case Shape::kMessage: {
+        size_t len = message_size(at, *f.sub, depth + 1);
+        if (len == 0) break;
+        out = write_varint(write_tag(out, f), len);
+        out = write_message(at, *f.sub, out, depth + 1);
+        break;
+      }
+      case Shape::kScalars: {
+        Elements e = elements_of(record, f);
+        if (e.count == 0) break;
+        out = write_varint(write_tag(out, f), packed_size(e, f));
+        if (f.copy_run) {
+          std::memcpy(out, e.base, e.count * f.size);
+          out += e.count * f.size;
+          break;
+        }
+        for (uint64_t i = 0; i < e.count; ++i) {
+          out = write_wire_value(out, wire_value(e.base + i * f.stride, f), f);
+        }
+        break;
+      }
+      case Shape::kStrings: {
+        Elements e = elements_of(record, f);
+        for (uint64_t i = 0; i < e.count; ++i) {
+          out = write_delimited(out, f, load_string(e.base + i * f.stride));
+        }
+        break;
+      }
+      case Shape::kMessages: {
+        Elements e = elements_of(record, f);
+        for (uint64_t i = 0; i < e.count; ++i) {
+          const uint8_t* elem = e.base + i * f.stride;
+          out = write_varint(write_tag(out, f), message_size(elem, *f.sub, depth + 1));
+          out = write_message(elem, *f.sub, out, depth + 1);
+        }
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::shared_ptr<const MessagePlan> compile(const FormatPtr& fmt) {
+  std::string why;
+  if (!pbuf_encodable(*fmt, &why)) {
+    throw FormatError("format '" + fmt->name() + "' has no protobuf mapping: " + why);
+  }
+  return MessagePlan::build(fmt);
 }
 
 }  // namespace
@@ -456,23 +702,17 @@ void encode_message_impl(const void* record, const FormatDescriptor& fmt, ByteBu
 // Plans
 // ---------------------------------------------------------------------------
 
-DecodePlan::DecodePlan(FormatPtr fmt) : fmt_(std::move(fmt)) {
-  std::string why;
-  if (!pbuf_encodable(*fmt_, &why)) {
-    throw FormatError("format '" + fmt_->name() + "' has no protobuf mapping: " + why);
-  }
-  table_ = MessageTable::build(fmt_);
-}
+DecodePlan::DecodePlan(FormatPtr fmt) : fmt_(std::move(fmt)), plan_(compile(fmt_)) {}
 
 void* DecodePlan::decode(const void* data, size_t size, RecordArena& arena) const {
   BridgeMetrics& m = bridge_metrics();
   m.frames_in.inc();
   try {
-    void* record = pbio::alloc_record(*fmt_, arena);
-    apply_defaults(record, *table_, arena, nullptr);
+    auto* record = static_cast<uint8_t*>(pbio::alloc_record(*fmt_, arena));
+    apply_defaults(record, *plan_, arena, nullptr);
     PbReader in(data, size);
     DecodeBudget budget(size);
-    decode_message_impl(in, *table_, record, arena, budget, 0);
+    decode_message(in, *plan_, record, arena, budget, 0);
     m.decoded.inc();
     m.decode_bytes.record(size);
     return record;
@@ -484,17 +724,14 @@ void* DecodePlan::decode(const void* data, size_t size, RecordArena& arena) cons
   }
 }
 
-EncodePlan::EncodePlan(FormatPtr fmt) : fmt_(std::move(fmt)) {
-  std::string why;
-  if (!pbuf_encodable(*fmt_, &why)) {
-    throw FormatError("format '" + fmt_->name() + "' has no protobuf mapping: " + why);
-  }
-}
+EncodePlan::EncodePlan(FormatPtr fmt) : fmt_(std::move(fmt)), plan_(compile(fmt_)) {}
 
 size_t EncodePlan::encode(const void* record, ByteBuffer& out) const {
-  size_t before = out.size();
-  encode_message_impl(record, *fmt_, out, 0);
-  size_t n = out.size() - before;
+  const auto* rec = static_cast<const uint8_t*>(record);
+  const size_t n = message_size(rec, *plan_, 0);
+  const size_t at = out.append_zeros(n);
+  [[maybe_unused]] const uint8_t* end = write_message(rec, *plan_, out.data() + at, 0);
+  assert(end == out.data() + at + n);
   BridgeMetrics& m = bridge_metrics();
   m.encoded.inc();
   m.encode_bytes.record(n);

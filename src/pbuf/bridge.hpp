@@ -13,8 +13,13 @@
 // element counts survive). Round trips are value-identical because the
 // decoder zero-fills records before applying field presence.
 //
-// Both plans precompile a field-number dispatch table per message, so the
-// per-frame work is table lookups, not name/number searches.
+// Both plans run one compiled plan per format, built when the plan is
+// constructed: a field table per message holding each field's precomputed
+// tag, offsets, count field and sub-plan. A packed run whose wire bytes are
+// its memory bytes (doubles, and fixed-width ints of the wire's width, on a
+// little-endian host) moves as one memcpy; the encoder measures the message
+// in a size pass, then writes it straight into the caller's buffer, which
+// may already hold a frame header (docs/PBUF.md).
 //
 // Conservation law (checked by tools/morph-stat): every frame handed to
 // DecodePlan::decode bumps morph_pbuf_frames_in_total and then exactly one
@@ -44,7 +49,7 @@
 namespace morph::pbuf {
 
 namespace detail {
-struct MessageTable;
+struct MessagePlan;
 }
 
 /// The process-wide morph_pbuf_* metrics, looked up once (registry
@@ -83,7 +88,7 @@ class DecodePlan {
 
  private:
   pbio::FormatPtr fmt_;
-  std::shared_ptr<const detail::MessageTable> table_;
+  std::shared_ptr<const detail::MessagePlan> plan_;
 };
 
 /// Encode native records of one format as protobuf payloads.
@@ -93,13 +98,14 @@ class EncodePlan {
   explicit EncodePlan(pbio::FormatPtr fmt);
 
   /// Append the protobuf encoding of `record` to `out`; returns the number
-  /// of bytes appended.
+  /// of bytes appended. `out` grows once, by exactly that many bytes.
   size_t encode(const void* record, ByteBuffer& out) const;
 
   const pbio::FormatPtr& format() const { return fmt_; }
 
  private:
   pbio::FormatPtr fmt_;
+  std::shared_ptr<const detail::MessagePlan> plan_;
 };
 
 }  // namespace morph::pbuf

@@ -3,11 +3,8 @@
 namespace morph::pbuf {
 
 void put_varint(ByteBuffer& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.append_u8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.append_u8(static_cast<uint8_t>(v));
+  uint8_t buf[kMaxVarintBytes];
+  out.append(buf, static_cast<size_t>(write_varint(buf, v) - buf));
 }
 
 void put_tag(ByteBuffer& out, uint32_t field_number, WireType wt) {
@@ -18,16 +15,7 @@ void put_tag(ByteBuffer& out, uint32_t field_number, WireType wt) {
 void put_fixed32(ByteBuffer& out, uint32_t v) { out.append_u32(v); }
 void put_fixed64(ByteBuffer& out, uint64_t v) { out.append_u64(v); }
 
-size_t varint_size(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-uint64_t PbReader::varint() {
+uint64_t PbReader::varint_slow() {
   uint64_t v = 0;
   int shift = 0;
   for (size_t i = 0; i < kMaxVarintBytes; ++i) {

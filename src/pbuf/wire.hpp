@@ -9,6 +9,7 @@
 // contain the data. See docs/PBUF.md for the schema subset this backs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -48,7 +49,18 @@ void put_fixed32(ByteBuffer& out, uint32_t v);
 void put_fixed64(ByteBuffer& out, uint64_t v);
 
 /// Serialized size of a varint, for length pre-computation.
-size_t varint_size(uint64_t v);
+inline size_t varint_size(uint64_t v) { return (std::bit_width(v | 1) + 6) / 7; }
+
+/// Write a base-128 varint at `out`, which has room for varint_size(v)
+/// bytes; returns the byte after it.
+inline uint8_t* write_varint(uint8_t* out, uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
 
 /// Bounds-checked protobuf reader over a byte range. Thin wrapper around
 /// the raw bytes (not ByteReader: protobuf scalars are not the fixed-width
@@ -66,7 +78,10 @@ class PbReader {
   /// than 10 bytes (overlong encodings of small values are accepted, as in
   /// every mainstream protobuf decoder, but an 11th continuation byte is
   /// not a varint at all).
-  uint64_t varint();
+  uint64_t varint() {
+    if (pos_ < size_ && data_[pos_] < 0x80) return data_[pos_++];
+    return varint_slow();
+  }
 
   /// Read one tag; returns {field_number, wire_type}. Throws on field
   /// number 0 (reserved), numbers above 2^29-1, and unsupported wire types.
@@ -91,6 +106,8 @@ class PbReader {
   void advance(size_t n);
 
  private:
+  uint64_t varint_slow();
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;

@@ -12,12 +12,25 @@ void write_frame(ByteBuffer& out, FrameType type, const void* payload, size_t si
                  uint64_t trace_id) {
   const size_t header = trace_id != 0 ? 1 + 8 : 1;
   if (size + header > kMaxFrameBytes) throw TransportError("frame too large");
-  out.append_u32(static_cast<uint32_t>(size + header));
+  const size_t at = begin_frame(out, type, trace_id);
+  if (size > 0) out.append(payload, size);
+  end_frame(out, at);
+}
+
+size_t begin_frame(ByteBuffer& out, FrameType type, uint64_t trace_id) {
+  const size_t at = out.size();
+  out.append_u32(0);  // length, set by end_frame
   uint8_t type_byte = static_cast<uint8_t>(type);
   if (trace_id != 0) type_byte |= kFrameTraceBit;
   out.append_u8(type_byte);
   if (trace_id != 0) out.append_u64(trace_id);
-  if (size > 0) out.append(payload, size);
+  return at;
+}
+
+void end_frame(ByteBuffer& out, size_t at) {
+  const size_t length = out.size() - at - 4;
+  if (length > kMaxFrameBytes) throw TransportError("frame too large");
+  out.patch_u32(at, static_cast<uint32_t>(length));
 }
 
 void FrameAssembler::feed(const void* data, size_t size,

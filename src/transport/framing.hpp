@@ -64,6 +64,15 @@ constexpr size_t kMaxFrameBytes = 64u << 20;  // hostile-peer allocation cap
 void write_frame(ByteBuffer& out, FrameType type, const void* payload, size_t size,
                  uint64_t trace_id = 0);
 
+/// Append the header of a frame whose payload the caller then appends to
+/// `out` itself; returns the offset end_frame() takes. Lets an encoder write
+/// its bytes straight into the frame instead of into a buffer copied in.
+size_t begin_frame(ByteBuffer& out, FrameType type, uint64_t trace_id = 0);
+
+/// Set the length of the frame begun at `at` to cover everything appended
+/// since. Throws TransportError if the frame exceeds kMaxFrameBytes.
+void end_frame(ByteBuffer& out, size_t at);
+
 /// Incremental frame decoder: feed raw bytes, pop complete frames.
 ///
 /// Every payload byte is copied once, from the caller's bytes into the

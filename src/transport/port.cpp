@@ -144,11 +144,8 @@ void MessagePort::send_record_pbuf(const pbio::FormatPtr& fmt, const void* recor
     it = pbuf_encoders_.emplace(fmt->fingerprint(), std::make_unique<pbuf::EncodePlan>(fmt))
              .first;
   }
-  ByteBuffer msg;
-  msg.append_u64(fmt->fingerprint());
-  it->second->encode(record, msg);
   ByteBuffer frame;
-  write_frame(frame, FrameType::kPbufData, msg.data(), msg.size(), trace_id);
+  write_pbuf_frame(frame, *it->second, record, trace_id);
   link_.send(frame);
   stats_.inc(C::data_sent);
   stats_.inc(C::pbuf_sent);
@@ -323,13 +320,18 @@ void MessagePort::deliver_pbuf(const Frame& frame) {
   receiver_->process_record(fmt, record, rx_arena_);
 }
 
-SharedPayload make_shared_pbuf_frame(uint64_t fingerprint, const void* msg, size_t size,
+void write_pbuf_frame(ByteBuffer& out, const pbuf::EncodePlan& plan, const void* record,
+                      uint64_t trace_id) {
+  const size_t at = begin_frame(out, FrameType::kPbufData, trace_id);
+  out.append_u64(plan.format()->fingerprint());
+  plan.encode(record, out);
+  end_frame(out, at);
+}
+
+SharedPayload make_shared_pbuf_frame(const pbuf::EncodePlan& plan, const void* record,
                                      uint64_t trace_id) {
-  ByteBuffer payload;
-  payload.append_u64(fingerprint);
-  payload.append(msg, size);
   auto frame = std::make_shared<ByteBuffer>();
-  write_frame(*frame, FrameType::kPbufData, payload.data(), payload.size(), trace_id);
+  write_pbuf_frame(*frame, plan, record, trace_id);
   return frame;
 }
 

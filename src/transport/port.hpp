@@ -140,11 +140,16 @@ class MessagePort {
 /// header, as in send_record.
 SharedPayload make_shared_frame(const void* msg, size_t size, uint64_t trace_id = 0);
 
-/// Build a complete kPbufData frame around an already protobuf-encoded
-/// payload: the fan-out group's shared encode for pbuf-speaking sinks.
-/// `fingerprint` names the format the payload was encoded from (the
-/// receiving port resolves it against its learned registry).
-SharedPayload make_shared_pbuf_frame(uint64_t fingerprint, const void* msg, size_t size,
+/// Append a complete kPbufData frame carrying `record` encoded by `plan`.
+/// The protobuf bytes are written straight into the frame, after the
+/// fingerprint of the plan's format (which the receiving port resolves
+/// against its learned registry).
+void write_pbuf_frame(ByteBuffer& out, const pbuf::EncodePlan& plan, const void* record,
+                      uint64_t trace_id = 0);
+
+/// write_pbuf_frame into a fresh shared frame: the fan-out group's shared
+/// encode for pbuf-speaking sinks.
+SharedPayload make_shared_pbuf_frame(const pbuf::EncodePlan& plan, const void* record,
                                      uint64_t trace_id = 0);
 
 }  // namespace morph::transport

@@ -18,6 +18,7 @@
 #include "pbuf/bridge.hpp"
 #include "pbuf/schema.hpp"
 #include "pbuf/wire.hpp"
+#include "pbuf_records.hpp"
 
 namespace morph::pbuf {
 namespace {
@@ -28,6 +29,7 @@ using pbio::FormatBuilder;
 using pbio::FormatDescriptor;
 using pbio::FormatPtr;
 using pbio::RecordRef;
+using testing::expect_records_equal;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -38,68 +40,6 @@ std::string read_file(const std::string& path) {
 }
 
 std::string corpus(const std::string& name) { return read_file(MORPH_PROTO_DIR "/" + name); }
-
-/// Field-by-field value equality of two records of the same format.
-void expect_records_equal(const FormatDescriptor& fmt, const void* a, const void* b,
-                          const std::string& path = "") {
-  for (const auto& fd : fmt.fields()) {
-    std::string at = path + "." + fd.name;
-    switch (fd.kind) {
-      case FieldKind::kFloat:
-        EXPECT_EQ(pbio::read_scalar_f64(a, fd), pbio::read_scalar_f64(b, fd)) << at;
-        break;
-      case FieldKind::kString:
-        EXPECT_EQ(pbio::read_string_field(a, fd), pbio::read_string_field(b, fd)) << at;
-        break;
-      case FieldKind::kStruct:
-        expect_records_equal(*fd.element_format, static_cast<const uint8_t*>(a) + fd.offset,
-                             static_cast<const uint8_t*>(b) + fd.offset, at);
-        break;
-      case FieldKind::kDynArray: {
-        const auto* lf = fmt.find_field(fd.length_field);
-        ASSERT_NE(lf, nullptr) << at;
-        int64_t ca = pbio::read_scalar_i64(a, *lf);
-        int64_t cb = pbio::read_scalar_i64(b, *lf);
-        ASSERT_EQ(ca, cb) << at << " count";
-        const auto* ea = static_cast<const uint8_t*>(pbio::read_pointer(a, fd));
-        const auto* eb = static_cast<const uint8_t*>(pbio::read_pointer(b, fd));
-        uint32_t stride = fd.element_stride();
-        for (int64_t i = 0; i < ca; ++i) {
-          std::string el = at + "[" + std::to_string(i) + "]";
-          if (fd.element_format) {
-            expect_records_equal(*fd.element_format, ea + i * stride, eb + i * stride, el);
-          } else if (fd.element_kind == FieldKind::kString) {
-            FieldDescriptor efd;
-            efd.kind = FieldKind::kString;
-            efd.size = 8;
-            efd.offset = 0;
-            EXPECT_EQ(pbio::read_string_field(ea + i * stride, efd),
-                      pbio::read_string_field(eb + i * stride, efd))
-                << el;
-          } else {
-            FieldDescriptor efd;
-            efd.kind = fd.element_kind;
-            efd.size = fd.element_size;
-            efd.offset = 0;
-            if (fd.element_kind == FieldKind::kFloat) {
-              EXPECT_EQ(pbio::read_scalar_f64(ea + i * stride, efd),
-                        pbio::read_scalar_f64(eb + i * stride, efd))
-                  << el;
-            } else {
-              EXPECT_EQ(pbio::read_scalar_i64(ea + i * stride, efd),
-                        pbio::read_scalar_i64(eb + i * stride, efd))
-                  << el;
-            }
-          }
-        }
-        break;
-      }
-      default:
-        EXPECT_EQ(pbio::read_scalar_i64(a, fd), pbio::read_scalar_i64(b, fd)) << at;
-        break;
-    }
-  }
-}
 
 /// Encode -> decode -> compare, returning the re-decoded record.
 void* round_trip(const FormatPtr& fmt, const void* record, RecordArena& arena) {

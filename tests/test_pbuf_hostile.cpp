@@ -7,6 +7,7 @@
 // Rng, parsed + rejected == N accounting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -273,6 +274,180 @@ TEST(PbufFuzz, EmbeddedNulInStringRejected) {
   put_varint(wire, 3);
   wire.append("a\0b", 3);
   EXPECT_THROW(dec.decode(wire.data(), wire.size(), arena), DecodeError);
+}
+
+// ---------------------------------------------------------------------------
+// Packed runs: the decoder measures a run, grows its array once, and copies
+// byte-identical runs (doubles, fixed ints of the wire's width) in one go.
+// ---------------------------------------------------------------------------
+
+FormatPtr packed_format() {
+  return parse_proto_message(
+      "message Packed { repeated double px = 1; repeated sfixed32 ids = 2;\n"
+      "                 repeated int32 xs = 3; repeated float fs = 4; }\n",
+      "Packed");
+}
+
+/// Append a length-delimited occurrence of field `number` holding `bytes`.
+void put_run(ByteBuffer& wire, uint32_t number, const void* bytes, size_t size) {
+  put_tag(wire, number, WireType::kLengthDelimited);
+  put_varint(wire, size);
+  wire.append(bytes, size);
+}
+
+/// Decode `wire` expecting a DecodeError that is counted as one rejection.
+void expect_rejected(const DecodePlan& dec, const ByteBuffer& wire, RecordArena& arena) {
+  BridgeMetrics& m = bridge_metrics();
+  uint64_t rejected0 = m.rejected.value();
+  EXPECT_THROW(dec.decode(wire.data(), wire.size(), arena), DecodeError);
+  EXPECT_EQ(m.rejected.value(), rejected0 + 1);
+  EXPECT_EQ(m.frames_in.value(), m.decoded.value() + m.rejected.value());
+}
+
+TEST(PbufBulk, RunNotAWholeNumberOfElementsRejected) {
+  DecodePlan dec(packed_format());
+  RecordArena arena;
+  const uint8_t bytes[12] = {};
+  for (uint32_t number : {1u, 2u}) {  // 12 bytes: 1.5 doubles; 6 bytes: 1.5 sfixed32
+    ByteBuffer wire;
+    put_run(wire, number, bytes, number == 1 ? 12 : 6);
+    expect_rejected(dec, wire, arena);
+  }
+}
+
+TEST(PbufBulk, PackedRunsAndUnpackedOccurrencesAppendInWireOrder) {
+  FormatPtr fmt = packed_format();
+  DecodePlan dec(fmt);
+  ByteBuffer wire;
+  const double a[] = {1.0, 2.0};
+  const double b[] = {4.0, 5.0, 6.0};
+  put_run(wire, 1, a, sizeof a);
+  put_tag(wire, 1, WireType::kFixed64);
+  put_fixed64(wire, std::bit_cast<uint64_t>(3.0));
+  put_run(wire, 1, b, sizeof b);
+  const int32_t ids[] = {-1, 2};
+  put_run(wire, 2, ids, sizeof ids);  // another field between runs of px
+  put_tag(wire, 1, WireType::kFixed64);
+  put_fixed64(wire, std::bit_cast<uint64_t>(7.0));
+  put_run(wire, 1, a, 0);  // an empty run appends nothing
+  put_tag(wire, 2, WireType::kFixed32);
+  put_fixed32(wire, 3);
+  // Enough further single doubles to grow the array past its exact size.
+  for (int i = 8; i <= 20; ++i) {
+    put_tag(wire, 1, WireType::kFixed64);
+    put_fixed64(wire, std::bit_cast<uint64_t>(static_cast<double>(i)));
+  }
+  RecordArena arena;
+  void* rec = dec.decode(wire.data(), wire.size(), arena);
+  RecordRef r(rec, fmt);
+  ASSERT_EQ(r.get_int("px_count"), 20);
+  const auto* px = static_cast<const double*>(pbio::read_pointer(rec, *fmt->find_field("px")));
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(px[i], i + 1.0) << i;
+  ASSERT_EQ(r.get_int("ids_count"), 3);
+  const auto* id = static_cast<const int32_t*>(pbio::read_pointer(rec, *fmt->find_field("ids")));
+  EXPECT_EQ(id[0], -1);
+  EXPECT_EQ(id[1], 2);
+  EXPECT_EQ(id[2], 3);
+}
+
+TEST(PbufBulk, RunOverBudgetRejectedBeforeTheArenaGrows) {
+  // Repeated-message elements spend the frame's whole decode budget
+  // (64 KB + 64 bytes per payload byte, docs/PBUF.md), so the packed run
+  // that follows them is over it. The control frame carries an unknown
+  // field of the same size in place of the run: same budget, same
+  // allocations, and it decodes.
+  constexpr uint64_t kN = 1000;
+  constexpr uint64_t kPayload = 2 + 1 + 2 + 8 * kN;  // empty element, then the run
+  constexpr uint64_t kBudget = 64 * 1024 + 64 * kPayload;
+  constexpr uint32_t kStride = kBudget / 64 * 8;  // 8 elements spend all but < 64 bytes
+  FormatPtr elem = FormatBuilder("Elem", kStride).add_int("x", 4, 0).with_pb_field(1).build();
+  FormatPtr top = FormatBuilder("Top", 32)
+                      .add_uint("items_count", 8, 0)
+                      .add_dyn_array("items", elem, "items_count", 8)
+                      .with_pb_field(1)
+                      .add_uint("px_count", 8, 16)
+                      .add_dyn_array("px", pbio::FieldKind::kFloat, 8, "px_count", 24)
+                      .with_pb_field(2)
+                      .build();
+  DecodePlan dec(top);
+  std::vector<double> px(kN, 1.5);
+  auto frame = [&](uint32_t run_number) {
+    ByteBuffer wire;
+    put_run(wire, 1, nullptr, 0);
+    put_run(wire, run_number, px.data(), px.size() * sizeof(double));
+    EXPECT_EQ(wire.size(), kPayload);
+    return wire;
+  };
+  // One chunk holds the record and the elements; the run would need another.
+  constexpr size_t kChunk = 8 * size_t{kStride} + 4096;
+
+  RecordArena control(kChunk);
+  EXPECT_NO_THROW(dec.decode(frame(3).data(), kPayload, control));
+  EXPECT_EQ(control.bytes_allocated(), kChunk);
+
+  BridgeMetrics& m = bridge_metrics();
+  uint64_t rejected0 = m.rejected.value();
+  RecordArena arena(kChunk);
+  std::string what;
+  try {
+    dec.decode(frame(2).data(), kPayload, arena);
+  } catch (const DecodeError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("'px' exceeds the per-frame decode byte budget"), std::string::npos)
+      << what;
+  EXPECT_EQ(m.rejected.value(), rejected0 + 1);
+  EXPECT_EQ(arena.bytes_allocated(), kChunk);
+}
+
+TEST(PbufBulk, ZeroLengthRunLeavesTheCountUnchanged) {
+  FormatPtr fmt = packed_format();
+  DecodePlan dec(fmt);
+  RecordArena arena;
+  for (uint32_t number : {1u, 2u, 3u, 4u}) {
+    ByteBuffer wire;
+    put_run(wire, number, nullptr, 0);
+    void* rec = dec.decode(wire.data(), wire.size(), arena);
+    const auto& fd = fmt->fields()[2 * (number - 1) + 1];  // count, then array
+    EXPECT_EQ(pbio::read_scalar_i64(rec, *fmt->find_field(fd.length_field)), 0) << fd.name;
+    EXPECT_EQ(pbio::read_pointer(rec, fd), nullptr) << fd.name;
+  }
+  ByteBuffer wire;
+  put_tag(wire, 3, WireType::kVarint);
+  put_varint(wire, 5);
+  put_run(wire, 3, nullptr, 0);
+  void* rec = dec.decode(wire.data(), wire.size(), arena);
+  EXPECT_EQ(RecordRef(rec, fmt).get_int("xs_count"), 1);
+}
+
+TEST(PbufBulk, VarintRunEndingMidVarintRejected) {
+  DecodePlan dec(packed_format());
+  RecordArena arena;
+  const uint8_t run[] = {0x01, 0x96, 0x01, 0x80};  // 1, 150, then a cut varint
+  ByteBuffer wire;
+  put_run(wire, 3, run, sizeof run);
+  expect_rejected(dec, wire, arena);
+}
+
+TEST(PbufBulk, SignallingNanKeepsItsDecodedBits) {
+  // A packed float goes element by element through float -> double ->
+  // float, which quiets a signalling NaN (the bits every PBIO float
+  // accessor produces); a packed double is copied bit for bit.
+  FormatPtr fmt = packed_format();
+  const uint32_t fs[] = {0x7fa00001u, 0xffa00000u, 0x3fc00000u};
+  const uint64_t px[] = {0x7ff4000000000001ull, 0x3ff8000000000000ull};
+  ByteBuffer wire;
+  put_run(wire, 4, fs, sizeof fs);
+  put_run(wire, 1, px, sizeof px);
+  RecordArena arena;
+  void* rec = DecodePlan(fmt).decode(wire.data(), wire.size(), arena);
+  const auto* f = static_cast<const uint32_t*>(pbio::read_pointer(rec, *fmt->find_field("fs")));
+  EXPECT_EQ(f[0], 0x7fe00001u);
+  EXPECT_EQ(f[1], 0xffe00000u);
+  EXPECT_EQ(f[2], 0x3fc00000u);
+  const auto* d = static_cast<const uint64_t*>(pbio::read_pointer(rec, *fmt->find_field("px")));
+  EXPECT_EQ(d[0], 0x7ff4000000000001ull);
+  EXPECT_EQ(d[1], 0x3ff8000000000000ull);
 }
 
 }  // namespace

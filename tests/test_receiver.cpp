@@ -2,6 +2,7 @@
 // handler, and the full ECho v2 -> v1 morphing scenario end to end.
 #include <gtest/gtest.h>
 
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/compat.hpp"
 #include "core/receiver.hpp"
@@ -741,6 +742,45 @@ TEST(ReceiverVerify, EnforcePolicyAdmitsVerifiedTransform) {
   EXPECT_EQ(rx.process(buf.data(), buf.size(), arena), Outcome::kMorphed);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(rx.stats().verify_rejected, 0u);
+}
+
+TEST(ReceiverVerify, VerifierWarningsLogOncePerDecisionBuild) {
+  using namespace verify_policy;
+  // The reader has three fields the transform never assigns: three
+  // uninit-field warnings, which must arrive as one log entry.
+  auto reader = FormatBuilder("Report")
+                    .add_int("sum", 8)
+                    .add_int("a", 4)
+                    .add_int("b", 4)
+                    .add_int("c", 4)
+                    .build();
+  TransformSpec spec = safe_spec();
+  spec.dst = reader;
+  Receiver rx;
+  int delivered = 0;
+  rx.register_handler(reader, [&](const Delivery&) { ++delivered; });
+  rx.learn_format(sender_fmt());
+  rx.learn_transform(spec);
+
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  auto buf = encode_batch(5);
+  RecordArena arena;
+  EXPECT_EQ(rx.process(buf.data(), buf.size(), arena), Outcome::kMorphed);
+  EXPECT_EQ(rx.process(buf.data(), buf.size(), arena), Outcome::kMorphed);  // cached
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  set_log_level(level);
+
+  auto count = [&](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = err.find(needle); at != std::string::npos; at = err.find(needle, at + 1)) ++n;
+    return n;
+  };
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(count("WARN] receiver:"), 1u) << err;
+  EXPECT_EQ(count("passed the static verifier with 3 finding(s):"), 1u) << err;
+  EXPECT_EQ(count("uninit-field"), 3u) << err;
 }
 
 TEST(CompatAnalyzer, ReportsRoutes) {

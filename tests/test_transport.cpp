@@ -17,6 +17,7 @@
 #include "pbio/dynrecord.hpp"
 #include "pbio/randgen.hpp"
 #include "pbio/record.hpp"
+#include "pbuf/schema.hpp"
 #include "transport/framing.hpp"
 #include "transport/link.hpp"
 #include "transport/port.hpp"
@@ -125,6 +126,30 @@ TEST(Framing, TraceIdRoundTrips) {
   EXPECT_EQ(frames[1].payload.size(), 2u);
   EXPECT_EQ(frames[2].trace_id, 7u);
   EXPECT_TRUE(frames[2].payload.empty());
+}
+
+TEST(Framing, PbufFrameEncodedInPlaceMatchesOneBuiltAroundAPayload) {
+  // write_pbuf_frame encodes straight into the frame; the bytes must be
+  // those of a frame wrapped around [fingerprint][protobuf bytes].
+  auto fmt = pbuf::annotate_field_numbers(*echo::channel_open_response_v2_format());
+  Rng rng(5);
+  RecordArena arena;
+  void* rec = pbio::random_record(rng, fmt, arena);
+  pbuf::EncodePlan plan(fmt);
+  for (uint64_t trace_id : {uint64_t{0}, uint64_t{0x0102030405060708}}) {
+    ByteBuffer payload;
+    payload.append_u64(fmt->fingerprint());
+    plan.encode(rec, payload);
+    ByteBuffer want;
+    write_frame(want, FrameType::kPbufData, payload.data(), payload.size(), trace_id);
+
+    ByteBuffer got;
+    got.append("xy", 2);  // frames append after whatever the buffer holds
+    write_pbuf_frame(got, plan, rec, trace_id);
+    ASSERT_EQ(got.size(), want.size() + 2);
+    EXPECT_EQ(std::memcmp(got.data() + 2, want.data(), want.size()), 0);
+    EXPECT_EQ(make_shared_pbuf_frame(plan, rec, trace_id)->vec(), want.vec());
+  }
 }
 
 TEST(Framing, TracedFramesSurviveBytewiseDelivery) {
