@@ -26,7 +26,7 @@ struct MorphSetup {
   pbio::FormatPtr v2 = echo::channel_open_response_v2_format();
   pbio::FormatPtr v1 = echo::channel_open_response_v1_format();
   core::TransformSpec spec = echo::response_v2_to_v1_spec();
-  core::MorphChain chain{{&spec}, ecode::CompileOptions{}, bench_fused()};
+  core::MorphChain chain{{&spec}};
   pbio::Decoder decoder{chain.src_format()};
 };
 
@@ -105,7 +105,7 @@ void chain_row(const std::string& label, const std::vector<core::TransformSpec>&
                size_t payload_bytes) {
   std::vector<const core::TransformSpec*> spec_ptrs;
   for (const auto& s : specs) spec_ptrs.push_back(&s);
-  core::MorphChain chain(spec_ptrs, ecode::CompileOptions{}, bench_fused());
+  core::MorphChain chain(spec_ptrs);
   pbio::DynValue input = make_input(chain.src_format());
   RecordArena in_arena;
   void* src = pbio::from_dyn(input, in_arena);
@@ -125,8 +125,7 @@ void chain_row(const std::string& label, const std::vector<core::TransformSpec>&
 void fusion_table() {
   std::printf("\nFused vs hop-wise morph execution (us per morph), %d-field scalar record\n",
               4);
-  std::printf("(--fused %s; 'fused' column falls back to hop-wise when fusion is off)\n\n",
-              bench_fused() ? "on" : "off");
+  std::printf("('fused' column falls back to hop-wise where fusion bails)\n\n");
   print_header("chain", {"hopwise_us", "fused_us", "hop/fused"});
 
   constexpr int kMaxHops = 4;

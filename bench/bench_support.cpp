@@ -14,7 +14,6 @@
 namespace morph::bench {
 
 namespace {
-bool g_fused = true;
 std::string g_bench_name = "bench";          // argv[0] basename
 std::vector<std::string> g_cols;             // from the last print_header
 }  // namespace
@@ -32,8 +31,6 @@ const std::vector<size_t>& paper_sizes() {
   }();
   return kSizes;
 }
-
-bool bench_fused() { return g_fused; }
 
 void print_header(const char* first, const std::vector<std::string>& cols) {
   g_cols = cols;
@@ -72,8 +69,6 @@ int bench_main(int argc, char** argv, const std::function<void()>& paper_table) 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gbench") == 0) {
       gbench = true;
-    } else if (std::strcmp(argv[i], "--fused") == 0 && i + 1 < argc) {
-      g_fused = std::strcmp(argv[++i], "off") != 0;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {

@@ -91,11 +91,6 @@ void print_header(const char* first, const std::vector<std::string>& cols);
 /// across machines).
 void record_wire_bytes(const char* row, const char* col, size_t bytes);
 
-/// Chain-fusion toggle requested via `--fused on|off` (default on).
-/// Benchmarks with a morph section compile their MorphChains with this so
-/// fused and hop-wise A/B runs come from the same binary.
-bool bench_fused();
-
 /// Standard main: paper table by default, google-benchmark with --gbench.
 int bench_main(int argc, char** argv, const std::function<void()>& paper_table);
 

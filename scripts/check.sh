@@ -89,14 +89,6 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     --gtest_filter='PbufBridge.*RoundTrip*:PbufGolden*:PbufBulk*' >/dev/null
   echo "pbuf round-trip differential OK"
 
-  echo "== fused vs hop-wise A/B dump =="
-  # Same fig10 run with chain fusion disabled, kept as a separate dump so CI
-  # uploads both sides of the A/B. Not fed to the regression gate: its cells
-  # carry the same bench/row/col labels and would shadow the fused run.
-  MORPH_BENCH_MAX_BYTES=10240 ./build/bench/bench_fig10_morphing --fused off \
-    --json BENCH_fig10_morphing_fused_off.json
-  ./build/tools/morph-stat --check BENCH_fig10_morphing_fused_off.json >/dev/null
-
   echo "== telemetry e2e (three-process stitched trace) =="
   # morph-trace pipeline forks a publisher, broker, and receiver under
   # MORPH_TRACE=1, stitches their spans in an in-process collector, and

@@ -1,7 +1,5 @@
 #include "core/fanout.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
@@ -35,13 +33,6 @@ size_t GroupPlan::encode(const void* record, ByteBuffer& out) const {
   return encoder_->encode(record, out);
 }
 
-FanoutPlanner::FanoutPlanner(bool fuse) : fuse_(fuse) {}
-
-FanoutPlanner::Shard& FanoutPlanner::shard_for(const PlanKey& key) {
-  size_t h = PlanKeyHash{}(key);
-  return shards_[h & (kShards - 1)];
-}
-
 void FanoutPlanner::learn_transform(TransformSpec spec) {
   formats_.register_format(spec.src);
   formats_.register_format(spec.dst);
@@ -52,68 +43,34 @@ void FanoutPlanner::learn_transform(TransformSpec spec) {
   // New chains may supersede cached plans (e.g. a formerly unreachable
   // target becomes reachable). Plans already handed out stay valid — they
   // are shared_ptr-owned — they are just no longer returned.
-  flush_cache();
+  cache_.clear();
+  stats_.inc(C::cache_flushes);
 }
 
 pbio::FormatPtr FanoutPlanner::learn_format(pbio::FormatPtr fmt) {
   return formats_.register_format(std::move(fmt));
 }
 
-void FanoutPlanner::flush_cache() {
-  for (auto& shard : shards_) {
-    std::unique_lock lock(shard.mutex);
-    shard.entries.clear();
-  }
-  stats_.inc(C::cache_flushes);
-}
-
 std::shared_ptr<const GroupPlan> FanoutPlanner::plan(const pbio::FormatPtr& source,
                                                      uint64_t target_fp) {
   stats_.inc(C::plans_requested);
-  formats_.register_format(source);
-
-  PlanKey key{source->fingerprint(), target_fp};
-  Shard& shard = shard_for(key);
-
-  std::shared_ptr<CacheEntry> entry;
-  {
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) entry = it->second;
-  }
-  bool inserted = false;
-  if (entry == nullptr) {
-    std::unique_lock lock(shard.mutex);
-    auto [it, fresh] = shard.entries.try_emplace(key);
-    if (fresh) it->second = std::make_shared<CacheEntry>();
-    entry = it->second;
-    inserted = fresh;
-  }
-
-  bool built_here = false;
-  std::call_once(entry->once, [&] {
-    entry->plan = build_plan(source, target_fp);
-    built_here = true;
-  });
-  if (built_here) {
+  PlanCache::Lookup got = cache_.get(
+      PlanKey{source->fingerprint(), target_fp},
+      [&](std::shared_ptr<const GroupPlan>& plan) { plan = build_plan(source, target_fp); });
+  if (got.flushed) stats_.inc(C::cache_flushes);
+  if (got.built) {
     stats_.inc(C::plans_built);
-    if (!entry->plan->reachable()) {
-      stats_.inc(C::unreachable);
-    }
+    if (!got.entry->value->reachable()) stats_.inc(C::unreachable);
   } else {
     stats_.inc(C::cache_hits);
   }
-
-  // Bound the cache: recomputable, so overflow just flushes (the hostile
-  // peer streaming fresh fingerprints costs time, not memory).
-  if (inserted && cached_plans() > kMaxCachedPlans) flush_cache();
-
-  return entry->plan;
+  return got.entry->value;
 }
 
 std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr& source,
                                                            uint64_t target_fp) {
   uint64_t t0 = obs::monotonic_ns();
+  formats_.register_format(source);
   auto plan = std::make_shared<GroupPlan>();
   plan->source_ = source;
 
@@ -142,17 +99,10 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
     return plan;
   }
 
-  ecode::CompileOptions copts;
-  copts.verify = true;
-  try {
-    plan->chain_ = std::make_shared<MorphChain>(*specs, copts, fuse_);
-  } catch (const ecode::VerifyError& e) {
+  plan->chain_ = compile_peer_chain(
+      *specs, "fanout", "fan-out chain for target fingerprint " + std::to_string(target_fp));
+  if (plan->chain_ == nullptr) {
     stats_.inc(C::verify_rejected);
-    std::ostringstream msg;
-    msg << "fan-out chain for target fingerprint " << target_fp
-        << " rejected by the static verifier:";
-    for (const auto& f : e.result().findings) msg << "\n  " << f.to_string();
-    MORPH_LOG_WARN("fanout") << msg.str();
     return plan;
   }
   if (plan->chain_->fused()) {
@@ -170,15 +120,6 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
   plan->reachable_ = true;
   build_ns().record(obs::monotonic_ns() - t0);
   return plan;
-}
-
-size_t FanoutPlanner::cached_plans() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
 }
 
 }  // namespace morph::core

@@ -9,22 +9,17 @@
 // chain once, encode the morphed record once — so the broker can hand the
 // same encoded payload to every subscriber in the group.
 //
-// The cache follows the Receiver's sharded decision-cache discipline
-// (receiver.cpp): shards guarded by shared_mutex for lookup, a once_flag per
-// entry so a plan compiles exactly once under stampede, and shared_ptr
-// entries so plans handed out survive cache flushes triggered by
-// learn_transform or overflow. plan() and GroupPlan::morph()/encode() are
-// safe to call from any thread; the planner must outlive the plans it
-// returns.
+// The cache is the Receiver's build-once cache (build_cache.hpp): a plan
+// compiles exactly once under stampede, and plans handed out survive cache
+// flushes triggered by learn_transform or overflow. plan() and
+// GroupPlan::morph()/encode() are safe to call from any thread; the planner
+// must outlive the plans it returns.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
 
+#include "core/build_cache.hpp"
 #include "core/transform.hpp"
 #include "obs/metrics.hpp"
 #include "pbio/decode.hpp"
@@ -98,18 +93,15 @@ struct FanoutPlannerStats {
   MORPH_STATS(FanoutPlannerStats, MORPH_FANOUT_PLANNER_COUNTERS)
 };
 
+/// Transform specs reach the planner from peers, so every chain compiles
+/// under the static verifier, as in the receiver: a chain failing it makes
+/// its target unreachable (the caller falls back to per-subscriber
+/// delivery), and nothing is ever delivered unverified.
 class FanoutPlanner {
  public:
-  /// Transform specs reach the planner from peers, so every chain compiles
-  /// under the static verifier, as in the receiver: a chain failing it makes
-  /// its target unreachable (the caller falls back to per-subscriber
-  /// delivery), and nothing is ever delivered unverified. `fuse` fuses
-  /// multi-hop chains into one compiled transform (ecode/fuse.hpp).
-  explicit FanoutPlanner(bool fuse = true);
-
-  /// Cache bound, same rationale as ReceiverOptions::max_cached_decisions:
-  /// plans are recomputable, so overflow flushes the whole cache.
-  static constexpr size_t kMaxCachedPlans = 1024;
+  /// Cache bound: plans are recomputable, so the plan that overflows it
+  /// flushes the whole cache (counted in stats().cache_flushes).
+  static constexpr size_t kMaxCachedPlans = kMaxCachedBuilds;
 
   /// Learn a transform (typically a declared retro-transform). Flushes the
   /// plan cache: cached plans may be stale once new chains exist. The
@@ -127,7 +119,7 @@ class FanoutPlanner {
   std::shared_ptr<const GroupPlan> plan(const pbio::FormatPtr& source, uint64_t target_fp);
 
   FanoutPlannerStats stats() const { return stats_.load(); }
-  size_t cached_plans() const;
+  size_t cached_plans() const { return cache_.size(); }
 
  private:
   struct PlanKey {
@@ -141,22 +133,11 @@ class FanoutPlanner {
       return static_cast<size_t>(h ^ (h >> 32));
     }
   };
-  struct CacheEntry {
-    std::once_flag once;
-    std::shared_ptr<const GroupPlan> plan;
-  };
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<PlanKey, std::shared_ptr<CacheEntry>, PlanKeyHash> entries;
-  };
+  using PlanCache = BuildOnceCache<PlanKey, std::shared_ptr<const GroupPlan>, PlanKeyHash>;
 
-  Shard& shard_for(const PlanKey& key);
   std::shared_ptr<const GroupPlan> build_plan(const pbio::FormatPtr& source, uint64_t target_fp);
-  void flush_cache();
 
-  const bool fuse_;
-  std::array<Shard, kShards> shards_;
+  PlanCache cache_;
   /// Shared for plan builds, exclusive for learn_transform — same
   /// config-vs-build locking as the receiver.
   mutable std::shared_mutex config_mutex_;

@@ -12,7 +12,6 @@ namespace morph::core {
 using pbio::FormatPtr;
 
 namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
 using C = ReceiverStats::Id;
 
 /// Process-wide receiver histograms. The counters live in each receiver's
@@ -63,7 +62,7 @@ void Receiver::register_handler(FormatPtr fmt, Handler handler) {
     std::unique_lock lock(config_mutex_);
     handlers_[fmt->fingerprint()] = std::make_shared<Handler>(std::move(handler));
   }
-  flush_cache();  // registrations invalidate cached decisions
+  cache_.clear();  // registrations invalidate cached decisions
 }
 
 void Receiver::set_default_handler(DefaultHandler handler) {
@@ -71,7 +70,7 @@ void Receiver::set_default_handler(DefaultHandler handler) {
     std::unique_lock lock(config_mutex_);
     default_handler_ = std::make_shared<DefaultHandler>(std::move(handler));
   }
-  flush_cache();
+  cache_.clear();
 }
 
 FormatPtr Receiver::learn_format(FormatPtr fmt) {
@@ -83,9 +82,7 @@ FormatPtr Receiver::learn_format(FormatPtr fmt) {
     // decision (it was previously rejected as unknown — e.g. built while
     // the format service was unreachable), so evict exactly that entry
     // instead of flushing the whole cache.
-    Shard& shard = shard_for(fp);
-    std::unique_lock lock(shard.mutex);
-    if (shard.entries.erase(fp) != 0) cached_count_.fetch_sub(1, kRelaxed);
+    cache_.erase(fp);
   }
   return out;
 }
@@ -97,83 +94,45 @@ void Receiver::learn_transform(TransformSpec spec) {
     std::unique_lock lock(config_mutex_);
     transforms_.add(std::move(spec));
   }
-  flush_cache();  // new transforms may unlock previously rejected formats
+  cache_.clear();  // new transforms may unlock previously rejected formats
 }
 
 std::vector<FormatPtr> Receiver::reader_formats(const std::string& name) const {
   return reader_formats_.by_name(name);
 }
 
-void Receiver::flush_cache() {
-  for (Shard& shard : shards_) {
-    std::unique_lock lock(shard.mutex);
-    shard.entries.clear();
-  }
-  cached_count_.store(0, kRelaxed);
-}
-
 Receiver::EntryPtr Receiver::decide(uint64_t fingerprint) {
   uint64_t t0 = obs::monotonic_ns();
-  Shard& shard = shard_for(fingerprint);
-  EntryPtr entry;
-  {
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.entries.find(fingerprint);
-    if (it != shard.entries.end()) entry = it->second;
-  }
-  if (entry == nullptr) {
-    if (cached_count_.load(kRelaxed) >= options_.max_cached_decisions) {
-      // Racy by design: concurrent overflowing threads may each flush, but
-      // a flush only costs recomputation, never correctness.
-      flush_cache();
-      stats_.inc(C::cache_flushes);
-    }
-    std::unique_lock lock(shard.mutex);
-    auto [it, inserted] = shard.entries.try_emplace(fingerprint);
-    if (inserted) {
-      it->second = std::make_shared<CacheEntry>();
-      cached_count_.fetch_add(1, kRelaxed);
-    }
-    entry = it->second;
-  }
-  // The expensive pipeline build runs exactly once per entry; concurrent
-  // cold arrivals for the same fingerprint serialize here — on this entry
-  // only, never on the shard or the whole cache. No shard lock is held, so
-  // other fingerprints keep flowing while this one compiles.
-  bool built_here = false;
-  std::call_once(entry->build_once, [&] {
-    built_here = true;
+  // The expensive pipeline build runs exactly once per cache entry, with no
+  // shard lock held (build_cache.hpp).
+  DecisionCache::Lookup got = cache_.get(fingerprint, [&](Decision& d) {
     stats_.inc(C::cache_misses);
     // Out-of-band resolution happens here, before the shared config lock:
     // registering the fetched format and transforms takes the config lock
     // exclusively, which would deadlock from inside the build.
-    maybe_resolve(fingerprint, entry->decision);
+    maybe_resolve(fingerprint, d);
     uint64_t b0 = obs::monotonic_ns();
     {
       std::shared_lock config(config_mutex_);
-      build_decision(entry->decision, fingerprint);
+      build_decision(d, fingerprint);
     }
     rx().build_ns.record(obs::monotonic_ns() - b0);
   });
-  if (built_here && entry->decision.provisional) {
+  if (got.flushed) stats_.inc(C::cache_flushes);
+  if (got.built && got.entry->value.provisional) {
     // Don't cache a rejection caused by an unreachable format service:
-    // drop the entry (unless a flush already did) so the next message of
-    // this format retries the fetch. In-flight threads holding `entry`
-    // still deliver against the provisional decision safely.
-    std::unique_lock lock(shard.mutex);
-    auto it = shard.entries.find(fingerprint);
-    if (it != shard.entries.end() && it->second == entry) {
-      shard.entries.erase(it);
-      cached_count_.fetch_sub(1, kRelaxed);
-    }
+    // drop the entry (unless a flush already replaced it) so the next
+    // message of this format retries the fetch. In-flight threads holding
+    // the entry still deliver against the provisional decision safely.
+    cache_.erase(fingerprint, got.entry.get());
   }
-  if (!built_here) {
+  if (got.built) {
+    rx().decide_miss_ns.record(obs::monotonic_ns() - t0);
+  } else {
     stats_.inc(C::cache_hits);
     rx().decide_hit_ns.record(obs::monotonic_ns() - t0);
-  } else {
-    rx().decide_miss_ns.record(obs::monotonic_ns() - t0);
   }
-  return entry;
+  return std::move(got.entry);
 }
 
 void Receiver::maybe_resolve(uint64_t fingerprint, Decision& d) {
@@ -277,36 +236,18 @@ void Receiver::build_decision(Decision& d, uint64_t fingerprint) {
       // Closure said reachable; a missing chain would be a logic error.
       throw Error("receiver: transform chain vanished");
     }
-    ecode::CompileOptions copts;
-    copts.verify = true;
-    try {
-      d.chain = std::make_shared<MorphChain>(*specs, copts, options_.fuse);
-    } catch (const ecode::VerifyError& e) {
+    d.chain = compile_peer_chain(*specs, "receiver",
+                                 "transform chain for fingerprint " + std::to_string(fingerprint));
+    if (d.chain == nullptr) {
       // Peer-supplied code failed static verification: reject the format
-      // before any native code exists. The structured findings name the
-      // check, the field, and the source line for the peer's operator.
+      // before any native code exists.
       stats_.inc(C::verify_rejected);
-      std::ostringstream msg;
-      msg << "transform chain for fingerprint " << fingerprint
-          << " rejected by the static verifier:";
-      for (const auto& f : e.result().findings) msg << "\n  " << f.to_string();
-      MORPH_LOG_WARN("receiver") << msg.str();
       obs::flight_record(obs::FlightKind::kReject, obs::current_trace().trace_id,
                          "rx: verifier rejected transform chain for '" + fm->name() + "'");
-      d.chain = nullptr;
       d.handler = nullptr;
       d.deliver_fmt = nullptr;
       d.outcome = Outcome::kRejected;
       return;
-    }
-    if (const auto& findings = d.chain->verify_findings(); !findings.empty()) {
-      // One log entry per decision build, however many findings: a chain
-      // leaving many destination fields unassigned must not flood the log.
-      std::ostringstream msg;
-      msg << "transform chain for fingerprint " << fingerprint
-          << " passed the static verifier with " << findings.size() << " finding(s):";
-      for (const auto& f : findings) msg << "\n  " << f.to_string();
-      MORPH_LOG_WARN("receiver") << msg.str();
     }
     stats_.add(C::transforms_compiled, d.chain->hops());
     // Fusion happened (or bailed) inside the chain compile above — i.e.
@@ -428,14 +369,14 @@ Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
   stats_.inc(C::messages);
   pbio::WireInfo info = pbio::peek_header(buf, size);
   EntryPtr entry = decide(info.fingerprint);
-  return deliver_converted(entry->decision, buf, size, arena);
+  return deliver_converted(entry->value, buf, size, arena);
 }
 
 Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
   stats_.inc(C::messages);
   pbio::WireInfo info = pbio::peek_header(buf, size);
   EntryPtr entry = decide(info.fingerprint);
-  const Decision& d = entry->decision;
+  const Decision& d = entry->value;
   if (d.exact_decoder != nullptr) {
     void* record = d.exact_decoder->decode_in_place(buf, size);
     if (record != nullptr) {
@@ -465,7 +406,7 @@ Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
 Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
                                  RecordArena& arena) {
   EntryPtr entry = decide(fmt->fingerprint());
-  const Decision& d = entry->decision;
+  const Decision& d = entry->value;
 
   if (d.outcome == Outcome::kRejected || d.outcome == Outcome::kDefaulted) {
     stats_.inc(C::messages);

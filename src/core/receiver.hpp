@@ -38,11 +38,8 @@
 //     thread-safe themselves when the receiver is driven in parallel.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -50,6 +47,7 @@
 
 #include "common/arena.hpp"
 #include "obs/metrics.hpp"
+#include "core/build_cache.hpp"
 #include "core/format_source.hpp"
 #include "core/match.hpp"
 #include "core/reconcile.hpp"
@@ -84,11 +82,6 @@ using DefaultHandler = std::function<void(const void* buf, size_t size)>;
 
 struct ReceiverOptions {
   MatchThresholds thresholds;
-  /// Upper bound on cached per-format decisions. A hostile peer could
-  /// otherwise stream endless fresh formats and grow the cache without
-  /// limit; on overflow the whole cache is flushed (decisions are
-  /// recomputable, so flushing only costs time).
-  size_t max_cached_decisions = 1024;
   /// Out-of-band format resolution (the paper's third-party format server).
   /// When a data frame references a fingerprint with no learned definition,
   /// the receiver consults `format_source` (typically a
@@ -98,12 +91,6 @@ struct ReceiverOptions {
   /// that with its own deadline).
   FormatSource* format_source = nullptr;
   ResolvePolicy resolve = ResolvePolicy::kFail;
-  /// Fuse multi-hop morph chains into one compiled transform during the
-  /// once-per-format decision build (see ecode/fuse.hpp). Purely an
-  /// execution-strategy switch: a chain that cannot fuse falls back to
-  /// hop-wise execution transparently, visible in stats().fusion_bailouts
-  /// and the morph_rx_chain_fusion_total metrics.
-  bool fuse = true;
 };
 
 /// The receiver's counters, one line each: the ReceiverStats field and the
@@ -209,9 +196,10 @@ class Receiver {
 
   ReceiverStats stats() const { return stats_.load(); }
   const ReceiverOptions& options() const { return options_; }
-  size_t cached_decisions() const {
-    return cached_count_.load(std::memory_order_relaxed);
-  }
+  /// Cached per-format decisions. A hostile peer streaming endless fresh
+  /// formats cannot grow the cache past kMaxCachedBuilds: the
+  /// overflowing build flushes it (counted in stats().cache_flushes).
+  size_t cached_decisions() const { return cache_.size(); }
 
   /// All reader formats registered under `name` (the Fr of Algorithm 2).
   std::vector<pbio::FormatPtr> reader_formats(const std::string& name) const;
@@ -255,34 +243,15 @@ class Receiver {
     bool provisional = false;
   };
 
-  /// One cache slot. The once-flag guarantees the expensive build runs
-  /// exactly once per fingerprint even under concurrent cold arrival;
-  /// late threads block here (on this entry only), then read the decision
-  /// with the happens-before edge call_once provides. Entries are handed
-  /// out as shared_ptrs so an in-flight delivery survives a cache flush.
-  struct CacheEntry {
-    std::once_flag build_once;
-    Decision decision;
-  };
-  using EntryPtr = std::shared_ptr<CacheEntry>;
-
-  static constexpr size_t kCacheShards = 16;  // power of two
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<uint64_t, EntryPtr> entries;
-  };
-
-  Shard& shard_for(uint64_t fingerprint) {
-    // Fingerprints are already well-mixed hashes; fold the high bits in so
-    // shard choice never degenerates even if a bit range is biased.
-    return shards_[(fingerprint ^ (fingerprint >> 32)) & (kCacheShards - 1)];
-  }
+  /// Cache entries are handed out as shared_ptrs, so an in-flight
+  /// delivery survives a cache flush.
+  using DecisionCache = BuildOnceCache<uint64_t, Decision>;
+  using EntryPtr = DecisionCache::EntryPtr;
 
   EntryPtr decide(uint64_t fingerprint);
   void build_decision(Decision& d, uint64_t fingerprint);
   void maybe_resolve(uint64_t fingerprint, Decision& d);
   void add_resolved(ResolvedFormat resolved);
-  void flush_cache();
   Outcome finish_delivery(const Decision& d, void* record);
   /// The copying pipeline: conversion plan, then chain and reconciler.
   Outcome deliver_converted(const Decision& d, const void* buf, size_t size,
@@ -296,7 +265,7 @@ class Receiver {
   /// transforms_). Decision builds hold it shared; register_* / learn_*
   /// hold it exclusive. Lock order: never acquire the config lock while
   /// holding a shard lock (builds run with no shard lock held; writers
-  /// release the config lock before flush_cache touches the shards).
+  /// release the config lock before clearing the cache).
   mutable std::shared_mutex config_mutex_;
   pbio::FormatRegistry reader_formats_;  // internally thread-safe
   std::unordered_map<uint64_t, std::shared_ptr<Handler>> handlers_;
@@ -304,8 +273,7 @@ class Receiver {
   pbio::FormatRegistry learned_;  // internally thread-safe
   TransformCatalog transforms_;
 
-  std::array<Shard, kCacheShards> shards_;
-  std::atomic<size_t> cached_count_{0};
+  DecisionCache cache_;
   obs::CounterSet<ReceiverStats> stats_;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <sstream>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
 #include "ecode/fuse.hpp"
 #include "pbio/record.hpp"
 
@@ -97,12 +99,8 @@ std::optional<std::vector<const TransformSpec*>> TransformCatalog::chain(uint64_
 }
 
 MorphChain::MorphChain(const std::vector<const TransformSpec*>& specs,
-                       const ecode::CompileOptions& options, bool fuse) {
+                       const ecode::CompileOptions& options) {
   if (specs.empty()) throw Error("MorphChain: empty spec list");
-  // Every hop writes its destination record (parameter 0) from its source;
-  // the caller's dst_params choice does not apply hop-wise.
-  ecode::CompileOptions hop_options = options;
-  hop_options.dst_params = {0};
   src_fmt_ = pbio::relayout(*specs.front()->src);
   FormatPtr cur = src_fmt_;
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -112,7 +110,7 @@ MorphChain::MorphChain(const std::vector<const TransformSpec*>& specs,
     }
     FormatPtr dst = pbio::relayout(*spec->dst);
     Step step{ecode::Transform::compile(
-                  spec->code, {{spec->dst_param, dst}, {spec->src_param, cur}}, hop_options),
+                  spec->code, {{spec->dst_param, dst}, {spec->src_param, cur}}, options),
               dst};
     steps_.push_back(std::move(step));
     cur = dst;
@@ -124,11 +122,7 @@ MorphChain::MorphChain(const std::vector<const TransformSpec*>& specs,
     verify_findings_.insert(verify_findings_.end(), s.transform.verify_findings().begin(),
                             s.transform.verify_findings().end());
   }
-  if (fuse) {
-    attempt_fusion(specs, hop_options);
-  } else {
-    fusion_bailout_ = "fusion disabled";
-  }
+  attempt_fusion(specs, options);
 }
 
 void MorphChain::attempt_fusion(const std::vector<const TransformSpec*>& specs,
@@ -204,6 +198,33 @@ void* MorphChain::apply_hopwise(void* src_record, RecordArena& arena) const {
     cur = dst;
   }
   return cur;
+}
+
+std::shared_ptr<MorphChain> compile_peer_chain(const std::vector<const TransformSpec*>& specs,
+                                               const char* log_tag, const std::string& subject) {
+  ecode::CompileOptions options;
+  options.verify = true;
+  std::shared_ptr<MorphChain> chain;
+  try {
+    chain = std::make_shared<MorphChain>(specs, options);
+  } catch (const ecode::VerifyError& e) {
+    // The structured findings name the check, the field, and the source
+    // line for the peer's operator.
+    std::ostringstream msg;
+    msg << subject << " rejected by the static verifier:";
+    for (const auto& f : e.result().findings) msg << "\n  " << f.to_string();
+    MORPH_LOG_WARN(log_tag) << msg.str();
+    return nullptr;
+  }
+  if (const auto& findings = chain->verify_findings(); !findings.empty()) {
+    // One log entry per compile, however many findings: a chain leaving
+    // many destination fields unassigned must not flood the log.
+    std::ostringstream msg;
+    msg << subject << " passed the static verifier with " << findings.size() << " finding(s):";
+    for (const auto& f : findings) msg << "\n  " << f.to_string();
+    MORPH_LOG_WARN(log_tag) << msg.str();
+  }
+  return chain;
 }
 
 }  // namespace morph::core

@@ -60,23 +60,22 @@ class TransformCatalog {
 /// carry a foreign sender's layouts), so the chain maps a native record of
 /// src_format() into a fresh native record of dst_format().
 ///
-/// Chains of two or more hops additionally attempt *fusion* (ecode/fuse.hpp):
-/// the hops are rewritten into one Ecode program with the intermediate
-/// records replaced by locals, compiled under the same options, and used by
-/// apply() so a morph touches no intermediate record at all. Fusion is
-/// strictly an optimization — when it bails (fusion_bailout() says why) the
-/// hop-wise path runs instead, and apply_hopwise() always remains available
-/// as the correctness oracle.
+/// Chains of two or more hops always attempt *fusion* (ecode/fuse.hpp): the
+/// hops are rewritten into one Ecode program with the intermediate records
+/// replaced by locals, compiled under the same options, and used by apply()
+/// so a morph touches no intermediate record at all. Fusion is strictly an
+/// optimization — when it bails (fusion_bailout() says why) the hop-wise
+/// path runs instead, and apply_hopwise() always remains available as the
+/// correctness oracle.
 class MorphChain {
  public:
   /// Compile every hop under `options`. With options.verify each hop is
-  /// verified (its destination record is always verify parameter 0), and a
-  /// hop that fails throws ecode::VerifyError before any native code for the
-  /// chain is installed. `fuse` gates the fused-execution attempt; a fused
-  /// program that fails to compile or verify silently falls back to hop-wise
-  /// execution.
+  /// verified (its destination record is parameter 0), and a hop that fails
+  /// throws ecode::VerifyError before any native code for the chain is
+  /// installed. A fused program that fails to compile or verify silently
+  /// falls back to hop-wise execution.
   explicit MorphChain(const std::vector<const TransformSpec*>& specs,
-                      const ecode::CompileOptions& options = {}, bool fuse = true);
+                      const ecode::CompileOptions& options = {});
 
   const pbio::FormatPtr& src_format() const { return src_fmt_; }
   const pbio::FormatPtr& dst_format() const { return dst_fmt_; }
@@ -124,5 +123,15 @@ class MorphChain {
   std::string fusion_bailout_;
   std::vector<ecode::VerifyFinding> verify_findings_;
 };
+
+/// The verified compile of a peer-supplied chain, shared by every trust
+/// boundary (the receiver's decision build, the fan-out planner's plan
+/// build): every hop under the static verifier, fusion attempted. A chain
+/// the verifier refuses returns null after one WARN under `log_tag` that
+/// lists every finding; a chain that passes with findings logs them the
+/// same way. `subject` names the chain in the log ("transform chain for
+/// fingerprint 42"). Whether it fused or bailed is chain->fused().
+std::shared_ptr<MorphChain> compile_peer_chain(const std::vector<const TransformSpec*>& specs,
+                                               const char* log_tag, const std::string& subject);
 
 }  // namespace morph::core

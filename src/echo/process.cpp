@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -34,6 +35,22 @@ bool is_fp_hex(const std::string& s) {
                      [](unsigned char c) { return std::isxdigit(c) != 0; });
 }
 
+/// The header EVTSUB and EVTENC share:
+/// <fp-hex>\x1f<channel>\x1f<format name>.
+struct EventSubHeader {
+  uint64_t fp = 0;
+  std::string channel;
+  std::string name;
+};
+
+std::optional<EventSubHeader> parse_event_sub(const std::string& rest) {
+  size_t s1 = rest.find('\x1f');
+  size_t s2 = s1 == std::string::npos ? std::string::npos : rest.find('\x1f', s1 + 1);
+  if (s2 == std::string::npos || !is_fp_hex(rest.substr(0, s1))) return std::nullopt;
+  return EventSubHeader{std::stoull(rest.substr(0, s1), nullptr, 16),
+                        rest.substr(s1 + 1, s2 - s1 - 1), rest.substr(s2 + 1)};
+}
+
 /// Upper bound on distinct (channel, format-name) EVTSUB entries per peer.
 /// Announcements are peer-controlled input; without a cap a hostile peer
 /// streaming fresh names could grow broker memory without bound (the
@@ -63,7 +80,6 @@ EchoProcess::EchoProcess(std::string contact, EchoVersion version,
     : contact_(std::move(contact)),
       version_(version),
       rx_options_(receiver_options),
-      planner_(receiver_options.fuse),
       publisher_(planner_) {}
 
 EchoProcess::~EchoProcess() = default;
@@ -113,18 +129,7 @@ void EchoProcess::setup_peer(Peer& peer) {
 
   // Event formats registered so far: wire up delivery and tell the peer
   // which format this process wants, so a publishing peer can group us.
-  for (const auto& reg : event_regs_) {
-    const EventReg* r = &reg;
-    peer.receiver->register_handler(reg.fmt, [this, r](const Delivery& d) {
-      counters_.inc(C::events_received);
-      if (d.outcome == Outcome::kMorphed || d.outcome == Outcome::kMorphedReconciled) {
-        counters_.inc(C::events_morphed);
-      }
-      Event ev{&d, r->channel};
-      r->handler(ev);
-    });
-    announce_subscription(peer, reg);
-  }
+  for (const auto& reg : event_regs_) subscribe_peer(peer, reg);
   for (const auto& spec : event_transforms_) peer.port->declare_transform(spec);
 }
 
@@ -145,60 +150,54 @@ void EchoProcess::handle_control(Peer& peer, const std::string& msg) {
   // EVTSUB <fp-hex>\x1f<channel>\x1f<format name>: the peer registered an
   // event handler; remember its target format so grouped publishes can
   // deliver pre-morphed events.
-  if (msg.rfind("EVTSUB ", 0) == 0) {
-    std::string rest = msg.substr(7);
-    size_t s1 = rest.find('\x1f');
-    size_t s2 = s1 == std::string::npos ? std::string::npos : rest.find('\x1f', s1 + 1);
-    if (s2 == std::string::npos || !is_fp_hex(rest.substr(0, s1))) {
-      MORPH_LOG_WARN("echo") << contact_ << ": malformed EVTSUB '" << msg << "'";
-      return;
-    }
-    uint64_t fp = std::stoull(rest.substr(0, s1), nullptr, 16);
-    std::string channel = rest.substr(s1 + 1, s2 - s1 - 1);
-    std::string name = rest.substr(s2 + 1);
-    auto chan_it = peer.event_subs.find(channel);
-    if (chan_it == peer.event_subs.end() || chan_it->second.count(name) == 0) {
+  // EVTENC, same header: the peer wants the named subscription delivered
+  // protobuf-encoded (kPbufData frames).
+  const bool evtsub = msg.rfind("EVTSUB ", 0) == 0;
+  if (!evtsub && msg.rfind("EVTENC ", 0) != 0) return;
+  const std::optional<EventSubHeader> sub = parse_event_sub(msg.substr(7));
+  if (!sub) {
+    MORPH_LOG_WARN("echo") << contact_ << ": malformed " << msg.substr(0, 6) << " '" << msg
+                           << "'";
+    return;
+  }
+  auto chan_it = peer.event_subs.find(sub->channel);
+  const bool known = chan_it != peer.event_subs.end() && chan_it->second.count(sub->name) != 0;
+  if (evtsub) {
+    if (!known) {
       size_t total = 0;
       for (const auto& [ch, subs] : peer.event_subs) total += subs.size();
       if (total >= kMaxEventSubsPerPeer) {
         MORPH_LOG_WARN("echo") << contact_ << ": EVTSUB cap (" << kMaxEventSubsPerPeer
                                << ") reached for peer '" << peer.name << "'; dropping '"
-                               << name << "'";
+                               << sub->name << "'";
         return;
       }
     }
-    peer.event_subs[channel][name] = fp;
-    sync_channel_groups(channel);
-    return;
-  }
-  // EVTENC <fp-hex>\x1f<channel>\x1f<format name>: the peer wants the named
-  // subscription delivered protobuf-encoded (kPbufData frames). Only
-  // meaningful for a subscription it already announced — the sender always
-  // emits EVTSUB first on the same ordered link — so EVTENC for an unknown
-  // subscription is hostile or stale and gets dropped.
-  if (msg.rfind("EVTENC ", 0) == 0) {
-    std::string rest = msg.substr(7);
-    size_t s1 = rest.find('\x1f');
-    size_t s2 = s1 == std::string::npos ? std::string::npos : rest.find('\x1f', s1 + 1);
-    if (s2 == std::string::npos || !is_fp_hex(rest.substr(0, s1))) {
-      MORPH_LOG_WARN("echo") << contact_ << ": malformed EVTENC '" << msg << "'";
+    peer.event_subs[sub->channel][sub->name] = sub->fp;
+  } else {
+    // Only meaningful for a subscription the peer already announced — the
+    // sender always emits EVTSUB first on the same ordered link — so EVTENC
+    // for an unknown subscription is hostile or stale and gets dropped.
+    if (!known) {
+      MORPH_LOG_WARN("echo") << contact_ << ": EVTENC without matching EVTSUB for '"
+                             << sub->name << "'";
       return;
     }
-    std::string channel = rest.substr(s1 + 1, s2 - s1 - 1);
-    std::string name = rest.substr(s2 + 1);
-    auto chan_it = peer.event_subs.find(channel);
-    if (chan_it == peer.event_subs.end() || chan_it->second.count(name) == 0) {
-      MORPH_LOG_WARN("echo") << contact_ << ": EVTENC without matching EVTSUB for '" << name
-                             << "'";
-      return;
-    }
-    peer.pbuf_subs[channel].insert(name);
-    sync_channel_groups(channel);
-    return;
+    peer.pbuf_subs[sub->channel].insert(sub->name);
   }
+  sync_channel_groups(sub->channel);
 }
 
-void EchoProcess::announce_subscription(Peer& peer, const EventReg& reg) {
+void EchoProcess::subscribe_peer(Peer& peer, const EventReg& reg) {
+  const EventReg* r = &reg;
+  peer.receiver->register_handler(reg.fmt, [this, r](const Delivery& d) {
+    counters_.inc(C::events_received);
+    if (d.outcome == Outcome::kMorphed || d.outcome == Outcome::kMorphedReconciled) {
+      counters_.inc(C::events_morphed);
+    }
+    Event ev{&d, r->channel};
+    r->handler(ev);
+  });
   std::string body = fp_to_hex(reg.fmt->fingerprint()) + '\x1f' + reg.channel + '\x1f' +
                      reg.fmt->name();
   std::string msg = "EVTSUB " + body;
@@ -453,19 +452,7 @@ void EchoProcess::on_event(const std::string& channel, pbio::FormatPtr fmt,
     }
   }
   event_regs_.push_back({channel, std::move(fmt), std::move(handler), encoding});
-  const EventReg& reg = event_regs_.back();
-  const EventReg* r = &reg;
-  for (auto& p : peers_) {
-    p->receiver->register_handler(reg.fmt, [this, r](const Delivery& d) {
-      counters_.inc(C::events_received);
-      if (d.outcome == Outcome::kMorphed || d.outcome == Outcome::kMorphedReconciled) {
-        counters_.inc(C::events_morphed);
-      }
-      Event ev{&d, r->channel};
-      r->handler(ev);
-    });
-    announce_subscription(*p, reg);
-  }
+  for (auto& p : peers_) subscribe_peer(*p, event_regs_.back());
 }
 
 void EchoProcess::declare_event_transform(core::TransformSpec spec) {

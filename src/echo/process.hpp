@@ -156,7 +156,10 @@ class EchoProcess {
   void handle_open_response(const core::Delivery& d, bool from_v2_format);
   void send_response_to(Peer& peer, const std::string& channel);
   void handle_control(Peer& peer, const std::string& msg);
-  void announce_subscription(Peer& peer, const EventReg& reg);
+  /// Wire `reg` up on `peer`: its receiver delivers the event format to
+  /// reg's handler, and the peer learns (EVTSUB, plus EVTENC for protobuf
+  /// sinks) which format this process wants.
+  void subscribe_peer(Peer& peer, const EventReg& reg);
   /// Re-derive the fan-out registry for `channel` from current membership
   /// and the peers' announced event formats (both sync points: membership
   /// changes and EVTSUB arrivals funnel here).

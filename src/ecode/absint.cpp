@@ -212,12 +212,8 @@ class Interp {
     return it->second;
   }
 
-  bool is_dst(int param) const {
-    for (int d : options_.dst_params) {
-      if (d == param) return true;
-    }
-    return false;
-  }
+  /// The destination record is always parameter 0.
+  static bool is_dst(int param) { return param == 0; }
 
   VerifySeverity severity_of(VerifyCheck c) const {
     if (c == VerifyCheck::kUninitField && !options_.require_full_assignment) {
@@ -1517,12 +1513,7 @@ AbsintResult Interp::run() {
   entry.reachable = true;
   entry.locals.assign(static_cast<size_t>(chunk_.local_slots), AbsVal::any());
   entry.init.resize(params_.size());
-  for (int d : options_.dst_params) {
-    if (d >= 0 && d < static_cast<int>(params_.size())) {
-      entry.init[static_cast<size_t>(d)].assign(params_[static_cast<size_t>(d)].format->struct_size(),
-                                                0);
-    }
-  }
+  if (!params_.empty()) entry.init[0].assign(params_[0].format->struct_size(), 0);
   flow_to(0, std::move(entry));
 
   // Generous budget: widening bounds joins per pc, so the fixpoint is small;
@@ -1540,31 +1531,30 @@ AbsintResult Interp::run() {
     step(pc, states_[static_cast<size_t>(pc)]);
   }
 
-  // Definite assignment at return, per destination parameter.
-  for (int d : options_.dst_params) {
-    if (d < 0 || d >= static_cast<int>(params_.size())) continue;
-    auto& summary = summaries_[static_cast<size_t>(d)];
+  // Definite assignment of the destination record (parameter 0) at return.
+  if (!params_.empty()) {
+    auto& summary = summaries_[0];
     summary.any_ret = any_ret_;
-    summary.must_init = ret_init_[static_cast<size_t>(d)];
-    if (!any_ret_) continue;
-    const auto& init = ret_init_[static_cast<size_t>(d)];
-    if (init.empty()) continue;
-    for (const FieldSite& site : layout(params_[static_cast<size_t>(d)].format.get()).sites()) {
-      if (site.use != SiteUse::kScalar && site.use != SiteUse::kStringSlot) continue;
-      bool covered = true;
-      for (int64_t i = site.start; i < site.start + site.size; ++i) {
-        if (i < 0 || i >= static_cast<int64_t>(init.size()) || !init[static_cast<size_t>(i)]) {
-          covered = false;
-          break;
+    summary.must_init = ret_init_[0];
+    const auto& init = ret_init_[0];
+    if (any_ret_ && !init.empty()) {
+      for (const FieldSite& site : layout(params_[0].format.get()).sites()) {
+        if (site.use != SiteUse::kScalar && site.use != SiteUse::kStringSlot) continue;
+        bool covered = true;
+        for (int64_t i = site.start; i < site.start + site.size; ++i) {
+          if (i < 0 || i >= static_cast<int64_t>(init.size()) || !init[static_cast<size_t>(i)]) {
+            covered = false;
+            break;
+          }
         }
-      }
-      if (!covered) {
-        VerifyFinding f;
-        f.check = VerifyCheck::kUninitField;
-        f.severity = severity_of(VerifyCheck::kUninitField);
-        f.field = field_name(d, site.path);
-        f.message = "destination field '" + f.field + "' is never definitely assigned";
-        out_.push_back(std::move(f));
+        if (!covered) {
+          VerifyFinding f;
+          f.check = VerifyCheck::kUninitField;
+          f.severity = severity_of(VerifyCheck::kUninitField);
+          f.field = field_name(0, site.path);
+          f.message = "destination field '" + f.field + "' is never definitely assigned";
+          out_.push_back(std::move(f));
+        }
       }
     }
   }

@@ -67,7 +67,6 @@ Transform Transform::compile(const std::string& source, std::vector<RecordParam>
   if (options.verify) {
     obs::TraceSpan verify_span("ecode.verify", &em().verify_ns);
     VerifyOptions vo;
-    vo.dst_params = options.dst_params;
     vo.require_full_assignment = options.require_full_assignment;
     VerifyResult result = verify(t.chunk_, t.params_, vo);
 

@@ -60,9 +60,6 @@ struct CompileOptions {
   int64_t fuel_limit = 1 << 20;
   /// Escalate never-assigned destination fields from warning to error.
   bool require_full_assignment = false;
-  /// Parameters verified as transform destinations; by the paper's
-  /// convention the destination is parameter 0 ("old").
-  std::vector<int> dst_params = {0};
 };
 
 /// A compiled Ecode transform.

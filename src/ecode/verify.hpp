@@ -10,7 +10,8 @@
 //       stays inside the region the source format's descriptor declares
 //       (dynamic-array reads must be dominated by a guard against the
 //       array's declared length field);
-//   (b) definite assignment — destination fields are assigned before the
+//   (b) definite assignment — destination fields (parameter 0, "old" by the
+//       paper's convention) are assigned before the
 //       transform returns, and never read before they are assigned (no
 //       zeroed garbage leaks into morphed messages);
 //   (c) bounded execution — every loop carries a termination certificate
@@ -65,9 +66,6 @@ struct VerifyFinding {
 };
 
 struct VerifyOptions {
-  /// Parameters treated as transform destinations for checks (b); by the
-  /// paper's convention the destination is parameter 0 ("old").
-  std::vector<int> dst_params = {0};
   /// Escalate kUninitField findings from warning to error.
   bool require_full_assignment = false;
 };

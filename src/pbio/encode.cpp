@@ -15,21 +15,31 @@ struct Encoder::Prepared {
 
 namespace {
 
+/// The message being appended to `buf`: its first byte sits at `base`, and
+/// its pointers and alignment are relative to its body, which follows the
+/// header.
+struct Out {
+  ByteBuffer& buf;
+  size_t base;
+
+  uint64_t body_offset() const { return buf.size() - base - kWireHeaderSize; }
+};
+
 /// Append the string `s` (may be null) and patch the pointer slot at
 /// `slot_pos` with its body-relative offset (0 for null).
-void emit_string(const char* s, size_t slot_pos, ByteBuffer& out) {
+void emit_string(const char* s, size_t slot_pos, Out& out) {
   if (s == nullptr) {
-    out.patch_u64(slot_pos, 0);
+    out.buf.patch_u64(slot_pos, 0);
     return;
   }
-  uint64_t rel = out.size() - kWireHeaderSize;
-  out.append(s, std::strlen(s) + 1);
-  out.patch_u64(slot_pos, rel);
+  uint64_t rel = out.body_offset();
+  out.buf.append(s, std::strlen(s) + 1);
+  out.buf.patch_u64(slot_pos, rel);
 }
 
-void fix_struct(const VarWalk& walk, size_t struct_pos, const uint8_t* rec, ByteBuffer& out);
+void fix_struct(const VarWalk& walk, size_t struct_pos, const uint8_t* rec, Out& out);
 
-void fix_one(const VarWalk::Var& v, size_t struct_pos, const uint8_t* rec, ByteBuffer& out) {
+void fix_one(const VarWalk::Var& v, size_t struct_pos, const uint8_t* rec, Out& out) {
   const FieldDescriptor& fd = *v.fd;
   switch (v.action) {
     case VarWalk::Action::kString: {
@@ -63,15 +73,17 @@ void fix_one(const VarWalk::Var& v, size_t struct_pos, const uint8_t* rec, ByteB
       const uint8_t* elems;
       std::memcpy(&elems, rec + fd.offset, sizeof(void*));
       if (count <= 0 || elems == nullptr) {
-        out.patch_u64(struct_pos + fd.offset, 0);
+        out.buf.patch_u64(struct_pos + fd.offset, 0);
         break;
       }
       uint32_t stride = fd.element_stride();
-      out.align_to(8);
-      uint64_t rel = out.size() - kWireHeaderSize;
-      size_t elems_pos = out.size();
-      out.append(elems, static_cast<size_t>(count) * stride);
-      out.patch_u64(struct_pos + fd.offset, rel);
+      // The header is 8-aligned, so aligning the body offset aligns the
+      // elements within the message.
+      if (const uint64_t rem = out.body_offset() & 7; rem != 0) out.buf.append_zeros(8 - rem);
+      uint64_t rel = out.body_offset();
+      size_t elems_pos = out.buf.size();
+      out.buf.append(elems, static_cast<size_t>(count) * stride);
+      out.buf.patch_u64(struct_pos + fd.offset, rel);
       if (v.elem) {
         for (int64_t i = 0; i < count; ++i) {
           fix_struct(*v.elem, elems_pos + static_cast<size_t>(i) * stride,
@@ -89,7 +101,7 @@ void fix_one(const VarWalk::Var& v, size_t struct_pos, const uint8_t* rec, ByteB
   }
 }
 
-void fix_struct(const VarWalk& walk, size_t struct_pos, const uint8_t* rec, ByteBuffer& out) {
+void fix_struct(const VarWalk& walk, size_t struct_pos, const uint8_t* rec, Out& out) {
   for (const auto& v : walk.vars) fix_one(v, struct_pos, rec, out);
 }
 
@@ -106,28 +118,34 @@ Encoder::Encoder(Encoder&&) noexcept = default;
 Encoder& Encoder::operator=(Encoder&&) noexcept = default;
 
 size_t Encoder::encode(const void* record, ByteBuffer& out) const {
-  if (record == nullptr) throw FormatError("Encoder: null record");
   out.clear();
-  out.append_u8('P');
-  out.append_u8('B');
-  out.append_u8(kWireVersion);
-  out.append_u8(static_cast<uint8_t>(host_byte_order()));
-  out.append_u64(fmt_->fingerprint());
-  out.append_u32(0);  // total size, patched below
+  return append(record, out);
+}
+
+size_t Encoder::append(const void* record, ByteBuffer& buf) const {
+  if (record == nullptr) throw FormatError("Encoder: null record");
+  Out out{buf, buf.size()};
+  buf.append_u8('P');
+  buf.append_u8('B');
+  buf.append_u8(kWireVersion);
+  buf.append_u8(static_cast<uint8_t>(host_byte_order()));
+  buf.append_u64(fmt_->fingerprint());
+  buf.append_u32(0);  // total size, patched below
 
   const auto* rec = static_cast<const uint8_t*>(record);
-  size_t struct_pos = out.size();  // == kWireHeaderSize
-  out.append(rec, fmt_->struct_size());
+  size_t struct_pos = buf.size();  // == base + kWireHeaderSize
+  buf.append(rec, fmt_->struct_size());
   if (fmt_->has_pointers()) fix_struct(*prepared_->walk, struct_pos, rec, out);
 
-  out.patch_u32(12, static_cast<uint32_t>(out.size()));
+  const size_t size = buf.size() - out.base;
+  buf.patch_u32(out.base + 12, static_cast<uint32_t>(size));
   // Hot-path telemetry: two relaxed adds, no clock reads.
   static obs::Counter& messages =
       obs::metrics().counter(obs::Metric::morph_pbio_encoded_messages_total);
   static obs::Counter& bytes = obs::metrics().counter(obs::Metric::morph_pbio_encoded_bytes_total);
   messages.inc();
-  bytes.add(out.size());
-  return out.size();
+  bytes.add(size);
+  return size;
 }
 
 size_t encode_record(const FormatDescriptor& fmt, const void* record, ByteBuffer& out) {

@@ -46,6 +46,11 @@ class Encoder {
   /// Returns the encoded size in bytes.
   size_t encode(const void* record, ByteBuffer& out) const;
 
+  /// Append the encoded message after whatever `out` already holds (a frame
+  /// header, say); its offsets and alignment are relative to its own first
+  /// byte, so the bytes equal encode()'s. Returns the encoded size in bytes.
+  size_t append(const void* record, ByteBuffer& out) const;
+
  private:
   struct Prepared;
   FormatPtr fmt_;

@@ -527,14 +527,10 @@ uint8_t* write_wire_value(uint8_t* out, uint64_t v, const FieldPlan& f) {
   switch (f.wt) {
     case WireType::kVarint:
       return write_varint(out, v);
-    case WireType::kFixed32: {
-      auto n = static_cast<uint32_t>(v);
-      std::memcpy(out, &n, 4);
-      return out + 4;
-    }
+    case WireType::kFixed32:
+      return store_le(out, static_cast<uint32_t>(v));
     default:
-      std::memcpy(out, &v, 8);
-      return out + 8;
+      return store_le(out, v);
   }
 }
 

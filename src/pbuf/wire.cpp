@@ -12,8 +12,15 @@ void put_tag(ByteBuffer& out, uint32_t field_number, WireType wt) {
                       static_cast<uint64_t>(wt));
 }
 
-void put_fixed32(ByteBuffer& out, uint32_t v) { out.append_u32(v); }
-void put_fixed64(ByteBuffer& out, uint64_t v) { out.append_u64(v); }
+void put_fixed32(ByteBuffer& out, uint32_t v) {
+  uint8_t buf[4];
+  out.append(buf, static_cast<size_t>(store_le(buf, v) - buf));
+}
+
+void put_fixed64(ByteBuffer& out, uint64_t v) {
+  uint8_t buf[8];
+  out.append(buf, static_cast<size_t>(store_le(buf, v) - buf));
+}
 
 uint64_t PbReader::varint_slow() {
   uint64_t v = 0;
@@ -55,16 +62,14 @@ PbReader::Tag PbReader::tag() {
 
 uint32_t PbReader::fixed32() {
   if (remaining() < 4) throw DecodeError("truncated fixed32");
-  uint32_t v;
-  std::memcpy(&v, data_ + pos_, 4);
+  const auto v = load_le<uint32_t>(data_ + pos_);
   pos_ += 4;
   return v;
 }
 
 uint64_t PbReader::fixed64() {
   if (remaining() < 8) throw DecodeError("truncated fixed64");
-  uint64_t v;
-  std::memcpy(&v, data_ + pos_, 8);
+  const auto v = load_le<uint64_t>(data_ + pos_);
   pos_ += 8;
   return v;
 }

@@ -11,9 +11,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/endian.hpp"
 #include "common/error.hpp"
 
 namespace morph::pbuf {
@@ -45,6 +47,22 @@ void put_varint(ByteBuffer& out, uint64_t v);
 /// Append a field tag: (field_number << 3) | wire_type.
 void put_tag(ByteBuffer& out, uint32_t field_number, WireType wt);
 
+/// Fixed-width scalars are little-endian on the wire whatever the host's
+/// byte order: load/store them only through these.
+template <typename T>
+inline T load_le(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) byteswap_inplace(&v, sizeof v);
+  return v;
+}
+template <typename T>
+inline uint8_t* store_le(uint8_t* out, T v) {
+  if constexpr (std::endian::native == std::endian::big) byteswap_inplace(&v, sizeof v);
+  std::memcpy(out, &v, sizeof v);
+  return out + sizeof v;
+}
+
 void put_fixed32(ByteBuffer& out, uint32_t v);
 void put_fixed64(ByteBuffer& out, uint64_t v);
 
@@ -63,8 +81,7 @@ inline uint8_t* write_varint(uint8_t* out, uint64_t v) {
 }
 
 /// Bounds-checked protobuf reader over a byte range. Thin wrapper around
-/// the raw bytes (not ByteReader: protobuf scalars are not the fixed-width
-/// little-endian primitives ByteReader speaks).
+/// the raw bytes (not ByteReader, which reads host-order primitives).
 class PbReader {
  public:
   PbReader(const void* data, size_t size)

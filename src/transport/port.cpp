@@ -39,15 +39,18 @@ void MessagePort::declare_transform(core::TransformSpec spec) {
   // If the source format already went out, ship the transform immediately
   // so existing peers can use it.
   const auto& s = declared_transforms_.back();
-  if (sent_formats_.count(s.src->fingerprint()) != 0) {
-    ByteBuffer payload;
-    s.serialize(payload);
-    ByteBuffer frame;
-    write_frame(frame, FrameType::kTransformDef, payload.data(), payload.size());
-    link_.send(frame);
-    stats_.inc(C::meta_frames_sent);
-    stats_.add(C::bytes_sent, frame.size());
-  }
+  if (sent_formats_.count(s.src->fingerprint()) != 0) send_meta(FrameType::kTransformDef, s);
+}
+
+template <typename Def>
+void MessagePort::send_meta(FrameType type, const Def& def) {
+  ByteBuffer frame;
+  const size_t at = begin_frame(frame, type);
+  def.serialize(frame);
+  end_frame(frame, at);
+  link_.send(frame);
+  stats_.inc(C::meta_frames_sent);
+  stats_.add(C::bytes_sent, frame.size());
 }
 
 void MessagePort::send_meta_for(const pbio::FormatPtr& fmt) {
@@ -69,25 +72,13 @@ void MessagePort::send_meta_for(const pbio::FormatPtr& fmt) {
     // inline meta-data frames so this format still reaches the peer.
   }
 
-  ByteBuffer payload;
-  fmt->serialize(payload);
-  ByteBuffer frame;
-  write_frame(frame, FrameType::kFormatDef, payload.data(), payload.size());
-  link_.send(frame);
-  stats_.inc(C::meta_frames_sent);
-  stats_.add(C::bytes_sent, frame.size());
+  send_meta(FrameType::kFormatDef, *fmt);
 
   // Ship every declared transform reachable from this format, walking the
   // retro-transformation chain (Figure 1).
   for (const auto& spec : declared_transforms_) {
     if (spec.src->fingerprint() != fmt->fingerprint()) continue;
-    ByteBuffer tp;
-    spec.serialize(tp);
-    ByteBuffer tf;
-    write_frame(tf, FrameType::kTransformDef, tp.data(), tp.size());
-    link_.send(tf);
-    stats_.inc(C::meta_frames_sent);
-    stats_.add(C::bytes_sent, tf.size());
+    send_meta(FrameType::kTransformDef, spec);
     send_meta_for(spec.dst);  // recurse down the chain
   }
 }
@@ -112,44 +103,32 @@ void MessagePort::send_record(const pbio::FormatPtr& fmt, const void* record) {
   obs::TraceSpan span("port.send", &port_metrics().send_ns);
 
   send_meta_for(fmt);
-  if (peer_accepts_pbuf_ && pbuf_sendable(fmt)) {
-    send_record_pbuf(fmt, record, trace_id);
-    return;
-  }
-  auto it = encoders_.find(fmt->fingerprint());
-  if (it == encoders_.end()) {
-    it = encoders_.emplace(fmt->fingerprint(), std::make_unique<pbio::Encoder>(fmt)).first;
-  }
-  ByteBuffer msg;
-  it->second->encode(record, msg);
   ByteBuffer frame;
-  write_frame(frame, FrameType::kData, msg.data(), msg.size(), trace_id);
+  if (const pbuf::EncodePlan* plan = peer_accepts_pbuf_ ? pbuf_encoder_for(fmt) : nullptr) {
+    write_pbuf_frame(frame, *plan, record, trace_id);
+    stats_.inc(C::pbuf_sent);
+  } else {
+    auto it = encoders_.find(fmt->fingerprint());
+    if (it == encoders_.end()) {
+      it = encoders_.emplace(fmt->fingerprint(), std::make_unique<pbio::Encoder>(fmt)).first;
+    }
+    const size_t at = begin_frame(frame, FrameType::kData, trace_id);
+    it->second->append(record, frame);
+    end_frame(frame, at);
+  }
   link_.send(frame);
   stats_.inc(C::data_sent);
   stats_.add(C::bytes_sent, frame.size());
 }
 
-bool MessagePort::pbuf_sendable(const pbio::FormatPtr& fmt) {
-  auto it = pbuf_sendable_.find(fmt->fingerprint());
-  if (it == pbuf_sendable_.end()) {
-    it = pbuf_sendable_.emplace(fmt->fingerprint(), pbuf::pbuf_encodable(*fmt)).first;
-  }
-  return it->second;
-}
-
-void MessagePort::send_record_pbuf(const pbio::FormatPtr& fmt, const void* record,
-                                   uint64_t trace_id) {
+pbuf::EncodePlan* MessagePort::pbuf_encoder_for(const pbio::FormatPtr& fmt) {
   auto it = pbuf_encoders_.find(fmt->fingerprint());
   if (it == pbuf_encoders_.end()) {
-    it = pbuf_encoders_.emplace(fmt->fingerprint(), std::make_unique<pbuf::EncodePlan>(fmt))
-             .first;
+    std::unique_ptr<pbuf::EncodePlan> plan;
+    if (pbuf::pbuf_encodable(*fmt)) plan = std::make_unique<pbuf::EncodePlan>(fmt);
+    it = pbuf_encoders_.emplace(fmt->fingerprint(), std::move(plan)).first;
   }
-  ByteBuffer frame;
-  write_pbuf_frame(frame, *it->second, record, trace_id);
-  link_.send(frame);
-  stats_.inc(C::data_sent);
-  stats_.inc(C::pbuf_sent);
-  stats_.add(C::bytes_sent, frame.size());
+  return it->second.get();
 }
 
 void MessagePort::announce_pbuf() {

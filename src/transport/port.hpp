@@ -113,8 +113,13 @@ class MessagePort {
   void on_bytes(const uint8_t* data, size_t size);
   void feed_frames(const uint8_t* data, size_t size);
   void send_meta_for(const pbio::FormatPtr& fmt);
-  bool pbuf_sendable(const pbio::FormatPtr& fmt);
-  void send_record_pbuf(const pbio::FormatPtr& fmt, const void* record, uint64_t trace_id);
+  /// Frame one meta-data definition (a format or a transform spec), send
+  /// it and count it.
+  template <typename Def>
+  void send_meta(FrameType type, const Def& def);
+  /// The protobuf encoder for `fmt`, built once; null when the format has
+  /// no protobuf mapping (it keeps going out as PBIO).
+  pbuf::EncodePlan* pbuf_encoder_for(const pbio::FormatPtr& fmt);
   void deliver_pbuf(const Frame& frame);
 
   Link& link_;
@@ -125,7 +130,6 @@ class MessagePort {
   std::unordered_map<uint64_t, std::unique_ptr<pbio::Encoder>> encoders_;
   std::unordered_map<uint64_t, std::unique_ptr<pbuf::EncodePlan>> pbuf_encoders_;
   std::unordered_map<uint64_t, std::unique_ptr<pbuf::DecodePlan>> pbuf_decoders_;
-  std::unordered_map<uint64_t, bool> pbuf_sendable_;  // pbuf_encodable, cached
   std::function<void(const uint8_t*, size_t)> on_control_;
   MetaPublisher meta_publisher_;
   RecordArena rx_arena_;

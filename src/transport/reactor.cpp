@@ -60,8 +60,10 @@ std::atomic<uint64_t> g_next_link_id{1};
 
 // First allocation of a connection's receive ring. Kept small: at 10k+
 // mostly-quiet peers the rings dominate the process RSS, and a busy
-// connection doubles its way up to max_read_batch within a few wakeups.
+// connection doubles its way up to kMaxReadBatch within a few wakeups.
 constexpr size_t kInitialRing = 4u << 10;
+// Upper bound on a connection's receive ring: the most one dispatch batches.
+constexpr size_t kMaxReadBatch = 256u << 10;
 constexpr int kMaxEvents = 256;
 constexpr int kFlushIov = 64;  // outbox chunks gathered per sendmsg
 
@@ -411,7 +413,7 @@ void Reactor::handle_readable(AsyncTcpLink& conn) {
   for (;;) {
     size_t cap = conn.ring_.size();
     if (conn.ring_size_ == cap) {
-      if (cap >= options_.max_read_batch) {
+      if (cap >= kMaxReadBatch) {
         // Ring at its bound: hand the batch to the application mid-wakeup,
         // then keep draining (edge-triggered readiness must reach EAGAIN).
         dispatch_ring(conn);

@@ -70,10 +70,6 @@ struct ReactorOptions {
   /// Accepts beyond this many live connections are closed immediately
   /// (the client sees EOF; counted in morph_reactor_refused_total).
   size_t max_connections = 1u << 20;
-  /// Upper bound on the per-connection receive ring. The ring starts small
-  /// and doubles as a single wakeup drains more, so idle connections cost
-  /// ~1KB and hot ones batch up to this much per dispatch.
-  size_t max_read_batch = 256u << 10;
 };
 
 class Reactor;

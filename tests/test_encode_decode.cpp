@@ -119,6 +119,34 @@ TEST(EncodeDecode, PointerDataRoundTripInPlace) {
   EXPECT_LT(reinterpret_cast<uint8_t*>(back->members), wire.data() + wire.size());
 }
 
+struct Tagged {
+  const char* tag;
+  int32_t n;
+  int64_t* xs;
+};
+
+TEST(EncodeDecode, AppendAfterAFrameHeaderMatchesEncode) {
+  // A message appended after other bytes (a 5-byte frame header, say) has
+  // its pointers and padding relative to its own first byte: the 4-byte tag
+  // leaves the array 4 bytes short of alignment within the message but 1
+  // byte short within the buffer, and the bytes must equal encode()'s.
+  auto fmt = FormatBuilder("Tagged", sizeof(Tagged))
+                 .add_string("tag", offsetof(Tagged, tag))
+                 .add_int("n", 4, offsetof(Tagged, n))
+                 .add_dyn_array("xs", FieldKind::kInt, 8, "n", offsetof(Tagged, xs))
+                 .build();
+  int64_t xs[2] = {7, -9};
+  Tagged rec{"abc", 2, xs};
+  Encoder enc(fmt);
+  ByteBuffer alone;
+  const size_t n = enc.encode(&rec, alone);
+  ByteBuffer framed;
+  framed.append("hdr!!", 5);
+  EXPECT_EQ(enc.append(&rec, framed), n);
+  ASSERT_EQ(framed.size(), 5 + n);
+  EXPECT_EQ(std::memcmp(framed.data() + 5, alone.data(), n), 0);
+}
+
 TEST(EncodeDecode, StaticStringArraysRoundTrip) {
   struct Tagged {
     int32_t id;

@@ -67,14 +67,7 @@ struct LegacySink {
   pbio::FormatPtr format;
   Outcome outcome = Outcome::kRejected;
 
-  static ReceiverOptions make_options(bool fuse) {
-    ReceiverOptions opts;
-    opts.fuse = fuse;
-    return opts;
-  }
-
-  LegacySink(const FormatPtr& target, const std::vector<TransformSpec>& specs, bool fuse)
-      : rx(make_options(fuse)) {
+  LegacySink(const FormatPtr& target, const std::vector<TransformSpec>& specs) {
     rx.register_handler(target, [this](const Delivery& d) {
       record = d.record;
       format = d.format;
@@ -97,53 +90,50 @@ TEST(FanoutDifferential, CorpusGroupedMatchesPerSubscriber) {
     ++bundles;
     const FormatPtr& src = specs[0].src;
 
-    for (bool fuse : {true, false}) {
-      SCOPED_TRACE(fuse ? "fused" : "hop-wise");
-      FanoutPlanner planner(fuse);
-      for (const auto& s : specs) planner.learn_transform(s);
+    FanoutPlanner planner;
+    for (const auto& s : specs) planner.learn_transform(s);
 
-      for (size_t hops = 1; hops <= specs.size(); ++hops) {
-        const FormatPtr& target = specs[hops - 1].dst;
-        SCOPED_TRACE("target " + target->name());
-        auto plan = planner.plan(src, target->fingerprint());
-        ASSERT_TRUE(plan->reachable());
-        ASSERT_FALSE(plan->identity());
-        ASSERT_EQ(plan->chain()->hops(), hops);
+    for (size_t hops = 1; hops <= specs.size(); ++hops) {
+      const FormatPtr& target = specs[hops - 1].dst;
+      SCOPED_TRACE("target " + target->name());
+      auto plan = planner.plan(src, target->fingerprint());
+      ASSERT_TRUE(plan->reachable());
+      ASSERT_FALSE(plan->identity());
+      ASSERT_EQ(plan->chain()->hops(), hops);
 
-        LegacySink sink(target, specs, fuse);
-        Rng rng(0x9d2ull * (hops + 1) + (fuse ? 1 : 0));
-        for (int iter = 0; iter < 8; ++iter) {
-          RecordArena arena;
-          pbio::DynValue input = pbio::random_dyn(rng, src);
-          auto wire = encode_bytes(src, pbio::from_dyn(input, arena));
+      LegacySink sink(target, specs);
+      Rng rng(0x9d2ull * (hops + 1));
+      for (int iter = 0; iter < 8; ++iter) {
+        RecordArena arena;
+        pbio::DynValue input = pbio::random_dyn(rng, src);
+        auto wire = encode_bytes(src, pbio::from_dyn(input, arena));
 
-          // Legacy path: the sink's receiver decodes + morphs the wire.
-          RecordArena sink_arena;
-          sink.record = nullptr;
-          ASSERT_EQ(sink.rx.process(wire.data(), wire.size(), sink_arena),
-                    hops > 0 ? Outcome::kMorphed : Outcome::kExact);
-          ASSERT_NE(sink.record, nullptr);
+        // Legacy path: the sink's receiver decodes + morphs the wire.
+        RecordArena sink_arena;
+        sink.record = nullptr;
+        ASSERT_EQ(sink.rx.process(wire.data(), wire.size(), sink_arena),
+                  hops > 0 ? Outcome::kMorphed : Outcome::kExact);
+        ASSERT_NE(sink.record, nullptr);
 
-          // Grouped path: the publisher's plan morphs the same wire once.
-          void* grouped = plan->morph(wire.data(), wire.size(), arena);
-          void* grouped_hopwise = plan->morph_hopwise(wire.data(), wire.size(), arena);
+        // Grouped path: the publisher's plan morphs the same wire once.
+        void* grouped = plan->morph(wire.data(), wire.size(), arena);
+        void* grouped_hopwise = plan->morph_hopwise(wire.data(), wire.size(), arena);
 
-          pbio::DynValue legacy_dyn = pbio::to_dyn(*sink.format, sink.record);
-          pbio::DynValue grouped_dyn = pbio::to_dyn(*plan->target(), grouped);
-          pbio::DynValue hopwise_dyn = pbio::to_dyn(*plan->target(), grouped_hopwise);
-          ASSERT_EQ(grouped_dyn, legacy_dyn)
-              << "iter " << iter << "\ninput:\n"
-              << pbio::to_debug_string(input) << "\ngrouped:\n"
-              << pbio::to_debug_string(grouped_dyn) << "\nlegacy:\n"
-              << pbio::to_debug_string(legacy_dyn);
-          ASSERT_EQ(hopwise_dyn, legacy_dyn);
+        pbio::DynValue legacy_dyn = pbio::to_dyn(*sink.format, sink.record);
+        pbio::DynValue grouped_dyn = pbio::to_dyn(*plan->target(), grouped);
+        pbio::DynValue hopwise_dyn = pbio::to_dyn(*plan->target(), grouped_hopwise);
+        ASSERT_EQ(grouped_dyn, legacy_dyn)
+            << "iter " << iter << "\ninput:\n"
+            << pbio::to_debug_string(input) << "\ngrouped:\n"
+            << pbio::to_debug_string(grouped_dyn) << "\nlegacy:\n"
+            << pbio::to_debug_string(legacy_dyn);
+        ASSERT_EQ(hopwise_dyn, grouped_dyn) << "fused and hop-wise plan execution disagree";
 
-          // Byte-identical on the wire: both ends re-encode to the same
-          // bytes (the formats share a fingerprint on one host).
-          ASSERT_EQ(plan->target()->fingerprint(), sink.format->fingerprint());
-          ASSERT_EQ(encode_bytes(plan->target(), grouped),
-                    encode_bytes(sink.format, sink.record));
-        }
+        // Byte-identical on the wire: both ends re-encode to the same
+        // bytes (the formats share a fingerprint on one host).
+        ASSERT_EQ(plan->target()->fingerprint(), sink.format->fingerprint());
+        ASSERT_EQ(encode_bytes(plan->target(), grouped),
+                  encode_bytes(sink.format, sink.record));
       }
     }
   }
@@ -421,8 +411,7 @@ TEST(FanoutDifferential, EchoDomainsGroupedVsPerSubscriber) {
 
   std::vector<std::unique_ptr<LegacySink>> oracles;
   for (int i = 0; i < kSinks; ++i) {
-    oracles.push_back(std::make_unique<LegacySink>(rev_format(i % (kRevs + 1)), specs,
-                                                   ReceiverOptions{}.fuse));
+    oracles.push_back(std::make_unique<LegacySink>(rev_format(i % (kRevs + 1)), specs));
   }
   std::vector<std::vector<std::vector<uint8_t>>> expected(kSinks);
   auto pub_fmt = rev_format(kRevs);

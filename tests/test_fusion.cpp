@@ -39,15 +39,14 @@ TransformSpec spec_of(FormatPtr src, FormatPtr dst, std::string code) {
   return s;
 }
 
-MorphChain make_chain(const std::vector<TransformSpec>& specs, bool fuse = true,
-                      bool verify = false,
+MorphChain make_chain(const std::vector<TransformSpec>& specs, bool verify = false,
                       ecode::ExecBackend backend = ecode::ExecBackend::kAuto) {
   std::vector<const TransformSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
   ecode::CompileOptions opts;
   opts.verify = verify;
   opts.backend = backend;
-  return MorphChain(ptrs, opts, fuse);
+  return MorphChain(ptrs, opts);
 }
 
 /// The backends every fused program must agree on: the bytecode VM always,
@@ -96,16 +95,6 @@ TEST(Fusion, SingleHopDoesNotFuse) {
   auto chain = make_chain({spec_of(fmt, fmt, "old.x = new.x;")});
   EXPECT_FALSE(chain.fused());
   EXPECT_EQ(chain.fusion_bailout(), "single-hop chain");
-}
-
-TEST(Fusion, DisabledDoesNotFuse) {
-  auto a = FormatBuilder("M").add_int("x", 8).build();
-  auto b = FormatBuilder("N").add_int("x", 8).build();
-  auto c = FormatBuilder("O").add_int("x", 8).build();
-  auto chain = make_chain(
-      {spec_of(a, b, "old.x = new.x;"), spec_of(b, c, "old.x = new.x;")}, /*fuse=*/false);
-  EXPECT_FALSE(chain.fused());
-  EXPECT_EQ(chain.fusion_bailout(), "fusion disabled");
 }
 
 TEST(Fusion, StringIntermediateBails) {
@@ -292,7 +281,7 @@ TEST(Fusion, ThreeHopsWithEnforcedVerification) {
   auto chain = make_chain({spec_of(a, b, "old.x = new.x + 1;"),
                            spec_of(b, c, "old.x = new.x * 3;"),
                            spec_of(c, d, "old.x = new.x - 7;")},
-                          /*fuse=*/true, /*verify=*/true);
+                          /*verify=*/true);
   ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
   EXPECT_EQ(chain.hops(), 3u);
   expect_differential(chain, 64, 6);
@@ -301,7 +290,7 @@ TEST(Fusion, ThreeHopsWithEnforcedVerification) {
 TEST(Fusion, VerifyFindingsReturnsStableReference) {
   auto a = FormatBuilder("M").add_int("x", 8).build();
   auto b = FormatBuilder("N").add_int("x", 8).add_int("y", 8).build();
-  auto chain = make_chain({spec_of(a, b, "old.x = new.x;")}, true, /*verify=*/true);
+  auto chain = make_chain({spec_of(a, b, "old.x = new.x;")}, /*verify=*/true);
   const auto& first = chain.verify_findings();
   const auto& second = chain.verify_findings();
   EXPECT_EQ(&first, &second);
@@ -416,7 +405,7 @@ TEST(FusionWorkload, ScanLadderFusesIntoOneCopyPass) {
     for (auto backend : backends()) {
       SCOPED_TRACE(::testing::Message() << "verify " << verify << " backend "
                                         << static_cast<int>(backend));
-      auto chain = make_chain(specs, true, verify, backend);
+      auto chain = make_chain(specs, verify, backend);
       ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
       EXPECT_EQ(chain.hops(), 4u);
       // Three intermediate copy loops forward; only the final hop's loop,
@@ -435,7 +424,7 @@ TEST(FusionWorkload, TickLadderFusesWithNarrowedStation) {
     for (auto backend : backends()) {
       SCOPED_TRACE(::testing::Message() << "verify " << verify << " backend "
                                         << static_cast<int>(backend));
-      auto chain = make_chain(specs, true, verify, backend);
+      auto chain = make_chain(specs, verify, backend);
       ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
       EXPECT_EQ(chain.hops(), 2u);
       // int8 -> int4 is not a verbatim copy: the station keeps a truncated
@@ -473,8 +462,8 @@ TEST(FusionCopyLoop, FusedHopwiseAndElementwiseAreByteIdentical) {
     auto oracle_specs = l.make(true);
     for (auto backend : backends()) {
       SCOPED_TRACE(::testing::Message() << l.name << " backend " << static_cast<int>(backend));
-      auto chain = make_chain(specs, true, /*verify=*/true, backend);
-      auto oracle = make_chain(oracle_specs, true, /*verify=*/false, backend);
+      auto chain = make_chain(specs, /*verify=*/true, backend);
+      auto oracle = make_chain(oracle_specs, /*verify=*/false, backend);
       ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
       EXPECT_FALSE(oracle.fused());
       EXPECT_EQ(fused_copy_loops(chain, specs), l.copy_loops) << chain.fused_source();
@@ -733,7 +722,7 @@ TEST(FusionCorpus, EveryBundleRunsFusedAgainstHopwise) {
 
 TEST(FusionCorpus, SensorChainFusesUnderEnforcedVerification) {
   auto specs = read_bundle(std::filesystem::path(MORPH_TRANSFORMS_DIR) / "sensor_fusion_chain.eco");
-  auto chain = make_chain(specs, true, /*verify=*/true);
+  auto chain = make_chain(specs, /*verify=*/true);
   ASSERT_TRUE(chain.fused()) << chain.fusion_bailout();
   EXPECT_EQ(chain.hops(), 3u);
   expect_differential(chain, 96, 7);

@@ -268,15 +268,22 @@ TEST(Receiver, FusedChainCountsInStats) {
   EXPECT_EQ(s.morph_fused + s.morph_hopwise, s.morphed);
 }
 
-TEST(Receiver, FusionDisabledFallsBackHopwise) {
+TEST(Receiver, FusionBailoutFallsBackHopwise) {
+  // A hop whose loop has no termination certificate runs under a fuel
+  // guard, and fusion bails on fuel-instrumented hops: the chain runs
+  // hop-wise, and the counters say so.
   ReceiverOptions opt;
   opt.thresholds = {0, 0.0};
-  opt.fuse = false;
   Receiver rx(opt);
   int delivered = 0;
-  rx.register_handler(scalar_rev(0), [&](const Delivery&) { ++delivered; });
+  rx.register_handler(scalar_rev(0), [&](const Delivery& d) {
+    EXPECT_EQ(pbio::RecordRef(d.record, d.format).get_int("v"), 3);  // two +1 hops
+    ++delivered;
+  });
   rx.learn_format(scalar_rev(2));
-  rx.learn_transform(scalar_rev_down(2));
+  TransformSpec fueled = scalar_rev_down(2);
+  fueled.code += "while (new.v < 0) { old.v = old.v + 1; }";
+  rx.learn_transform(fueled);
   rx.learn_transform(scalar_rev_down(1));
 
   RecordArena arena;
@@ -288,12 +295,15 @@ TEST(Receiver, FusionDisabledFallsBackHopwise) {
 
   RecordArena rx_arena;
   EXPECT_EQ(rx.process(buf.data(), buf.size(), rx_arena), Outcome::kMorphed);
-  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(rx.process(buf.data(), buf.size(), rx_arena), Outcome::kMorphed);
+  EXPECT_EQ(delivered, 2);
   ReceiverStats s = rx.stats();
   EXPECT_EQ(s.chains_fused, 0u);
   EXPECT_EQ(s.fusion_bailouts, 1u);
   EXPECT_EQ(s.morph_fused, 0u);
-  EXPECT_EQ(s.morph_hopwise, 1u);
+  EXPECT_EQ(s.morph_hopwise, 2u);
+  // Conservation: every morphed outcome was executed fused or hop-wise.
+  EXPECT_EQ(s.morph_fused + s.morph_hopwise, s.morphed);
 }
 
 TEST(Receiver, InPlaceDecodeFeedsMorphDirectly) {
@@ -427,38 +437,39 @@ TEST(Receiver, DecisionIsCached) {
 
 TEST(Receiver, DecisionCacheIsBounded) {
   // A peer streaming endless fresh formats cannot grow the cache without
-  // limit: overflow flushes, everything keeps working.
-  ReceiverOptions opt;
-  opt.max_cached_decisions = 8;
-  Receiver rx(opt);
+  // limit: the decision that takes it past the bound flushes it (the same
+  // overflow rule FanoutPlanner2.CacheFlushesPastItsBound checks for plans),
+  // and everything keeps working.
+  Receiver rx;
+  auto live = FormatBuilder("Live").add_int("base", 4).build();
   int delivered = 0;
-  for (int i = 0; i < 30; ++i) {
-    auto fmt = FormatBuilder("M" + std::to_string(i)).add_int("base", 4).build();
-    rx.register_handler(fmt, [&](const Delivery&) { ++delivered; });
-    rx.learn_format(fmt);
-    auto buf = encode_one(fmt, i);
-    RecordArena arena;
-    EXPECT_EQ(rx.process(buf.data(), buf.size(), arena), Outcome::kExact);
-  }
-  EXPECT_EQ(delivered, 30);
-  EXPECT_LE(rx.cached_decisions(), 8u);
-  // register_handler also clears the cache, so flushes may be 0 here; force
-  // an overflow without registrations to observe one.
-  ReceiverOptions opt2;
-  opt2.max_cached_decisions = 4;
-  Receiver rx2(opt2);
-  std::vector<FormatPtr> fmts;
-  for (int i = 0; i < 6; ++i) {
-    fmts.push_back(FormatBuilder("N" + std::to_string(i)).add_int("base", 4).build());
-    rx2.register_handler(fmts.back(), [](const Delivery&) {});
-    rx2.learn_format(fmts.back());
-  }
+  rx.register_handler(live, [&](const Delivery&) { ++delivered; });
+  rx.learn_format(live);
+  const ByteBuffer live_buf = encode_one(live, 1);
   RecordArena arena;
-  for (int i = 0; i < 6; ++i) {
-    auto buf = encode_one(fmts[static_cast<size_t>(i)], i);
-    rx2.process(buf.data(), buf.size(), arena);
+  EXPECT_EQ(rx.process(live_buf.data(), live_buf.size(), arena), Outcome::kExact);
+  // Unlearned formats: every fingerprint is one cheap rejected decision.
+  auto send_fresh = [&](size_t i) {
+    auto fmt = FormatBuilder("M" + std::to_string(i)).add_int("base", 4).build();
+    auto buf = encode_one(fmt, static_cast<int>(i));
+    return rx.process(buf.data(), buf.size(), arena);
+  };
+  for (size_t i = 1; i < core::kMaxCachedBuilds; ++i) {
+    ASSERT_EQ(send_fresh(i), Outcome::kRejected);
   }
-  EXPECT_GE(rx2.stats().cache_flushes, 1u);
+  EXPECT_EQ(rx.cached_decisions(), core::kMaxCachedBuilds);
+  EXPECT_EQ(rx.stats().cache_flushes, 0u);
+
+  EXPECT_EQ(send_fresh(core::kMaxCachedBuilds), Outcome::kRejected);
+  EXPECT_EQ(rx.stats().cache_flushes, 1u);
+  EXPECT_EQ(rx.cached_decisions(), 0u);
+  EXPECT_EQ(rx.stats().cache_misses, core::kMaxCachedBuilds + 1);
+  EXPECT_EQ(rx.stats().rejected, core::kMaxCachedBuilds);
+
+  EXPECT_EQ(rx.process(live_buf.data(), live_buf.size(), arena), Outcome::kExact);
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(rx.cached_decisions(), 1u);
+  EXPECT_EQ(rx.stats().cache_hits, 0u);
 }
 
 TEST(Receiver, RegistrationInvalidatesCache) {
